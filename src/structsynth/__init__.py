@@ -38,7 +38,7 @@ from .depgraph import (
     ground_truth_graph,
     validate_graph,
 )
-from .extractors import CommandExtractor, PatternTableExtractor, ScriptedExtractor
+from .extractors import PatternTableExtractor, ScriptedExtractor
 from .generators import (
     DefectKind,
     FaultInjectionGenerator,
@@ -76,7 +76,6 @@ __all__ = [
     "ApiDoc",
     "ApiSchema",
     "BenchReport",
-    "CommandExtractor",
     "DefectKind",
     "DepGraph",
     "EdgeKind",

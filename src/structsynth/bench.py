@@ -8,7 +8,6 @@ execution, uncertainty-filter sweeps, and graph accuracy by prompt length.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,7 +29,6 @@ from .generators import (
 )
 from .judges import RuleBasedJudge
 from .orchestrator import run_with_reflection
-from .qas.parser import SyntaxFailure, parse
 from .retrieval import Retriever
 from .runtime import ExecStatus, Session, Snapshot
 from .schema import ApiSchema, ParseError
@@ -308,7 +306,6 @@ def run_bench(
     session_factory: Callable[[], Session],
     config: SynthesisConfig = SynthesisConfig(),
     force_exec: bool = False,
-    workers: int = 1,
     multis: Sequence[MultiTaskSpec] = (),
 ) -> BenchReport:
     """Run a full suite; factories keep stateful components task-local."""
@@ -327,11 +324,7 @@ def run_bench(
             force_exec,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            report.records = list(pool.map(one, tasks))
-    else:
-        report.records = [one(t) for t in tasks]
+    report.records = [one(t) for t in tasks]
 
     for m in multis:
         outcome = run_with_reflection(
@@ -409,9 +402,6 @@ def ablation_precisions(
     truths: list[bool] = []
     for case in cases:
         session = Session(snapshot, schema, step_budget=step_budget)
-        if isinstance(parse(case.source), SyntaxFailure):
-            truths.append(False)
-            continue
         execution = session.execute(case.source)
         truths.append(execution.status is ExecStatus.OK)
     out: dict[int, AblationPoint] = {}

@@ -235,7 +235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             lambda: Session(snapshot, schema, step_budget=args.step_budget),
             config=config,
             force_exec=args.force_exec or len(layers) > 1,
-            workers=args.workers,
             multis=multis if max_layer == layers[-1] else (),
         )
         errors = [r for r in report.records if r.error]
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execute rejected programs too, for verifier quality")
     p.add_argument("--theta-sweep", dest="sweep", metavar="START:STOP:STEP",
                    help="uncertainty filter sweep, e.g. 0.1:0.9:0.2")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--step-budget", type=int, default=100_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)

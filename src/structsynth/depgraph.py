@@ -79,12 +79,6 @@ class DepGraph:
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
-    def node(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def node_map(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
 

@@ -1,4 +1,4 @@
-"""Graph extractors: a deterministic pattern table, a scripted stub, a subprocess bridge.
+"""Graph extractors: a deterministic pattern table and a scripted stub.
 
 Node labels carry the rendering hints generators understand:
 object nodes use space-separated ``key=value`` tokens (``name=clk``,
@@ -8,11 +8,9 @@ nodes spell the call itself (``setWeight(2)``).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
-from .adapters import AdapterError, run_json_command
 from .depgraph import (
     DepGraph,
     EdgeKind,
@@ -242,31 +240,3 @@ class ScriptedExtractor:
         if isinstance(item, dict):
             return DepGraph.from_dict(item)
         raise ExtractorOutputError(f"unparseable extractor response: {item!r}")
-
-
-@dataclass
-class CommandExtractor:
-    """Bridges to an external command speaking JSON graphs on stdio."""
-
-    argv: tuple[str, ...]
-    timeout: float = 30.0
-
-    def extract(
-        self, prompt: str, previous: DepGraph | None, feedback: tuple[Feedback, ...]
-    ) -> DepGraph:
-        payload = {
-            "prompt": prompt,
-            "previous": previous.to_dict() if previous is not None else None,
-            "feedback": [
-                {"target": f.target, "code": f.code, "message": f.message} for f in feedback
-            ],
-        }
-        try:
-            out = run_json_command(self.argv, payload, timeout=self.timeout)
-        except AdapterError as exc:
-            raise ExtractorOutputError(str(exc)) from exc
-        try:
-            doc = json.loads(out)
-        except json.JSONDecodeError as exc:
-            raise ExtractorOutputError(f"extractor wrote invalid JSON: {exc}") from exc
-        return DepGraph.from_dict(doc)

@@ -1,4 +1,4 @@
-"""Program generators: graph-driven templates, fault injection, a stdio bridge.
+"""Program generators: graph-driven templates and fault injection.
 
 The template generator renders a dependency graph into a runnable script,
 walking acquisition edges outward from the root bindings. Object node labels
@@ -15,7 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .adapters import AdapterError, run_json_command
 from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from .qas import nodes as qn
 from .qas.analysis import infer_types
@@ -420,33 +419,3 @@ class ScriptedGenerator:
         src = self.sources[min(self._cursor, len(self.sources) - 1)]
         self._cursor += 1
         return src
-
-
-@dataclass
-class CommandGenerator:
-    """Bridges to an external command that answers with raw program text."""
-
-    argv: tuple[str, ...]
-    timeout: float = 60.0
-
-    def generate(self, request: GenerationRequest) -> str:
-        ev = request.evidence
-        payload = {
-            "prompt": request.prompt,
-            "graph": request.graph.to_dict(),
-            "evidence": [
-                {
-                    "api_path": d.api_path,
-                    "text": d.text,
-                    "snippet": d.snippet,
-                }
-                for d in (ev.docs if ev is not None else ())
-            ],
-            "hints": list(request.hints),
-            "previous": request.previous,
-            "feedback": list(request.feedback),
-        }
-        try:
-            return run_json_command(self.argv, payload, timeout=self.timeout)
-        except AdapterError as exc:
-            raise GeneratorFailure(str(exc)) from exc

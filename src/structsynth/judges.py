@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .adapters import AdapterError, run_json_command
 from .depgraph import DepGraph, NodeKind
 from .qas.analysis import TypedScript
 from .schema import ApiSchema
@@ -81,31 +79,3 @@ class ScriptedJudge:
         v = self.verdicts[min(self._cursor, len(self.verdicts) - 1)]
         self._cursor += 1
         return v
-
-
-@dataclass
-class CommandJudge:
-    """Bridges to an external judge answering JSON verdicts on stdio."""
-
-    argv: tuple[str, ...]
-    timeout: float = 30.0
-
-    def judge(self, ctx: JudgeContext) -> JudgeVerdict:
-        payload = {
-            "prompt": ctx.prompt,
-            "source": ctx.source,
-            "graph": ctx.graph.to_dict(),
-        }
-        try:
-            out = run_json_command(self.argv, payload, timeout=self.timeout)
-            doc = json.loads(out)
-            findings = tuple(
-                Finding(str(f["code"]), str(f.get("message", "")))
-                for f in doc.get("findings", [])
-            )
-            ok = bool(doc["ok"])
-        except (AdapterError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise JudgeFailure(f"judge unusable: {exc}") from exc
-        if not ok and not findings:
-            findings = (Finding("L4_JUDGE", "judge rejected the program"),)
-        return JudgeVerdict(ok=ok, findings=findings)

@@ -108,7 +108,6 @@ class TypedScript:
     """A script plus everything inference learned about it."""
 
     script: Script
-    env_after: tuple[tuple[Location, dict[str, TypeRef]], ...]
     final_env: dict[str, TypeRef]
     call_sites: tuple[CallSite, ...]
     builtin_calls: tuple[BuiltinCall, ...]
@@ -165,7 +164,6 @@ class _Inference:
         self.schema = schema
         self.env: dict[str, TypeRef | ModuleBinding] = {}
         self.definite: set[str] = set()
-        self.env_after: list[tuple[Location, dict[str, TypeRef]]] = []
         self.call_sites: list[CallSite] = []
         self.builtin_calls: list[BuiltinCall] = []
         self.attribute_reads: list[AttributeRead] = []
@@ -182,7 +180,6 @@ class _Inference:
         final = {k: v for k, v in self.env.items() if isinstance(v, TypeRef)}
         return TypedScript(
             script=script,
-            env_after=tuple(self.env_after),
             final_env=final,
             call_sites=tuple(self.call_sites),
             builtin_calls=tuple(self.builtin_calls),
@@ -200,9 +197,6 @@ class _Inference:
         assigned: set[str] = set()
         for s in statements:
             assigned |= self._stmt(s)
-            self.env_after.append(
-                (s.location, {k: v for k, v in self.env.items() if isinstance(v, TypeRef)})
-            )
         return assigned
 
     def _stmt(self, s: Stmt) -> set[str]:

@@ -109,13 +109,6 @@ class Retriever:
             norm = math.sqrt(sum(w * w for w in weights.values()))
             self._vectors.append({t: w / norm for t, w in weights.items()} if norm else {})
 
-    def doc(self, doc_id: str) -> ApiDoc:
-        return self._by_id[doc_id]
-
-    def score(self, query: str, doc_id: str) -> float:
-        idx = next(i for i, d in enumerate(self.docs) if d.doc_id == doc_id)
-        return self._score_vector(Counter(tokenize(query)), idx)
-
     def _score_vector(self, qcounts: Counter[str], idx: int) -> float:
         vec = self._vectors[idx]
         total = 0.0

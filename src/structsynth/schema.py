@@ -52,10 +52,6 @@ class TypeRef:
     def is_unknown(self) -> bool:
         return self.base == UNKNOWN_BASE
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.base in PRIMITIVES
-
     def element(self) -> "TypeRef":
         """Element type of a collection; UNKNOWN when not many-valued."""
         if not self.many:
@@ -147,31 +143,6 @@ class ApiSchema:
 
     def enum_has(self, enum: str, constant: str) -> bool:
         return constant in self.enums.get(enum, ())
-
-
-class KnownSets(NamedTuple):
-    """Materialized known-universe sets, sorted for deterministic iteration."""
-
-    methods: tuple[tuple[str, str], ...]
-    types: tuple[str, ...]
-    enum_constants: tuple[str, ...]
-
-
-def lookup_method(schema: ApiSchema, receiver: str, method: str) -> MethodSig | None:
-    """Return the signature of receiver.method, or None; absence is a value."""
-    return schema.method(receiver, method)
-
-
-def known_sets(schema: ApiSchema) -> KnownSets:
-    """Materialize the known method pairs, type names, and enum constants."""
-    methods = sorted(
-        (tname, mname) for tname, decl in schema.types.items() for mname in decl.methods
-    )
-    types = sorted(schema.types)
-    constants = sorted(
-        f"{ename}.{const}" for ename, consts in schema.enums.items() for const in consts
-    )
-    return KnownSets(tuple(methods), tuple(types), tuple(constants))
 
 
 def valid_import(schema: ApiSchema, name: str) -> bool:

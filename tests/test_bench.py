@@ -274,22 +274,6 @@ def test_run_bench_small_subset(schema, retriever, snapshot):
     assert all(not m.reflected for m in report.multi_records)
 
 
-def test_run_bench_parallel_preserves_order(schema, retriever, snapshot):
-    tasks = singles_suite()[:4]
-    report = run_bench(
-        tasks,
-        schema,
-        retriever,
-        lambda: PatternTableExtractor(schema),
-        lambda: TemplateGenerator(schema),
-        lambda: RuleBasedJudge(),
-        lambda: Session(snapshot, schema),
-        workers=2,
-    )
-    assert [r.task_id for r in report.records] == [t.task_id for t in tasks]
-    assert report.pass_rate == 1.0
-
-
 def test_plant_cases_applies_defects(schema):
     extractor = PatternTableExtractor(schema)
     plan = [

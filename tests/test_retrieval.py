@@ -48,7 +48,8 @@ def test_tokenize():
 
 def test_load_corpus_counts(retriever):
     assert len(retriever.docs) == 8
-    assert retriever.doc("b-findnet").api_path == "Block.findNet"
+    paths = {d.doc_id: d.api_path for d in retriever.docs}
+    assert paths["b-findnet"] == "Block.findNet"
 
 
 def test_load_corpus_rejects_duplicate_ids(tmp_path):
@@ -79,10 +80,10 @@ def test_snippet_is_not_indexed():
 )
 def test_scores_match_independent_oracle(retriever, query):
     oracle = naive_scores(fixture_path("toy_corpus.json"), query)
-    for doc in retriever.docs:
-        assert retriever.score(query, doc.doc_id) == pytest.approx(
-            oracle[doc.doc_id], abs=1e-9
-        )
+    hits = retriever.retrieve(query, k=len(retriever.docs)).hits
+    assert sorted(h.doc_id for h in hits) == sorted(d for d, s in oracle.items() if s > 0)
+    for hit in hits:
+        assert hit.score == pytest.approx(oracle[hit.doc_id], abs=1e-9)
 
 
 def test_top_hit_find_net(retriever):

@@ -6,8 +6,6 @@ from structsynth.schema import (
     SchemaError,
     TypeRef,
     UNKNOWN,
-    known_sets,
-    lookup_method,
     schema_from_dict,
     valid_enum_ref,
     valid_import,
@@ -26,14 +24,14 @@ def test_toy_schema_counts(schema):
 
 
 def test_method_lookup(schema):
-    sig = lookup_method(schema, "Block", "findNet")
+    sig = schema.method("Block", "findNet")
     assert sig is not None
     assert sig.arity == 1
     assert sig.params[0].type.base == "string"
     assert sig.returns == TypeRef("Net", nullable=True)
     assert not sig.mutates
-    assert lookup_method(schema, "Block", "nope") is None
-    assert lookup_method(schema, "Ghost", "findNet") is None
+    assert schema.method("Block", "nope") is None
+    assert schema.method("Ghost", "findNet") is None
 
 
 def test_mutating_methods_marked(schema):
@@ -48,21 +46,12 @@ def test_attribute_lookup(schema):
     assert schema.attribute("Ghost", "weight") is None
 
 
-def test_known_sets(schema):
-    sets = known_sets(schema)
-    assert ("Block", "findNet") in sets.methods
-    assert sets.types == ("Block", "Design", "ITerm", "Inst", "Net")
-    assert sets.enum_constants == ("PlacementStatus.FIRM", "PlacementStatus.PLACED")
-
-
 def test_typeref_flags():
     many = TypeRef("Net", many=True)
     assert many.element() == TypeRef("Net")
     assert TypeRef("Net").element() == UNKNOWN
     assert TypeRef("Net", nullable=True).without_null() == TypeRef("Net")
     assert UNKNOWN.is_unknown
-    assert TypeRef("int").is_primitive
-    assert not TypeRef("Net").is_primitive
 
 
 def test_typeref_dict_round_trip():
