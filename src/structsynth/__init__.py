@@ -55,6 +55,7 @@ from .orchestrator import (
     run_episode,
     run_with_reflection,
 )
+from .qas import Candidate, analyze
 from .retrieval import ApiDoc, EvidenceSet, Retriever, load_corpus
 from .runtime import (
     ExecStatus,
@@ -76,6 +77,7 @@ __all__ = [
     "ApiDoc",
     "ApiSchema",
     "BenchReport",
+    "Candidate",
     "DefectKind",
     "DepGraph",
     "EdgeKind",
@@ -119,6 +121,7 @@ __all__ = [
     "UncertaintyConfig",
     "UncertaintyReport",
     "VerdictReport",
+    "analyze",
     "apply_defect",
     "compute_uncertainty",
     "extract_graph",

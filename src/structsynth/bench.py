@@ -29,6 +29,7 @@ from .generators import (
 )
 from .judges import RuleBasedJudge
 from .orchestrator import run_with_reflection
+from .qas.analysis import analyze
 from .retrieval import Retriever
 from .runtime import ExecStatus, Session, Snapshot
 from .schema import ApiSchema, ParseError
@@ -404,13 +405,14 @@ def ablation_precisions(
         session = Session(snapshot, schema, step_budget=step_budget)
         execution = session.execute(case.source)
         truths.append(execution.status is ExecStatus.OK)
+    analyzed = [analyze(case.source, schema) for case in cases]
     out: dict[int, AblationPoint] = {}
     for max_layer in layers:
         passes = 0
         good = 0
-        for case, ok in zip(cases, truths):
+        for case, candidate, ok in zip(cases, analyzed, truths):
             verdict = verify_all(
-                case.source,
+                candidate,
                 case.graph,
                 schema,
                 None,

@@ -19,8 +19,7 @@ from .extractors import PatternTableExtractor
 from .fixtures import fixture_path, toy_corpus, toy_retriever, toy_schema, toy_snapshot
 from .generators import GeneratorFailure, TemplateGenerator
 from .judges import RuleBasedJudge
-from .qas.parser import SyntaxFailure, parse
-from .qas.analysis import infer_types
+from .qas.analysis import analyze
 from .retrieval import Retriever, load_corpus
 from .runtime import ExecStatus, Session, load_snapshot
 from .schema import ApiSchema, ParseError, SchemaError, load_schema
@@ -51,20 +50,18 @@ def _print_verdict(verdict: VerdictReport) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    source = _read_source(args.source)
+    candidate = analyze(_read_source(args.source), schema)
     if args.graph:
         graph = DepGraph.from_dict(json.loads(_read_source(args.graph)))
-    else:
+    elif candidate.typed is not None:
         # No graph supplied: check the program against its own shape so the
         # causal layer still runs.
-        script = parse(source)
-        if isinstance(script, SyntaxFailure):
-            graph = None
-        else:
-            graph, _ = ground_truth_graph(infer_types(script, schema), schema)
+        graph, _ = ground_truth_graph(candidate.typed, schema)
+    else:
+        graph = None
     judge = RuleBasedJudge() if args.max_layer >= 4 else None
     verdict = verify_all(
-        source, graph, schema, None, judge, args.prompt, max_layer=args.max_layer
+        candidate, graph, schema, None, judge, args.prompt, max_layer=args.max_layer
     )
     if args.json:
         print(json.dumps(_verdict_dict(verdict), indent=2))

@@ -14,15 +14,10 @@ from enum import Enum
 
 from .depgraph import DepGraph, ExtractorFailure, Feedback, GraphExtractor, extract_graph
 from .generators import GenerationRequest, GeneratorFailure
+from .qas.analysis import Candidate, analyze
 from .retrieval import EvidenceSet, Retriever
 from .schema import ApiSchema
-from .uncertainty import (
-    UncertaintyConfig,
-    UncertaintyReport,
-    compute_uncertainty,
-    jaccard,
-    normalized_statement_set,
-)
+from .uncertainty import UncertaintyConfig, UncertaintyReport, compute_uncertainty, jaccard
 from .verifier import L3_NOT_IN_EVIDENCE, VerdictReport, verify_all
 
 
@@ -48,9 +43,9 @@ class Action:
 
 @dataclass
 class Trajectory:
-    """Everything the loop produced, in order; candidates are raw source text."""
+    """Everything the loop produced, in order; each candidate is analyzed once."""
 
-    candidates: list[str] = field(default_factory=list)
+    candidates: list[Candidate] = field(default_factory=list)
     verdicts: list[VerdictReport] = field(default_factory=list)
     actions: list[Action] = field(default_factory=list)
     evidence_versions: list[int] = field(default_factory=list)
@@ -159,7 +154,7 @@ def loop_guard(trajectory: Trajectory, threshold: float = 0.9) -> bool:
     va, vb = trajectory.verdicts[-2], trajectory.verdicts[-1]
     if va.failure_layer != vb.failure_layer or va.codes() != vb.codes():
         return False
-    return jaccard(normalized_statement_set(a), normalized_statement_set(b)) >= threshold
+    return jaccard(a.statements, b.statements) >= threshold
 
 
 def escalate(trajectory: Trajectory, g: DepGraph) -> Action:
@@ -203,7 +198,7 @@ def synthesize(
 
     def generate(action_hints: tuple[str, ...], feedback: tuple[str, ...]) -> str:
         nonlocal empty_streak
-        previous = trajectory.candidates[-1] if trajectory.candidates else None
+        previous = trajectory.candidates[-1].source if trajectory.candidates else None
         request = GenerationRequest(
             prompt=prompt,
             graph=g,
@@ -222,21 +217,15 @@ def synthesize(
                 break
         raise GeneratorFailure("generator returned empty output twice")
 
-    def verify(source: str) -> VerdictReport:
-        return verify_all(
-            source,
-            g,
-            schema,
-            evidence,
-            judge,
-            prompt,
-            max_layer=config.max_layer,
+    def attempt(source: str) -> None:
+        candidate = analyze(source, schema)
+        trajectory.candidates.append(candidate)
+        trajectory.verdicts.append(
+            verify_all(candidate, g, schema, evidence, judge, prompt, max_layer=config.max_layer)
         )
+        trajectory.evidence_versions.append(evidence.version)
 
-    source = generate((), ())
-    trajectory.candidates.append(source)
-    trajectory.verdicts.append(verify(source))
-    trajectory.evidence_versions.append(evidence.version)
+    attempt(generate((), ()))
 
     repairs_used = 0
     accepted = trajectory.verdicts[-1].passed
@@ -283,9 +272,7 @@ def synthesize(
             trajectory.window_start = len(trajectory.candidates)
         source = generate(action.hints, _issue_hints(trajectory.verdicts[-1]))
         trajectory.actions.append(action)
-        trajectory.candidates.append(source)
-        trajectory.verdicts.append(verify(source))
-        trajectory.evidence_versions.append(evidence.version)
+        attempt(source)
         repairs_used += 1
         accepted = trajectory.verdicts[-1].passed
 
@@ -297,7 +284,7 @@ def synthesize(
         config.uncertainty,
     )
     return SynthesisResult(
-        source=trajectory.candidates[-1],
+        source=trajectory.candidates[-1].source,
         verdict=trajectory.verdicts[-1],
         accepted=accepted,
         trajectory=trajectory,

@@ -1,7 +1,8 @@
 """A small indentation-delimited scripting language over design-database APIs.
 
 Public surface: parse / Script / SyntaxFailure, the normalizing serializer,
-statement-set normalization for similarity measures, and type inference.
+statement-set normalization for similarity measures, type inference, and
+``analyze``, which parses, types and fingerprints a program once.
 """
 
 from .analysis import (
@@ -9,9 +10,11 @@ from .analysis import (
     AttributeRead,
     BuiltinCall,
     CallSite,
+    Candidate,
     EnumRef,
     TypedScript,
     UndefinedUse,
+    analyze,
     infer_types,
     normalize_statements,
 )
@@ -23,12 +26,14 @@ __all__ = [
     "AttributeRead",
     "BuiltinCall",
     "CallSite",
+    "Candidate",
     "EnumRef",
     "Script",
     "SyntaxFailure",
     "SyntaxIssue",
     "TypedScript",
     "UndefinedUse",
+    "analyze",
     "infer_types",
     "nodes",
     "normalize_statements",

@@ -1,5 +1,9 @@
 """Static analysis over parsed scripts: normalization and type inference.
 
+``analyze`` turns a program's text into a ``Candidate`` once: its parse, its
+types and its statement fingerprint. Verification, the loop guard and
+uncertainty scoring read that value instead of parsing the text again.
+
 Inference is a forward dataflow pass seeded by the schema roots. It resolves
 a receiver type for every method call it can, tracks nullability until an
 explicit None-comparison guard discharges it, and records everything later
@@ -34,7 +38,7 @@ from .nodes import (
     expr_to_source,
     stmt_header,
 )
-from .parser import Script
+from .parser import Script, SyntaxFailure, parse
 
 Location = tuple[int, int]
 
@@ -93,7 +97,6 @@ class EnumRef:
 
     name: str
     location: Location
-    base_imported: bool
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,11 @@ class UndefinedUse:
 class TypedScript:
     """A script plus everything inference learned about it."""
 
-    script: Script
     final_env: dict[str, TypeRef]
     call_sites: tuple[CallSite, ...]
     builtin_calls: tuple[BuiltinCall, ...]
     attribute_reads: tuple[AttributeRead, ...]
     imports: tuple[str, ...]
-    imported_modules: frozenset[str]
     enum_refs: tuple[EnumRef, ...]
     undefined_uses: tuple[UndefinedUse, ...]
 
@@ -145,6 +146,29 @@ def infer_types(script: Script, schema: ApiSchema) -> TypedScript:
     return inf.run(script)
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """One generated program, parsed and typed once for every later stage.
+
+    An unparseable program has ``typed`` None and a line-based statement
+    fingerprint, so similarity measures still see its text.
+    """
+
+    source: str
+    script: Script | SyntaxFailure
+    typed: TypedScript | None
+    statements: frozenset[str]
+
+
+def analyze(source: str, schema: ApiSchema) -> Candidate:
+    """Parse, type and fingerprint a program."""
+    script = parse(source)
+    if isinstance(script, SyntaxFailure):
+        lines = frozenset(line.strip() for line in source.splitlines() if line.strip())
+        return Candidate(source, script, None, lines)
+    return Candidate(source, script, infer_types(script, schema), normalize_statements(script))
+
+
 def _dotted(expr: Expr) -> list[str] | None:
     """Flatten a pure Name/Attribute chain into its dotted segments."""
     parts: list[str] = []
@@ -168,7 +192,6 @@ class _Inference:
         self.builtin_calls: list[BuiltinCall] = []
         self.attribute_reads: list[AttributeRead] = []
         self.imports: list[str] = []
-        self.imported_modules: set[str] = set()
         self.enum_refs: list[EnumRef] = []
         self.undefined_uses: list[UndefinedUse] = []
 
@@ -179,13 +202,11 @@ class _Inference:
         self._walk(script.statements)
         final = {k: v for k, v in self.env.items() if isinstance(v, TypeRef)}
         return TypedScript(
-            script=script,
             final_env=final,
             call_sites=tuple(self.call_sites),
             builtin_calls=tuple(self.builtin_calls),
             attribute_reads=tuple(self.attribute_reads),
             imports=tuple(self.imports),
-            imported_modules=frozenset(self.imported_modules),
             enum_refs=tuple(self.enum_refs),
             undefined_uses=tuple(self.undefined_uses),
         )
@@ -203,7 +224,6 @@ class _Inference:
         if isinstance(s, ImportStmt):
             root = s.name.split(".")[0]
             self.imports.append(s.name)
-            self.imported_modules.add(root)
             self.env[root] = ModuleBinding(root)
             self.definite.add(root)
             return {root}
@@ -354,7 +374,7 @@ class _Inference:
         """
         dotted = ".".join(chain)
         if len(chain) >= 3:
-            self.enum_refs.append(EnumRef(dotted, e.location, base is not None))
+            self.enum_refs.append(EnumRef(dotted, e.location))
             if base is not None and chain[1] in self.schema.enums and len(chain) == 3:
                 return TypeRef(chain[1])
             return UNKNOWN

@@ -54,11 +54,9 @@ class EvidenceSet:
     def doc_ids(self) -> frozenset[str]:
         return frozenset(h.doc_id for h in self.hits)
 
-    def api_paths(self) -> frozenset[str]:
-        return frozenset(d.api_path for d in self.docs)
-
     def covers(self, type_name: str, method: str) -> bool:
-        return f"{type_name}.{method}" in self.api_paths()
+        path = f"{type_name}.{method}"
+        return any(d.api_path == path for d in self.docs)
 
 
 def load_corpus(path: str | Path) -> tuple[ApiDoc, ...]:

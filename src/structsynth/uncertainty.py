@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .qas.analysis import infer_types, normalize_statements
-from .qas.parser import SyntaxFailure, parse
+from .qas.analysis import Candidate
 from .retrieval import EvidenceSet
 from .schema import ApiSchema, valid_enum_ref, valid_import
 from .verifier import VerdictReport
@@ -90,14 +89,6 @@ class UncertaintyReport:
     filtered: bool
 
 
-def normalized_statement_set(source: str) -> frozenset[str]:
-    """Statement fingerprint of a candidate; line-based for unparseable ones."""
-    parsed = parse(source)
-    if isinstance(parsed, SyntaxFailure):
-        return frozenset(line.strip() for line in source.splitlines() if line.strip())
-    return normalize_statements(parsed)
-
-
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
@@ -105,13 +96,12 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def compute_code_signals(
-    source: str, schema: ApiSchema, config: UncertaintyConfig = UncertaintyConfig()
+    candidate: Candidate, schema: ApiSchema, config: UncertaintyConfig = UncertaintyConfig()
 ) -> CodeSignals:
     """Hallucination counters over the final program; unparseable scores zero."""
-    parsed = parse(source)
-    if isinstance(parsed, SyntaxFailure):
+    ts = candidate.typed
+    if ts is None:
         return CodeSignals(0, 0, 1.0, 0.0)
-    ts = infer_types(parsed, schema)
     bad_imports = sum(1 for name in ts.imports if not valid_import(schema, name))
     bad_enums = sum(1 for ref in ts.enum_refs if not valid_enum_ref(schema, ref.name))
     all_method_names = {
@@ -136,7 +126,7 @@ def compute_code_signals(
 
 
 def compute_trajectory_signals(
-    candidates: Sequence[str],
+    candidates: Sequence[Candidate],
     verdicts: Sequence[VerdictReport],
     config: UncertaintyConfig = UncertaintyConfig(),
 ) -> TrajectorySignals:
@@ -157,8 +147,9 @@ def compute_trajectory_signals(
     if repairs == 0:
         stagnation = 0.0
     else:
-        sets = [normalized_statement_set(c) for c in candidates]
-        sims = [jaccard(sets[i], sets[i + 1]) for i in range(len(sets) - 1)]
+        sims = [
+            jaccard(a.statements, b.statements) for a, b in zip(candidates, candidates[1:])
+        ]
         stagnation = sum(sims) / len(sims)
     if repairs == 0:
         ineffectiveness = 0.0
@@ -173,13 +164,12 @@ def compute_trajectory_signals(
 
 
 def compute_coverage(
-    source: str, schema: ApiSchema, evidence: EvidenceSet | None
+    candidate: Candidate, schema: ApiSchema, evidence: EvidenceSet | None
 ) -> CoverageSignals:
     """Fraction of schema-resolved calls that retrieved documentation backs."""
-    parsed = parse(source)
-    if isinstance(parsed, SyntaxFailure):
+    ts = candidate.typed
+    if ts is None:
         return CoverageSignals(0, 0, 0.0)
-    ts = infer_types(parsed, schema)
     eligible = [
         cs
         for cs in ts.call_sites
@@ -197,7 +187,7 @@ def compute_coverage(
 
 
 def compute_uncertainty(
-    candidates: Sequence[str],
+    candidates: Sequence[Candidate],
     verdicts: Sequence[VerdictReport],
     schema: ApiSchema,
     evidence: EvidenceSet | None = None,

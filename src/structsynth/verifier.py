@@ -15,8 +15,8 @@ from enum import Enum
 
 from .depgraph import DepGraph, EdgeKind
 from .judges import JudgeContext, JudgeFailure
-from .qas.analysis import TypedScript, infer_types
-from .qas.parser import Script, SyntaxFailure, parse
+from .qas.analysis import BUILTINS, Candidate, TypedScript
+from .qas.parser import Script, SyntaxFailure
 from .retrieval import EvidenceSet
 from .schema import ApiSchema, valid_enum_ref, valid_import
 
@@ -67,14 +67,13 @@ class VerdictReport:
         return tuple(sorted(i.code for i in self.errors()))
 
 
-def verify_syntax(source: str) -> tuple[Script | None, tuple[Issue, ...]]:
-    parsed = parse(source)
-    if isinstance(parsed, SyntaxFailure):
-        issues = tuple(
-            Issue(L1_SYNTAX, 1, e.message, location=(e.line, e.column)) for e in parsed.errors
+def verify_syntax(script: Script | SyntaxFailure) -> tuple[Issue, ...]:
+    """Layer 1: one issue per parse error."""
+    if isinstance(script, SyntaxFailure):
+        return tuple(
+            Issue(L1_SYNTAX, 1, e.message, location=(e.line, e.column)) for e in script.errors
         )
-        return None, issues
-    return parsed, ()
+    return ()
 
 
 def _edge_realizations(ts: TypedScript, g: DepGraph) -> dict[str, tuple[int, int] | None]:
@@ -100,11 +99,8 @@ def _edge_realizations(ts: TypedScript, g: DepGraph) -> dict[str, tuple[int, int
     return first
 
 
-def verify_causal(
-    script: Script, g: DepGraph | None, schema: ApiSchema
-) -> tuple[TypedScript, tuple[Issue, ...]]:
+def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tuple[Issue, ...]:
     """Layer 2: definedness, nullability discipline, and graph realization."""
-    ts = infer_types(script, schema)
     issues: list[Issue] = []
     for use in ts.undefined_uses:
         issues.append(
@@ -167,7 +163,7 @@ def verify_causal(
                             graph_region=DepGraph.edge_id(f),
                         )
                     )
-    return ts, tuple(issues)
+    return tuple(issues)
 
 
 def _call_edge(g: DepGraph | None, receiver: str, method: str) -> str | None:
@@ -237,24 +233,19 @@ def verify_api_alignment(
                 )
             )
     for bc in ts.builtin_calls:
-        arity, kind = 1, "any"
-        if bc.name == "len":
-            kind = "many"
-        elif bc.name == "range":
-            kind = "int"
+        arity, kind = BUILTINS[bc.name]
         if len(bc.arg_types) != arity:
             issues.append(
                 Issue(L3_BAD_ARITY, 3, f"{bc.name} takes {arity} argument(s)",
                       location=bc.location)
             )
-        elif kind == "many" and not bc.arg_types[0].many and not bc.arg_types[0].is_unknown:
+        elif kind == "many" and not (
+            bc.arg_types[0].many or bc.arg_types[0].base in ("string", "?")
+        ):
             issues.append(
                 Issue(L3_BAD_ARITY, 3, f"{bc.name} expects a collection", location=bc.location)
             )
-        elif (
-            kind == "int"
-            and bc.arg_types[0].base not in ("int", "?")
-        ):
+        elif kind == "int" and bc.arg_types[0].base not in ("int", "?"):
             issues.append(
                 Issue(L3_BAD_ARITY, 3, f"{bc.name} expects an int", location=bc.location)
             )
@@ -291,7 +282,7 @@ def verify_semantic(
 
 
 def verify_all(
-    source: str,
+    candidate: Candidate,
     graph: DepGraph | None,
     schema: ApiSchema,
     evidence: EvidenceSet | None = None,
@@ -321,14 +312,14 @@ def verify_all(
             timings=timings,
         )
 
-    script, syntax_issues = timed(1, lambda: verify_syntax(source))
-    issues.extend(syntax_issues)
-    if script is None:
+    issues.extend(timed(1, lambda: verify_syntax(candidate.script)))
+    ts = candidate.typed
+    if ts is None:
         return report(1)
     if max_layer < 2:
         return report(0)
 
-    ts, causal_issues = timed(2, lambda: verify_causal(script, graph, schema))
+    causal_issues = timed(2, lambda: verify_causal(ts, graph, schema))
     issues.extend(causal_issues)
     if any(i.severity is Severity.ERROR for i in causal_issues):
         return report(2)
@@ -342,7 +333,9 @@ def verify_all(
     if max_layer < 4 or judge is None or graph is None:
         return report(0)
 
-    sem_issues = timed(4, lambda: verify_semantic(ts, graph, schema, judge, prompt, source))
+    sem_issues = timed(
+        4, lambda: verify_semantic(ts, graph, schema, judge, prompt, candidate.source)
+    )
     issues.extend(sem_issues)
     if any(i.severity is Severity.ERROR for i in sem_issues):
         return report(4)

@@ -44,6 +44,7 @@ from structsynth.generators import (
 )
 from structsynth.judges import RuleBasedJudge
 from structsynth.orchestrator import ScriptedReflector, StepHint, run_episode, run_with_reflection
+from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.runtime import ExecStatus, Session
 from structsynth.uncertainty import UncertaintyConfig, compute_uncertainty
@@ -94,7 +95,7 @@ def test_accepted_programs_never_raise_api_faults_at_runtime(schema, snapshot):
     rng = random.Random(99)
     for i in range(500):
         source = random_conformant_program(rng)
-        verdict = verify_all(source, None, schema, max_layer=3)
+        verdict = verify_all(analyze(source, schema), None, schema, max_layer=3)
         assert verdict.passed, (i, verdict.codes())
         result = Session(scaled, schema, step_budget=200_000).execute(source)
         assert result.status is ExecStatus.OK, (i, result.error_kind, result.error_message)
@@ -102,7 +103,9 @@ def test_accepted_programs_never_raise_api_faults_at_runtime(schema, snapshot):
 
     for task in singles_suite():
         source, graph = template_program(task.prompt, schema)
-        verdict = verify_all(source, graph, schema, None, RuleBasedJudge(), task.prompt)
+        verdict = verify_all(
+            analyze(source, schema), graph, schema, None, RuleBasedJudge(), task.prompt
+        )
         assert verdict.passed, (task.task_id, verdict.codes())
         result = Session(snapshot, schema).execute(source)
         assert result.status is ExecStatus.OK, (task.task_id, result.error_kind)
@@ -118,8 +121,8 @@ def _verdict(layer: int) -> VerdictReport:
     return VerdictReport(passed=False, failure_layer=layer, issues=(probe,))
 
 
-def _evidence(*api_paths: str) -> EvidenceSet:
-    docs = tuple(ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(api_paths))
+def _evidence(*paths: str) -> EvidenceSet:
+    docs = tuple(ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(paths))
     return EvidenceSet(query="q", hits=tuple(Hit(d.doc_id, 1.0) for d in docs), docs=docs)
 
 
@@ -161,7 +164,8 @@ def test_uncertainty_scores_match_hand_worked_fixtures(schema):
     assert len(rows) >= 12
     for candidates, layers, evidence, config, (code, traj, cov) in rows:
         verdicts = [_verdict(n) for n in layers]
-        report = compute_uncertainty(candidates, verdicts, schema, evidence, config)
+        analyzed = [analyze(c, schema) for c in candidates]
+        report = compute_uncertainty(analyzed, verdicts, schema, evidence, config)
         assert abs(report.code_risk - code) < TOL, (candidates, layers)
         assert abs(report.trajectory_risk - traj) < TOL, (candidates, layers)
         assert abs(report.coverage_risk - cov) < TOL, (candidates, layers)
@@ -171,12 +175,12 @@ def test_uncertainty_scores_match_hand_worked_fixtures(schema):
 
     # a score sitting exactly on the threshold is delivered, not filtered
     boundary = compute_uncertainty(
-        [S2], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.15)
+        [analyze(S2, schema)], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.15)
     )
     assert boundary.combined == 0.15
     assert not boundary.filtered
     tightened = compute_uncertainty(
-        [S2], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.1)
+        [analyze(S2, schema)], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.1)
     )
     assert tightened.filtered
 
@@ -296,7 +300,7 @@ def test_planted_defects_surface_at_their_home_layer(schema):
         for prompt in prompts:
             clean, graph = template_program(prompt, schema)
             broken = apply_defect(clean, kind, schema)
-            verdict = verify_all(broken, graph, schema, None, judge, prompt)
+            verdict = verify_all(analyze(broken, schema), graph, schema, None, judge, prompt)
             assert not verdict.passed, (kind, prompt)
             assert verdict.failure_layer == DEFECT_LAYER[kind], (kind, prompt, verdict.codes())
 

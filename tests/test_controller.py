@@ -19,9 +19,13 @@ from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
+    ScriptedGenerator,
     TemplateGenerator,
 )
+from structsynth.qas import analysis
+from structsynth.fixtures import toy_schema
 from structsynth.judges import RuleBasedJudge
+from structsynth.qas.analysis import Candidate, analyze
 from structsynth.verifier import (
     L2_NULL_UNGUARDED,
     L2_USE_BEFORE_DEF,
@@ -31,6 +35,9 @@ from structsynth.verifier import (
     Severity,
     VerdictReport,
 )
+
+
+SCHEMA = toy_schema()
 
 
 def verdict(layer: int, *codes: str, warning_codes: tuple[str, ...] = ()) -> VerdictReport:
@@ -63,7 +70,7 @@ def edgeless_graph() -> DepGraph:
 def trajectory_of(*verdicts: VerdictReport) -> Trajectory:
     t = Trajectory()
     for i, v in enumerate(verdicts):
-        t.candidates.append(f"x{i} = {i}\n")
+        t.candidates.append(analyze(f"x{i} = {i}\n", SCHEMA))
         t.verdicts.append(v)
         t.evidence_versions.append(1)
     return t
@@ -145,8 +152,8 @@ def test_semantic_failure_regenerates():
     assert select_action(t, chain_graph()).kind is ActionKind.REGENERATE
 
 
-def _bulk_source(names: list[str]) -> str:
-    return "".join(f"{n} = 1\n" for n in names)
+def _bulk_source(names: list[str]) -> Candidate:
+    return analyze("".join(f"{n} = 1\n" for n in names), SCHEMA)
 
 
 def test_loop_guard_fires_at_092():
@@ -170,7 +177,7 @@ def test_loop_guard_quiet_at_088():
 
 
 def test_loop_guard_needs_matching_fingerprint():
-    src = "x = 1\n"
+    src = analyze("x = 1\n", SCHEMA)
     twins = [src, src]
     t = Trajectory(candidates=twins, verdicts=[verdict(2, "A"), verdict(2, "B")])
     assert not loop_guard(t)
@@ -181,7 +188,7 @@ def test_loop_guard_needs_matching_fingerprint():
 
 
 def test_loop_guard_compares_code_multisets():
-    src = "x = 1\n"
+    src = analyze("x = 1\n", SCHEMA)
     va = verdict(3, "A", "A", "B")
     vb = verdict(3, "B", "A", "A")
     t = Trajectory(candidates=[src, src], verdicts=[va, vb])
@@ -192,7 +199,7 @@ def test_loop_guard_compares_code_multisets():
 
 
 def test_loop_guard_ignores_candidates_before_window():
-    src = "x = 1\n"
+    src = analyze("x = 1\n", SCHEMA)
     t = Trajectory(
         candidates=[src, src],
         verdicts=[verdict(2, "A"), verdict(2, "A")],
@@ -325,3 +332,30 @@ def test_stubborn_defect_exhausts_budget(schema, retriever, budget):
     assert not result.accepted
     assert len(result.trajectory.actions) == budget
     assert len(result.trajectory.candidates) == budget + 1
+
+
+def test_synthesize_parses_and_types_each_candidate_once(schema, retriever, monkeypatch):
+    def run(generator):
+        return synthesize(
+            prompt="Set the weight of net clk to 3",
+            schema=schema,
+            retriever=retriever,
+            extractor=PatternTableExtractor(schema),
+            generator=generator,
+            judge=RuleBasedJudge(),
+        )
+
+    clean = run(TemplateGenerator(schema)).source
+    calls = {"parse": 0, "infer_types": 0}
+    for name in calls:
+        original = getattr(analysis, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    result = run(ScriptedGenerator(["x = = 1\n", "ghost.getName()\n", clean]))
+    assert [v.failure_layer for v in result.trajectory.verdicts] == [1, 2, 0]
+    # One parse per candidate, one inference per parseable candidate.
+    assert calls == {"parse": 3, "infer_types": 2}

@@ -15,6 +15,7 @@ from structsynth.generators import (
     apply_defect,
 )
 from structsynth.judges import RuleBasedJudge
+from structsynth.qas.analysis import analyze
 from structsynth.qas.parser import Script, parse
 from structsynth.verifier import verify_all
 
@@ -113,7 +114,7 @@ def test_template_renders_unbound_node_honestly(schema):
         edges=(GraphEdge("n", "a", EdgeKind.DEPENDENCY),),
     )
     source = gen(schema, g)
-    verdict = verify_all(source, None, schema)
+    verdict = verify_all(analyze(source, schema), None, schema)
     assert verdict.failure_layer == 2
 
 
@@ -134,11 +135,11 @@ def test_hint_sensitive_generator(schema):
     g = extract(schema, "Print the weight of net clk")
     hinted = HintSensitiveGenerator(base, "be careful", DefectKind.USE_BEFORE_DEF, schema)
     broken = hinted.generate(GenerationRequest(prompt="", graph=g))
-    assert verify_all(broken, None, schema).failure_layer == 2
+    assert verify_all(analyze(broken, schema), None, schema).failure_layer == 2
     clean = hinted.generate(
         GenerationRequest(prompt="", graph=g, hints=("please be careful here",))
     )
-    assert verify_all(clean, None, schema).passed
+    assert verify_all(analyze(clean, schema), None, schema).passed
 
 
 def test_scripted_generator_replays_and_logs(schema):
@@ -172,5 +173,6 @@ def test_defect_layer_table(schema, kind):
     }.get(kind, "Print the weight of net clk")
     g = extract(schema, prompt)
     broken = apply_defect(gen(schema, g), kind, schema)
-    verdict = verify_all(broken, g, schema, judge=RuleBasedJudge(), prompt=prompt)
+    candidate = analyze(broken, schema)
+    verdict = verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt=prompt)
     assert verdict.failure_layer == DEFECT_LAYER[kind]

@@ -139,7 +139,7 @@ def test_normalize_statements_ignores_formatting():
 def test_infer_types_canonical(schema):
     ts = infer_types(parse(CANONICAL), schema)
     assert ts.undefined_uses == ()
-    assert ts.imported_modules == frozenset({"odb"})
+    assert ts.imports == ("odb",)
     assert ts.final_env["block"] == TypeRef("Block")
     # findNet's nullability is visible at the binding...
     assert ts.final_env["net"] == TypeRef("Net", nullable=True)
@@ -150,7 +150,6 @@ def test_infer_types_canonical(schema):
     assert sites[("inst", "setPlacementStatus")].receiver_type == TypeRef("Inst")
     assert {b.name for b in ts.builtin_calls} == {"print", "len"}
     assert [e.name for e in ts.enum_refs] == ["odb.PlacementStatus.PLACED"]
-    assert ts.enum_refs[0].base_imported
 
 
 def test_infer_types_flags_undefined(schema):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.uncertainty import (
     CodeSignals,
@@ -16,7 +17,6 @@ from structsynth.uncertainty import (
     compute_trajectory_signals,
     compute_uncertainty,
     jaccard,
-    normalized_statement_set,
 )
 from structsynth.verifier import Issue, VerdictReport
 
@@ -30,9 +30,9 @@ def verdict(layer: int, *codes: str) -> VerdictReport:
     return VerdictReport(passed=False, failure_layer=layer, issues=issues)
 
 
-def evidence_over(*api_paths: str) -> EvidenceSet:
+def evidence_over(*paths: str) -> EvidenceSet:
     docs = tuple(
-        ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(api_paths)
+        ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(paths)
     )
     hits = tuple(Hit(d.doc_id, 1.0) for d in docs)
     return EvidenceSet(query="q", hits=hits, docs=docs)
@@ -48,7 +48,8 @@ FOUR_CALLS = (
 
 def test_clean_single_candidate_scores_zero(schema):
     source = "block = design.getBlock()\n"
-    report = compute_uncertainty([source], [verdict(0)], schema, evidence=None)
+    candidates = [analyze(source, schema)]
+    report = compute_uncertainty(candidates, [verdict(0)], schema, evidence=None)
     assert report.combined == 0.0
     assert report.code_risk == 0.0
     assert report.trajectory_risk == 0.0
@@ -57,24 +58,26 @@ def test_clean_single_candidate_scores_zero(schema):
 
 
 def test_no_repairs_with_failure_keeps_full_convergence_risk(schema):
-    ts = compute_trajectory_signals(["x = 1\n"], [verdict(2, "A")])
+    ts = compute_trajectory_signals([analyze("x = 1\n", schema)], [verdict(2, "A")])
     assert ts.convergence == 1.0
     assert ts.stagnation == 0.0
     assert ts.ineffectiveness == 0.0
 
 
 def test_full_repair_zeroes_convergence(schema):
-    ts = compute_trajectory_signals(["x = 1\n", "y = 2\n"], [verdict(2), verdict(0)])
+    sources = [analyze(s, schema) for s in ("x = 1\n", "y = 2\n")]
+    ts = compute_trajectory_signals(sources, [verdict(2), verdict(0)])
     assert abs(ts.convergence - 0.0) < TOL
 
 
 def test_worsening_layer_clamps_convergence_to_one(schema):
-    ts = compute_trajectory_signals(["x = 1\n", "y = 2\n"], [verdict(1), verdict(4)])
+    sources = [analyze(s, schema) for s in ("x = 1\n", "y = 2\n")]
+    ts = compute_trajectory_signals(sources, [verdict(1), verdict(4)])
     assert ts.convergence == 1.0
 
 
 def test_three_step_descent(schema):
-    sources = ["a = 1\n", "b = 2\n", "c = 3\n"]
+    sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(3), verdict(0)]
     ts = compute_trajectory_signals(sources, verdicts)
     assert abs(ts.convergence - 0.0) < TOL
@@ -82,7 +85,7 @@ def test_three_step_descent(schema):
 
 
 def test_partial_descent_and_flat_step(schema):
-    sources = ["a = 1\n", "b = 2\n", "c = 3\n"]
+    sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(4), verdict(2)]
     ts = compute_trajectory_signals(sources, verdicts)
     assert abs(ts.convergence - 0.5) < TOL
@@ -90,7 +93,7 @@ def test_partial_descent_and_flat_step(schema):
 
 
 def test_remap_reorders_layer_distances(schema):
-    sources = ["a = 1\n", "b = 2\n"]
+    sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n")]
     verdicts = [verdict(1), verdict(3)]
     raw = compute_trajectory_signals(sources, verdicts)
     remapped = compute_trajectory_signals(
@@ -101,7 +104,9 @@ def test_remap_reorders_layer_distances(schema):
 
 
 def test_stagnation_is_mean_consecutive_jaccard(schema):
-    sources = ["a = 1\nb = 2\n", "a = 1\nb = 2\n", "a = 1\nc = 3\n"]
+    sources = [
+        analyze(s, schema) for s in ("a = 1\nb = 2\n", "a = 1\nb = 2\n", "a = 1\nc = 3\n")
+    ]
     verdicts = [verdict(2), verdict(2), verdict(2)]
     ts = compute_trajectory_signals(sources, verdicts)
     assert abs(ts.stagnation - (1.0 + 1.0 / 3.0) / 2.0) < TOL
@@ -110,21 +115,22 @@ def test_stagnation_is_mean_consecutive_jaccard(schema):
 
 
 def test_trajectory_requires_one_verdict_per_candidate(schema):
+    a, b = analyze("a = 1\n", schema), analyze("b = 2\n", schema)
     with pytest.raises(ValueError):
-        compute_trajectory_signals(["a = 1\n"], [])
+        compute_trajectory_signals([a], [])
     with pytest.raises(ValueError):
-        compute_trajectory_signals(["a = 1\n", "b = 2\n"], [verdict(0)])
+        compute_trajectory_signals([a, b], [verdict(0)])
 
 
 def test_code_penalty_single_bad_import(schema):
     src = "import foo\nblock = design.getBlock()\n"
-    cs = compute_code_signals(src, schema)
+    cs = compute_code_signals(analyze(src, schema), schema)
     assert cs == CodeSignals(1, 0, 0.0, 0.85)
 
 
 def test_code_penalty_import_plus_enum(schema):
     src = "import foo\nstatus = foo.Bogus.NOPE\nblock = design.getBlock()\n"
-    cs = compute_code_signals(src, schema)
+    cs = compute_code_signals(analyze(src, schema), schema)
     assert cs.invalid_import_count == 1
     assert cs.unknown_enum_count == 1
     assert abs(cs.code_confidence - 0.70) < TOL
@@ -132,45 +138,45 @@ def test_code_penalty_import_plus_enum(schema):
 
 def test_code_penalty_unknown_method_ratio(schema):
     src = "import foo\nblock = design.getBlock()\nblock.getBogus()\n"
-    cs = compute_code_signals(src, schema)
+    cs = compute_code_signals(analyze(src, schema), schema)
     assert cs.unknown_method_ratio == 0.5
     assert abs(cs.code_confidence - 0.55) < TOL
 
 
 def test_code_confidence_clips_at_zero(schema):
     src = "import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n"
-    cs = compute_code_signals(src, schema)
+    cs = compute_code_signals(analyze(src, schema), schema)
     assert cs == CodeSignals(2, 2, 1.0, 0.0)
 
 
 def test_unparseable_source_scores_worst(schema):
-    cs = compute_code_signals("x = = 1\n", schema)
+    broken = analyze("x = = 1\n", schema)
+    cs = compute_code_signals(broken, schema)
     assert cs == CodeSignals(0, 0, 1.0, 0.0)
-    cov = compute_coverage("x = = 1\n", schema, None)
+    cov = compute_coverage(broken, schema, None)
     assert cov == CoverageSignals(0, 0, 0.0)
 
 
 def test_coverage_fraction(schema):
     ev = evidence_over("Design.getBlock", "Block.getNets")
-    cov = compute_coverage(FOUR_CALLS, schema, ev)
+    cov = compute_coverage(analyze(FOUR_CALLS, schema), schema, ev)
     assert cov == CoverageSignals(2, 4, 0.5)
 
 
 def test_coverage_without_eligible_calls_is_confident(schema):
-    assert compute_coverage("x = 1\n", schema, evidence_over()) == CoverageSignals(
-        0, 0, 1.0
-    )
+    cov = compute_coverage(analyze("x = 1\n", schema), schema, evidence_over())
+    assert cov == CoverageSignals(0, 0, 1.0)
 
 
 def test_coverage_without_evidence_is_confident(schema):
     src = "block = design.getBlock()\nnets = block.getNets()\n"
-    assert compute_coverage(src, schema, None) == CoverageSignals(0, 2, 1.0)
+    assert compute_coverage(analyze(src, schema), schema, None) == CoverageSignals(0, 2, 1.0)
 
 
 def test_coverage_ignores_unknown_methods(schema):
     src = "block = design.getBlock()\nblock.getBogus()\n"
     ev = evidence_over("Design.getBlock")
-    assert compute_coverage(src, schema, ev) == CoverageSignals(1, 1, 1.0)
+    assert compute_coverage(analyze(src, schema), schema, ev) == CoverageSignals(1, 1, 1.0)
 
 
 def test_jaccard_edge_cases():
@@ -179,15 +185,15 @@ def test_jaccard_edge_cases():
     assert jaccard(frozenset({"a", "b"}), frozenset({"b", "c"})) == 1.0 / 3.0
 
 
-def test_normalized_statement_set_falls_back_to_lines():
-    fp = normalized_statement_set("x = = 1\n  y ==\n")
+def test_unparseable_statement_set_falls_back_to_lines(schema):
+    fp = analyze("x = = 1\n  y ==\n", schema).statements
     assert fp == frozenset({"x = = 1", "y =="})
 
 
 def test_combined_weighted_sum(schema):
     source = "import foo\n" + FOUR_CALLS
     ev = evidence_over("Design.getBlock", "Block.getNets")
-    report = compute_uncertainty([source], [verdict(3, "A")], schema, ev)
+    report = compute_uncertainty([analyze(source, schema)], [verdict(3, "A")], schema, ev)
     assert abs(report.code_risk - 0.15) < TOL
     assert abs(report.trajectory_risk - 0.4) < TOL
     assert abs(report.coverage_risk - 0.5) < TOL
@@ -197,7 +203,8 @@ def test_combined_weighted_sum(schema):
 
 def test_combined_crosses_threshold_when_uncovered(schema):
     source = "import foo\n" + FOUR_CALLS
-    report = compute_uncertainty([source], [verdict(3, "A")], schema, evidence_over())
+    candidates = [analyze(source, schema)]
+    report = compute_uncertainty(candidates, [verdict(3, "A")], schema, evidence_over())
     assert abs(report.combined - 0.48) < TOL
     assert report.filtered
 
@@ -205,13 +212,14 @@ def test_combined_crosses_threshold_when_uncovered(schema):
 def test_at_threshold_is_delivered(schema):
     source = "block = design.getBlock()\nnets = block.getNets()\n"
     ev = evidence_over("Design.getBlock")
+    candidates = [analyze(source, schema)]
     at = compute_uncertainty(
-        [source], [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.15)
+        candidates, [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.15)
     )
     assert at.combined == 0.15
     assert not at.filtered
     below = compute_uncertainty(
-        [source], [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.1)
+        candidates, [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.1)
     )
     assert below.filtered
 
@@ -231,7 +239,7 @@ def test_config_rejects_bad_weights():
 def test_signals_stay_in_unit_interval(schema, layers, seeds):
     n = min(len(layers), len(seeds))
     layers, seeds = layers[:n], seeds[:n]
-    sources = [f"x{s} = {s}\n" for s in seeds]
+    sources = [analyze(f"x{s} = {s}\n", schema) for s in seeds]
     verdicts = [verdict(layer) for layer in layers]
     report = compute_uncertainty(sources, verdicts, schema, None)
     for value in (

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge, ScriptedJudge
+from structsynth.qas.analysis import analyze
+from structsynth.runtime import Session
 from structsynth.verifier import (
     L1_SYNTAX,
     L2_EDGE_UNREALIZED,
@@ -41,7 +43,9 @@ def spine() -> DepGraph:
 
 
 def test_clean_program_passes_all_layers(schema):
-    verdict = verify_all(CLEAN, spine(), schema, judge=RuleBasedJudge(), prompt="show clk")
+    verdict = verify_all(
+        analyze(CLEAN, schema), spine(), schema, judge=RuleBasedJudge(), prompt="show clk"
+    )
     assert verdict.passed
     assert verdict.failure_layer == 0
     assert verdict.layers_run == (1, 2, 3, 4)
@@ -50,7 +54,7 @@ def test_clean_program_passes_all_layers(schema):
 
 
 def test_syntax_error_stops_at_layer_one(schema):
-    verdict = verify_all("x = = 1\n", spine(), schema)
+    verdict = verify_all(analyze("x = = 1\n", schema), spine(), schema)
     assert not verdict.passed
     assert verdict.failure_layer == 1
     assert verdict.layers_run == (1,)
@@ -59,28 +63,28 @@ def test_syntax_error_stops_at_layer_one(schema):
 
 
 def test_undefined_use_fails_layer_two(schema):
-    verdict = verify_all("ghost.getName()\n", None, schema)
+    verdict = verify_all(analyze("ghost.getName()\n", schema), None, schema)
     assert verdict.failure_layer == 2
     assert L2_USE_BEFORE_DEF in verdict.codes()
 
 
 def test_unguarded_nullable_call_fails_layer_two(schema):
     src = 'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(2)\n'
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 2
     assert L2_NULL_UNGUARDED in verdict.codes()
 
 
 def test_unguarded_nullable_attribute_read_fails_layer_two(schema):
     src = 'block = design.getBlock()\nnet = block.findNet("clk")\nprint(net.weight)\n'
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 2
     assert L2_NULL_UNGUARDED in verdict.codes()
 
 
 def test_unrealized_edge_fails_layer_two_with_region(schema):
     src = "block = design.getBlock()\nprint(block)\n"
-    verdict = verify_all(src, spine(), schema)
+    verdict = verify_all(analyze(src, schema), spine(), schema)
     assert verdict.failure_layer == 2
     issue = next(i for i in verdict.errors() if i.code == L2_EDGE_UNREALIZED)
     assert issue.graph_region == "b->n#findNet"
@@ -93,13 +97,13 @@ def test_out_of_order_realization_fails_layer_two(schema):
         "block = design.getBlock()\n"
     )
     g = spine()
-    verdict = verify_all(src, g, schema)
+    verdict = verify_all(analyze(src, schema), g, schema)
     assert verdict.failure_layer == 2
 
 
 def test_unknown_method_fails_layer_three(schema):
     src = "block = design.getBlock()\nblock.frobnicate()\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
     assert L3_UNKNOWN_METHOD in verdict.codes()
 
@@ -112,47 +116,56 @@ def test_unknown_method_blames_graph_region(schema):
         edges=(GraphEdge("d", "b", EdgeKind.ACQUISITION, "getBlock"),),
     )
     src = "block = design.getBlock()\nblock.frobnicate()\n"
-    verdict = verify_all(src, g, schema)
+    verdict = verify_all(analyze(src, schema), g, schema)
     issue = next(i for i in verdict.errors() if i.code == L3_UNKNOWN_METHOD)
     assert issue.graph_region == "d->b#getBlock"
 
 
 def test_bad_arity_fails_layer_three(schema):
     src = "block = design.getBlock()\nblock.findNet()\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
     assert L3_BAD_ARITY in verdict.codes()
 
 
 def test_bad_attribute_fails_layer_three(schema):
     src = "block = design.getBlock()\nfor net in block.getNets():\n    print(net.ghost)\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
     assert L3_BAD_ATTRIBUTE in verdict.codes()
 
 
 def test_invalid_import_fails_layer_three(schema):
-    verdict = verify_all("import pandas\nx = 1\n", None, schema)
+    verdict = verify_all(analyze("import pandas\nx = 1\n", schema), None, schema)
     assert verdict.failure_layer == 3
     assert L3_INVALID_IMPORT in verdict.codes()
 
 
 def test_unknown_enum_fails_layer_three(schema):
     src = "import odb\nx = odb.PlacementStatus.WIBBLE\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
     assert L3_UNKNOWN_ENUM in verdict.codes()
 
 
 def test_len_of_scalar_fails_layer_three(schema):
     src = "block = design.getBlock()\nprint(len(block))\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
+
+
+def test_len_of_string_passes_layer_three_as_it_runs(schema, snapshot):
+    src = 'print(len("abc"))\n'
+    assert verify_all(analyze(src, schema), None, schema).passed
+    assert Session(snapshot, schema).execute(src).output == ("3",)
+    verdict = verify_all(analyze("print(len(5))\n", schema), None, schema)
+    assert verdict.failure_layer == 3
+    assert verdict.codes() == (L3_BAD_ARITY,)
 
 
 def test_evidence_gap_is_warning_only(schema, retriever):
     evidence = retriever.retrieve("zzz nothing matches", k=5)
-    verdict = verify_all(CLEAN, spine(), schema, evidence=evidence)
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, evidence=evidence)
     assert verdict.passed
     warning_codes = {w.code for w in verdict.warnings()}
     assert L3_NOT_IN_EVIDENCE in warning_codes
@@ -160,50 +173,51 @@ def test_evidence_gap_is_warning_only(schema, retriever):
 
 def test_evidence_coverage_silences_warning(schema, retriever):
     evidence = retriever.retrieve("block net find name weight design", k=8)
-    verdict = verify_all(CLEAN, spine(), schema, evidence=evidence)
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, evidence=evidence)
     covered = {w.code for w in verdict.warnings()}
     assert L3_NOT_IN_EVIDENCE not in covered
 
 
 def test_judge_rejection_fails_layer_four(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=False, findings=(Finding("L4_X", "wrong"),))])
-    verdict = verify_all(CLEAN, spine(), schema, judge=judge)
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.failure_layer == 4
     assert verdict.codes() == ("L4_X",)
 
 
 def test_judge_ok_findings_become_warnings(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=True, findings=(Finding("L4_NOTE", "style"),))])
-    verdict = verify_all(CLEAN, spine(), schema, judge=judge)
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.passed
     assert {w.code for w in verdict.warnings()} == {"L4_NOTE"}
 
 
 def test_judge_crash_is_warning(schema):
     judge = ScriptedJudge([])  # empty script raises JudgeFailure
-    verdict = verify_all(CLEAN, spine(), schema, judge=judge)
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.passed
     assert {w.code for w in verdict.warnings()} == {L4_JUDGE_UNAVAILABLE}
 
 
 def test_layer_four_skipped_without_judge_or_graph(schema):
-    assert verify_all(CLEAN, spine(), schema).layers_run == (1, 2, 3)
-    assert verify_all(CLEAN, None, schema, judge=RuleBasedJudge()).layers_run == (1, 2, 3)
+    clean = analyze(CLEAN, schema)
+    assert verify_all(clean, spine(), schema).layers_run == (1, 2, 3)
+    assert verify_all(clean, None, schema, judge=RuleBasedJudge()).layers_run == (1, 2, 3)
 
 
 def test_max_layer_truncates_pipeline(schema):
     src = "block = design.getBlock()\nblock.frobnicate()\n"
-    verdict = verify_all(src, None, schema, max_layer=2)
+    verdict = verify_all(analyze(src, schema), None, schema, max_layer=2)
     assert verdict.passed
     assert verdict.layers_run == (1, 2)
-    verdict = verify_all(src, None, schema, max_layer=1)
+    verdict = verify_all(analyze(src, schema), None, schema, max_layer=1)
     assert verdict.passed
     assert verdict.layers_run == (1,)
 
 
 def test_layer_stop_means_later_layers_never_run(schema):
     src = "ghost.frobnicate()\n"  # both an L2 and a would-be L3 problem
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 2
     assert 3 not in verdict.layers_run
     assert all(i.layer <= 2 for i in verdict.issues)
@@ -211,7 +225,7 @@ def test_layer_stop_means_later_layers_never_run(schema):
 
 def test_codes_fingerprint_is_sorted_multiset(schema):
     src = "ghost.getName()\nwraith.getName()\n"
-    verdict = verify_all(src, None, schema)
+    verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.codes() == (L2_USE_BEFORE_DEF, L2_USE_BEFORE_DEF)
 
 
@@ -235,7 +249,7 @@ def test_rule_based_judge_requires_mutation_for_actions(schema):
         "if net != None:\n"
         "    print(net.getName())\n"
     )
-    verdict = verify_all(reads_only, g, schema, judge=RuleBasedJudge())
+    verdict = verify_all(analyze(reads_only, schema), g, schema, judge=RuleBasedJudge())
     assert verdict.failure_layer == 4
     assert verdict.codes() == ("L4_INCOMPLETE",)
 
@@ -249,7 +263,7 @@ def test_rule_based_judge_requires_output_for_queries(schema):
         ),
         edges=(GraphEdge("d", "b", EdgeKind.ACQUISITION, "getBlock"),),
     )
-    verdict = verify_all(silent, g, schema, judge=RuleBasedJudge())
+    verdict = verify_all(analyze(silent, schema), g, schema, judge=RuleBasedJudge())
     assert verdict.failure_layer == 4
     assert verdict.codes() == ("L4_NO_OUTPUT",)
 
@@ -257,7 +271,9 @@ def test_rule_based_judge_requires_output_for_queries(schema):
 def test_warnings_never_set_failure_layer(schema, retriever):
     evidence = retriever.retrieve("zzz", k=5)
     judge = ScriptedJudge([JudgeVerdict(ok=True, findings=(Finding("L4_NOTE", "n"),))])
-    verdict = verify_all(CLEAN, spine(), schema, evidence=evidence, judge=judge)
+    verdict = verify_all(
+        analyze(CLEAN, schema), spine(), schema, evidence=evidence, judge=judge
+    )
     assert verdict.passed
     assert verdict.failure_layer == 0
     assert len(verdict.warnings()) >= 1
