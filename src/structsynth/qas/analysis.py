@@ -7,8 +7,9 @@ uncertainty scoring read that value instead of parsing the text again.
 Inference is a forward dataflow pass seeded by the schema roots. It resolves
 a receiver type for every method call it can, tracks nullability until an
 explicit None-comparison guard discharges it, and records everything later
-verification layers need: call sites, builtin calls, attribute reads, imports,
-enum-style dotted references, and uses of names with no dominating definition.
+verification layers need: call sites, builtin calls, loop iterables, attribute
+reads, imports, enum-style dotted references, and uses of names with no
+dominating definition.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class BuiltinCall:
 
 
 @dataclass(frozen=True)
+class LoopIterable:
+    """What a ``for`` loop iterates over."""
+
+    iterable_text: str
+    iterable_type: TypeRef
+    location: Location
+
+
+@dataclass(frozen=True)
 class AttributeRead:
     receiver_text: str
     receiver_type: TypeRef
@@ -113,6 +123,7 @@ class TypedScript:
     final_env: dict[str, TypeRef]
     call_sites: tuple[CallSite, ...]
     builtin_calls: tuple[BuiltinCall, ...]
+    loop_iterables: tuple[LoopIterable, ...]
     attribute_reads: tuple[AttributeRead, ...]
     imports: tuple[str, ...]
     enum_refs: tuple[EnumRef, ...]
@@ -190,6 +201,7 @@ class _Inference:
         self.definite: set[str] = set()
         self.call_sites: list[CallSite] = []
         self.builtin_calls: list[BuiltinCall] = []
+        self.loop_iterables: list[LoopIterable] = []
         self.attribute_reads: list[AttributeRead] = []
         self.imports: list[str] = []
         self.enum_refs: list[EnumRef] = []
@@ -205,6 +217,7 @@ class _Inference:
             final_env=final,
             call_sites=tuple(self.call_sites),
             builtin_calls=tuple(self.builtin_calls),
+            loop_iterables=tuple(self.loop_iterables),
             attribute_reads=tuple(self.attribute_reads),
             imports=tuple(self.imports),
             enum_refs=tuple(self.enum_refs),
@@ -242,8 +255,11 @@ class _Inference:
         raise TypeError(f"not a statement node: {s!r}")
 
     def _for(self, s: ForStmt) -> set[str]:
-        iterable = self._expr(s.iterable)
-        elem = iterable.element() if isinstance(iterable, TypeRef) and iterable.many else UNKNOWN
+        iterable = self._as_type(self._expr(s.iterable))
+        self.loop_iterables.append(
+            LoopIterable(expr_to_source(s.iterable), iterable, s.location)
+        )
+        elem = iterable.element()
         pre_env = dict(self.env)
         pre_def = set(self.definite)
         self.env[s.var] = elem

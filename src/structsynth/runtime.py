@@ -10,7 +10,6 @@ remains fatal at runtime is exactly what static layers promise to prevent.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import dataclass, field
@@ -39,8 +38,10 @@ class ObjRecord:
     children: dict[str, list[str]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
+    """A conformance-checked object graph, shared read-only by every session."""
+
     objects: dict[str, ObjRecord]
     roots: dict[str, str]
 
@@ -220,6 +221,12 @@ def _default_for(ref: TypeRef):
 class Session:
     """One live environment: a mutable store plus per-call accounting.
 
+    The store is copy-on-write over the shared snapshot: a session starts with
+    an empty overlay and copies a record into it on the record's first write,
+    so setup costs the same at any snapshot size and no write reaches the
+    snapshot or another session. Copying one record's ``fields`` dict and
+    ``children`` lists is enough because scripts never mutate a value in place.
+
     Every execute() increments tool_calls exactly once, succeed or fail.
     Crash injection, off by default, makes a seeded fraction of calls die
     with a "Crash" error before running anything.
@@ -234,8 +241,9 @@ class Session:
         seed: int = 0,
     ):
         self.schema = schema
-        self.objects = copy.deepcopy(snapshot.objects)
-        self.roots = dict(snapshot.roots)
+        self.roots = snapshot.roots
+        self._base = snapshot.objects
+        self._overlay: dict[str, ObjRecord] = {}
         self.step_budget = step_budget
         self.crash_probability = crash_probability
         self.tool_calls = 0
@@ -244,7 +252,26 @@ class Session:
         self._auto_n = 0
 
     def object(self, oid: str) -> ObjRecord:
-        return self.objects[oid]
+        """The session's current record for ``oid``.
+
+        Read-only: it may be the snapshot's own record, shared with every
+        other session. Writes go through ``_writable``.
+        """
+        return self._overlay.get(oid) or self._base[oid]
+
+    def _writable(self, oid: str) -> ObjRecord:
+        """The session's own copy of ``oid``, made on first write."""
+        rec = self._overlay.get(oid)
+        if rec is None:
+            base = self._base[oid]
+            rec = ObjRecord(
+                base.id,
+                base.type,
+                dict(base.fields),
+                {key: list(kids) for key, kids in base.children.items()},
+            )
+            self._overlay[oid] = rec
+        return rec
 
     def execute(self, source: str) -> ExecutionResult:
         self.tool_calls += 1
@@ -293,7 +320,7 @@ class Session:
         self._auto_n += 1
         oid = f"auto_{type_name.lower()}_{self._auto_n}"
         rec = ObjRecord(id=oid, type=type_name)
-        self.objects[oid] = rec
+        self._overlay[oid] = rec
         return rec
 
 
@@ -302,7 +329,7 @@ class _Interp:
         self.s = session
         self.env: dict[str, object] = {}
         for var, oid in session.roots.items():
-            rec = session.objects[oid]
+            rec = session.object(oid)
             self.env[var] = ObjRef(rec.id, rec.type)
         self.output: list[str] = []
         self.steps = 0
@@ -469,7 +496,7 @@ class _Interp:
         if method.startswith("find"):
             return self.do_find(rec, sig, args[0] if args else "")
         if method.startswith("set"):
-            rec.fields[_field_key(method)] = args[0] if args else None
+            self.s._writable(rec.id).fields[_field_key(method)] = args[0] if args else None
             if sig.mutates:
                 self.mutations += 1
             return None
@@ -486,7 +513,7 @@ class _Interp:
             if sig.returns.nullable:
                 return None
             child = self.s.materialize(sig.returns.base)
-            rec.children[method] = [child.id]
+            self.s._writable(rec.id).children[method] = [child.id]
             return ObjRef(child.id, child.type)
         key = _field_key(method)
         if key in rec.fields:

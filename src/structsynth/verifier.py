@@ -27,10 +27,14 @@ L2_NULL_UNGUARDED = "L2_NULL_UNGUARDED"
 L3_UNKNOWN_METHOD = "L3_UNKNOWN_METHOD"
 L3_BAD_ARITY = "L3_BAD_ARITY"
 L3_BAD_ATTRIBUTE = "L3_BAD_ATTRIBUTE"
+L3_NOT_ITERABLE = "L3_NOT_ITERABLE"
 L3_UNKNOWN_ENUM = "L3_UNKNOWN_ENUM"
 L3_INVALID_IMPORT = "L3_INVALID_IMPORT"
 L3_NOT_IN_EVIDENCE = "L3_NOT_IN_EVIDENCE"
 L4_JUDGE_UNAVAILABLE = "L4_JUDGE_UNAVAILABLE"
+
+# Value types the runtime gives no methods, like any collection.
+_SCALARS = frozenset({"string", "int", "float", "bool"})
 
 
 class Severity(str, Enum):
@@ -199,6 +203,13 @@ def verify_api_alignment(
             )
     for cs in ts.call_sites:
         base = cs.receiver_type.base
+        if cs.receiver_type.many or base in _SCALARS:
+            shown = f"a {base} collection" if cs.receiver_type.many else base
+            issues.append(
+                Issue(L3_UNKNOWN_METHOD, 3, f"{shown} has no method {cs.method!r}",
+                      location=cs.location)
+            )
+            continue
         if not schema.is_object_type(base):
             continue
         sig = schema.method(base, cs.method)
@@ -245,9 +256,17 @@ def verify_api_alignment(
             issues.append(
                 Issue(L3_BAD_ARITY, 3, f"{bc.name} expects a collection", location=bc.location)
             )
-        elif kind == "int" and bc.arg_types[0].base not in ("int", "?"):
+        elif kind == "int" and (bc.arg_types[0].many or bc.arg_types[0].base not in ("int", "?")):
             issues.append(
                 Issue(L3_BAD_ARITY, 3, f"{bc.name} expects an int", location=bc.location)
+            )
+    for loop in ts.loop_iterables:
+        it = loop.iterable_type
+        if not (it.many or it.is_unknown):
+            issues.append(
+                Issue(L3_NOT_ITERABLE, 3,
+                      f"for-loop over {loop.iterable_text} needs a collection, got {it.base}",
+                      location=loop.location)
             )
     for ar in ts.attribute_reads:
         base = ar.receiver_type.base

@@ -17,5 +17,5 @@ def retriever():
 
 @pytest.fixture(scope="session")
 def snapshot(schema):
-    # Sessions deep-copy their snapshot, so sharing one instance is safe.
+    # Sessions copy a record before its first write, so sharing one snapshot is safe.
     return toy_snapshot(schema)

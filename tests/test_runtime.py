@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from structsynth.runtime import (
@@ -114,7 +116,7 @@ def test_canonical_trace(snapshot, schema):
     assert result.output == ("5",)
     assert result.mutations == 1
     assert session.mutations == 1
-    assert session.objects["n1"].fields["weight"] == 5
+    assert session.object("n1").fields["weight"] == 5
 
 
 def test_getters_read_children_and_fields(snapshot, schema):
@@ -159,8 +161,8 @@ def test_missing_single_child_materializes(schema):
     result = run(session, "block = design.getBlock()\nprint(block.getNets())\n")
     assert result.status is ExecStatus.OK
     assert result.output == ("[]",)
-    assert "auto_block_1" in session.objects
-    assert session.objects["d1"].children["getBlock"] == ["auto_block_1"]
+    assert session.object("auto_block_1").type == "Block"
+    assert session.object("d1").children["getBlock"] == ["auto_block_1"]
 
 
 def test_unknown_method_and_bad_attribute(snapshot, schema):
@@ -302,9 +304,67 @@ def test_sessions_do_not_share_state(snapshot, schema):
     a = fresh_session(snapshot, schema)
     b = fresh_session(snapshot, schema)
     run(a, 'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(7)\n')
-    assert a.objects["n1"].fields["weight"] == 7
-    assert b.objects["n1"].fields.get("weight") == 1
+    assert a.object("n1").fields["weight"] == 7
+    assert b.object("n1").fields.get("weight") == 1
     assert snapshot.objects["n1"].fields.get("weight") == 1
+    run(b, 'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(3)\n')
+    assert a.object("n1").fields["weight"] == 7
+    assert b.object("n1").fields["weight"] == 3
+
+
+def test_sessions_materialize_apart(schema):
+    snap = snapshot_from_dict({"objects": [{"id": "d1", "type": "Design"}]}, schema)
+    a = fresh_session(snap, schema)
+    b = fresh_session(snap, schema)
+    assert run(a, "print(design.getBlock())\n").output == ("<Block auto_block_1>",)
+    assert b.object("d1").children == {}
+    assert run(b, "print(design.getBlock())\n").output == ("<Block auto_block_1>",)
+    assert a.object("auto_block_1") is not b.object("auto_block_1")
+    assert snap.objects["d1"].children == {}
+    assert "auto_block_1" not in snap.objects
+
+
+def test_new_session_shares_every_snapshot_record(snapshot, schema):
+    session = fresh_session(snapshot, schema)
+    assert all(session.object(oid) is rec for oid, rec in snapshot.objects.items())
+
+
+def test_first_write_copies_only_that_record(snapshot, schema):
+    session = fresh_session(snapshot, schema)
+    run(session, 'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(5)\n')
+    copied = [oid for oid, rec in snapshot.objects.items() if session.object(oid) is not rec]
+    assert copied == ["n1"]
+    assert session.object("n1").fields == {"name": "clk", "weight": 5}
+    assert snapshot.objects["n1"].fields == {"name": "clk", "weight": 1}
+
+
+@pytest.mark.parametrize(
+    "objects, source, status",
+    [
+        (
+            None,
+            'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(11)\n',
+            ExecStatus.OK,
+        ),
+        (
+            [{"id": "d1", "type": "Design"}],
+            "block = design.getBlock()\nprint(block.getNets())\n",
+            ExecStatus.OK,
+        ),
+        (
+            None,
+            'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(13)\n'
+            "print(ghost)\n",
+            ExecStatus.RUNTIME_ERROR,
+        ),
+    ],
+    ids=["set", "materialize", "write-then-fail"],
+)
+def test_session_leaves_snapshot_unchanged(snapshot, schema, objects, source, status):
+    snap = snapshot if objects is None else snapshot_from_dict({"objects": objects}, schema)
+    before = copy.deepcopy(snap)
+    assert run(fresh_session(snap, schema), source).status is status
+    assert snap == before
 
 
 def test_crash_injection_is_seeded(snapshot, schema):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge, ScriptedJudge
 from structsynth.qas.analysis import analyze
@@ -13,6 +15,7 @@ from structsynth.verifier import (
     L3_BAD_ATTRIBUTE,
     L3_INVALID_IMPORT,
     L3_NOT_IN_EVIDENCE,
+    L3_NOT_ITERABLE,
     L3_UNKNOWN_ENUM,
     L3_UNKNOWN_METHOD,
     L4_JUDGE_UNAVAILABLE,
@@ -161,6 +164,27 @@ def test_len_of_string_passes_layer_three_as_it_runs(schema, snapshot):
     verdict = verify_all(analyze("print(len(5))\n", schema), None, schema)
     assert verdict.failure_layer == 3
     assert verdict.codes() == (L3_BAD_ARITY,)
+
+
+@pytest.mark.parametrize(
+    "src, code, runtime_kind",
+    [
+        ("for i in range(range(3)):\n    print(i)\n", L3_BAD_ARITY, "TypeError"),
+        ('x = "ab"\nfor c in x:\n    print(c)\n', L3_NOT_ITERABLE, "TypeError"),
+        ("block = design.getBlock()\nfor x in block:\n    print(x)\n", L3_NOT_ITERABLE,
+         "TypeError"),
+        ('x = "ab"\nprint(x.getName())\n', L3_UNKNOWN_METHOD, "UnknownMethod"),
+        ("print(design.getBlock().getNets().getName())\n", L3_UNKNOWN_METHOD,
+         "UnknownMethod"),
+    ],
+    ids=["range-of-range", "for-over-string", "for-over-object", "method-on-string",
+         "method-on-collection"],
+)
+def test_layer_three_rejects_what_fails_at_runtime(schema, snapshot, src, code, runtime_kind):
+    verdict = verify_all(analyze(src, schema), None, schema)
+    assert verdict.failure_layer == 3
+    assert verdict.codes() == (code,)
+    assert Session(snapshot, schema).execute(src).error_kind == runtime_kind
 
 
 def test_evidence_gap_is_warning_only(schema, retriever):
