@@ -57,6 +57,8 @@ _FLOAT = TypeRef("float")
 _STRING = TypeRef("string")
 _VOID = TypeRef("void")
 _NONE = TypeRef("void", nullable=True)
+# What a loop over an imported namespace iterates: known, and not a collection.
+_MODULE = TypeRef("module")
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,8 @@ class _Inference:
         raise TypeError(f"not a statement node: {s!r}")
 
     def _for(self, s: ForStmt) -> set[str]:
-        iterable = self._as_type(self._expr(s.iterable))
+        binding = self._expr(s.iterable)
+        iterable = _MODULE if isinstance(binding, ModuleBinding) else binding
         self.loop_iterables.append(
             LoopIterable(expr_to_source(s.iterable), iterable, s.location)
         )

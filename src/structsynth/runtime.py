@@ -11,9 +11,11 @@ remains fatal at runtime is exactly what static layers promise to prevent.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from .qas import nodes as qn
@@ -195,27 +197,17 @@ class _OverBudget(Exception):
     pass
 
 
-def _lcfirst(s: str) -> str:
-    return s[:1].lower() + s[1:] if s else s
-
-
-def _field_key(method: str) -> str:
-    for prefix in ("get", "set", "find"):
+def _dispatch_rule(method: str) -> tuple[str, str]:
+    """The naming convention a method follows (get, find or set) and its field key."""
+    for prefix in ("get", "find", "set"):
         if method.startswith(prefix):
-            return _lcfirst(method[len(prefix) :])
-    return method
+            rest = method[len(prefix) :]
+            return prefix, rest[:1].lower() + rest[1:]
+    return "", method
 
 
-def _default_for(ref: TypeRef):
-    if ref.base == "string":
-        return ""
-    if ref.base == "int":
-        return 0
-    if ref.base == "float":
-        return 0.0
-    if ref.base == "bool":
-        return False
-    return None
+# Value of a declared scalar that the snapshot leaves unset; other types read None.
+_DEFAULTS = {"string": "", "int": 0, "float": 0.0, "bool": False}
 
 
 class Session:
@@ -291,29 +283,17 @@ class Session:
                 0,
             )
         interp = _Interp(self)
+        status, kind, message = ExecStatus.OK, None, ""
         try:
             interp.run(parsed.statements)
         except _Abort as exc:
-            return ExecutionResult(
-                ExecStatus.RUNTIME_ERROR,
-                tuple(interp.output),
-                exc.kind,
-                exc.message,
-                interp.steps,
-                interp.mutations,
-            )
+            status, kind, message = ExecStatus.RUNTIME_ERROR, exc.kind, exc.message
         except _OverBudget:
-            return ExecutionResult(
-                ExecStatus.TIMEOUT,
-                tuple(interp.output),
-                None,
-                f"step budget of {self.step_budget} exceeded",
-                interp.steps,
-                interp.mutations,
-            )
-        self.mutations += interp.mutations
+            status, message = ExecStatus.TIMEOUT, f"step budget of {self.step_budget} exceeded"
+        else:
+            self.mutations += interp.mutations
         return ExecutionResult(
-            ExecStatus.OK, tuple(interp.output), None, "", interp.steps, interp.mutations
+            status, tuple(interp.output), kind, message, interp.steps, interp.mutations
         )
 
     def materialize(self, type_name: str) -> ObjRecord:
@@ -324,149 +304,366 @@ class Session:
         return rec
 
 
+def _truthy(value) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, (ObjRef, EnumVal, ModuleVal, EnumNamespace)):
+        return True
+    return bool(value)
+
+
+def _numeric(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _comparable(a, b) -> bool:
+    if isinstance(a, str) and isinstance(b, str):
+        return True
+    return _numeric(a) and _numeric(b)
+
+
+def _equals(a, b) -> bool:
+    if isinstance(a, ObjRef) and isinstance(b, ObjRef):
+        return a.id == b.id
+    if isinstance(a, EnumVal) and isinstance(b, EnumVal):
+        return a == b
+    if type(a) is bool or type(b) is bool:
+        return a is b
+    if _numeric(a) and _numeric(b):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    return a == b
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "None"
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, ObjRef):
+        return f"<{value.type} {value.id}>"
+    if isinstance(value, EnumVal):
+        return f"{value.enum}.{value.const}"
+    if isinstance(value, ModuleVal):
+        return f"<module {value.name}>"
+    if isinstance(value, EnumNamespace):
+        return f"<enum {value.enum}>"
+    if isinstance(value, range):
+        return f"range({len(value)})"
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return str(value)
+
+
+def _operator(op: str, fn):
+    """``op`` on two evaluated operands, with the language's type checks."""
+    orders, concat, divides = op in qn.COMPARE_OPS, op == "+", op in ("/", "%")
+
+    def apply(a, b):
+        if orders:
+            if not _comparable(a, b):
+                raise _Abort("TypeError", f"cannot order {_fmt(a)} and {_fmt(b)}")
+            return fn(a, b)
+        if concat and isinstance(a, str) and isinstance(b, str):
+            return a + b
+        if _numeric(a) and _numeric(b):
+            if divides and b == 0:
+                raise _Abort("TypeError", "division by zero")
+            return fn(a, b)
+        raise _Abort("TypeError", f"bad operands for {op!r}")
+
+    return apply
+
+
+# Every binary operator the parser produces.
+_BINOPS = {
+    "==": _equals,
+    "!=": lambda a, b: not _equals(a, b),
+    "<": _operator("<", operator.lt),
+    "<=": _operator("<=", operator.le),
+    ">": _operator(">", operator.gt),
+    ">=": _operator(">=", operator.ge),
+    "+": _operator("+", operator.add),
+    "-": _operator("-", operator.sub),
+    "*": _operator("*", operator.mul),
+    "/": _operator("/", operator.truediv),
+    "%": _operator("%", operator.mod),
+}
+
+
+def _subscript(base, idx):
+    if not isinstance(idx, int) or isinstance(idx, bool):
+        raise _Abort("TypeError", "index must be an int")
+    if isinstance(base, (list, str, range)):
+        try:
+            return base[idx]
+        except IndexError:
+            raise _Abort("TypeError", f"index {idx} out of range") from None
+    raise _Abort("TypeError", "value is not indexable")
+
+
+def _len(args: list):
+    if len(args) != 1 or not isinstance(args[0], (list, str, range)):
+        raise _Abort("TypeError", "len takes one collection")
+    return len(args[0])
+
+
+def _range(args: list):
+    if len(args) != 1 or not isinstance(args[0], int) or isinstance(args[0], bool):
+        raise _Abort("TypeError", "range takes one int")
+    return range(args[0])
+
+
+def _undefined(name: str, args: list):
+    raise _Abort("NameError", f"name {name!r} is not defined")
+
+
+def _not_callable(args: list):
+    raise _Abort("TypeError", "value is not callable")
+
+
 class _Interp:
+    """One execution: the script is compiled into closures once, then run.
+
+    Each node becomes a closure over its children's closures and over every
+    decision that needs no runtime value. A step is one statement, loop
+    iteration or expression node; its closure counts it on entry.
+    """
+
+    __slots__ = ("s", "env", "output", "steps", "mutations", "budget")
+
     def __init__(self, session: Session):
         self.s = session
-        self.env: dict[str, object] = {}
-        for var, oid in session.roots.items():
-            rec = session.object(oid)
-            self.env[var] = ObjRef(rec.id, rec.type)
+        self.env: dict[str, object] = {
+            var: ObjRef(oid, session.object(oid).type) for var, oid in session.roots.items()
+        }
         self.output: list[str] = []
         self.steps = 0
         self.mutations = 0
-
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.s.step_budget:
-            raise _OverBudget()
+        self.budget = session.step_budget
 
     def run(self, statements: tuple) -> None:
-        for st in statements:
-            self.stmt(st)
+        self.block(statements)()
 
-    def stmt(self, st) -> None:
-        self.tick()
+    # ---- statements ----
+
+    def block(self, statements: tuple):
+        compiled, budget = [self.stmt(st) for st in statements], self.budget
+
+        def run_block():
+            for step in compiled:
+                self.steps += 1
+                if self.steps > budget:
+                    raise _OverBudget()
+                step()
+
+        return run_block
+
+    def stmt(self, st):
+        env = self.env
+        if isinstance(st, qn.Assign):
+            target, value = st.target, self.expr(st.value)
+
+            def assign():
+                env[target] = value()
+
+            return assign
+        if isinstance(st, qn.ExprStmt):
+            return self.expr(st.value)
+        if isinstance(st, qn.ForStmt):
+            return self.loop(st)
+        if isinstance(st, qn.IfStmt):
+            test, body, orelse = self.expr(st.test), self.block(st.body), self.block(st.orelse)
+
+            def branch():
+                (body if _truthy(test()) else orelse)()
+
+            return branch
         if isinstance(st, qn.ImportStmt):
             root = st.name.split(".")[0]
-            if root not in self.s.schema.modules:
-                raise _Abort("ImportError", f"no module named {root!r}")
-            self.env[root] = ModuleVal(root)
-        elif isinstance(st, qn.Assign):
-            self.env[st.target] = self.expr(st.value)
-        elif isinstance(st, qn.ExprStmt):
-            self.expr(st.value)
-        elif isinstance(st, qn.ForStmt):
-            seq = self.expr(st.iterable)
+            module = ModuleVal(root) if root in self.s.schema.modules else None
+
+            def load():
+                if module is None:
+                    raise _Abort("ImportError", f"no module named {root!r}")
+                env[root] = module
+
+            return load
+        raise TypeError(f"not a statement node: {st!r}")
+
+    def loop(self, st: qn.ForStmt):
+        env, var, budget = self.env, st.var, self.budget
+        iterable, body = self.expr(st.iterable), self.block(st.body)
+
+        def run_loop():
+            seq = iterable()
             if not isinstance(seq, (list, range)):
                 raise _Abort("TypeError", "for-loop needs a collection")
             for item in seq:
-                self.tick()
-                self.env[st.var] = item
-                self.run(st.body)
-        elif isinstance(st, qn.IfStmt):
-            if self.truthy(self.expr(st.test)):
-                self.run(st.body)
-            elif st.orelse:
-                self.run(st.orelse)
-        else:
-            raise _Abort("TypeError", f"cannot execute {type(st).__name__}")
+                self.steps += 1
+                if self.steps > budget:
+                    raise _OverBudget()
+                env[var] = item
+                body()
 
-    @staticmethod
-    def truthy(value) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, (ObjRef, EnumVal, ModuleVal, EnumNamespace)):
-            return True
-        return bool(value)
+        return run_loop
+
+    # ---- expressions ----
 
     def expr(self, e):
-        self.tick()
-        if isinstance(e, qn.IntLit):
-            return e.value
-        if isinstance(e, qn.FloatLit):
-            return e.value
-        if isinstance(e, qn.StringLit):
-            return e.value
-        if isinstance(e, qn.BoolLit):
-            return e.value
-        if isinstance(e, qn.NoneLit):
-            return None
         if isinstance(e, qn.Name):
-            if e.id not in self.env:
-                raise _Abort("NameError", f"name {e.id!r} is not defined")
-            return self.env[e.id]
+            return self.name(e.id)
+        if isinstance(e, qn.Call):
+            if isinstance(e.func, qn.Attribute):
+                return self.method_call(e.func, e.args)
+            if isinstance(e.func, qn.Name):
+                impl = {"print": self.emit, "len": _len, "range": _range}.get(e.func.id)
+                return self.builtin(impl or partial(_undefined, e.func.id), e.args)
+            return self.builtin(_not_callable, ())
+        if isinstance(e, (qn.StringLit, qn.IntLit, qn.FloatLit, qn.BoolLit, qn.NoneLit)):
+            return self.constant(getattr(e, "value", None))
         if isinstance(e, qn.Attribute):
             return self.attribute(e)
-        if isinstance(e, qn.Index):
-            return self.index(e)
-        if isinstance(e, qn.Call):
-            return self.call(e)
-        if isinstance(e, qn.UnaryOp):
-            operand = self.expr(e.operand)
-            if isinstance(operand, bool) or not isinstance(operand, (int, float)):
-                raise _Abort("TypeError", "unary minus needs a number")
-            return -operand
         if isinstance(e, qn.BinOp):
-            return self.binop(e)
-        raise _Abort("TypeError", f"cannot evaluate {type(e).__name__}")
+            return self.pair(_BINOPS[e.op], e.left, e.right)
+        if isinstance(e, qn.Index):
+            return self.pair(_subscript, e.value, e.index)
+        if isinstance(e, qn.UnaryOp):
+            return self.negate(e.operand)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def constant(self, value):
+        budget = self.budget
+
+        def const():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            return value
+
+        return const
+
+    def name(self, name: str):
+        env, budget = self.env, self.budget
+
+        def load():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            try:
+                return env[name]
+            except KeyError:
+                raise _Abort("NameError", f"name {name!r} is not defined") from None
+
+        return load
 
     def attribute(self, e: qn.Attribute):
-        base = self.expr(e.value)
-        if base is None:
-            raise _Abort("NullAccess", f"attribute {e.attr!r} read on None")
-        if isinstance(base, ModuleVal):
-            if e.attr in self.s.schema.enums:
-                return EnumNamespace(base.name, e.attr)
-            raise _Abort("EnumError", f"module {base.name!r} has no member {e.attr!r}")
-        if isinstance(base, EnumNamespace):
-            if self.s.schema.enum_has(base.enum, e.attr):
-                return EnumVal(base.enum, e.attr)
-            raise _Abort("EnumError", f"{base.enum} has no constant {e.attr!r}")
-        if isinstance(base, ObjRef):
-            declared = self.s.schema.attribute(base.type, e.attr)
-            if declared is None:
-                raise _Abort("BadAttribute", f"{base.type} has no attribute {e.attr!r}")
-            rec = self.s.object(base.id)
-            if e.attr in rec.fields:
-                return rec.fields[e.attr]
-            return _default_for(declared)
-        raise _Abort("BadAttribute", f"attribute {e.attr!r} on {self.fmt(base)}")
+        value, attr, budget = self.expr(e.value), e.attr, self.budget
+        session, schema = self.s, self.s.schema
+        names_enum = attr in schema.enums
 
-    def index(self, e: qn.Index):
-        base = self.expr(e.value)
-        idx = self.expr(e.index)
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise _Abort("TypeError", "index must be an int")
-        if isinstance(base, (list, str)) or isinstance(base, range):
-            try:
-                return base[idx]
-            except IndexError:
-                raise _Abort("TypeError", f"index {idx} out of range") from None
-        raise _Abort("TypeError", "value is not indexable")
+        def read():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            base = value()
+            if base is None:
+                raise _Abort("NullAccess", f"attribute {attr!r} read on None")
+            if isinstance(base, ObjRef):
+                declared = schema.attribute(base.type, attr)
+                if declared is None:
+                    raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
+                fields = session.object(base.id).fields
+                return fields[attr] if attr in fields else _DEFAULTS.get(declared.base)
+            if isinstance(base, ModuleVal):
+                if names_enum:
+                    return EnumNamespace(base.name, attr)
+                raise _Abort("EnumError", f"module {base.name!r} has no member {attr!r}")
+            if isinstance(base, EnumNamespace):
+                if schema.enum_has(base.enum, attr):
+                    return EnumVal(base.enum, attr)
+                raise _Abort("EnumError", f"{base.enum} has no constant {attr!r}")
+            raise _Abort("BadAttribute", f"attribute {attr!r} on {_fmt(base)}")
 
-    def call(self, e: qn.Call):
-        if isinstance(e.func, qn.Name):
-            return self.builtin(e.func.id, e)
-        if not isinstance(e.func, qn.Attribute):
-            raise _Abort("TypeError", "value is not callable")
-        receiver = self.expr(e.func.value)
-        args = [self.expr(a) for a in e.args]
-        method = e.func.attr
-        if receiver is None:
-            raise _Abort("NullAccess", f"method {method!r} called on None")
-        if not isinstance(receiver, ObjRef):
-            raise _Abort("UnknownMethod", f"{self.fmt(receiver)} has no methods")
-        sig = self.s.schema.method(receiver.type, method)
-        if sig is None:
-            raise _Abort("UnknownMethod", f"{receiver.type} has no method {method!r}")
-        if len(args) != sig.arity:
-            raise _Abort(
-                "TypeError",
-                f"{receiver.type}.{method} takes {sig.arity} argument(s), got {len(args)}",
-            )
-        for param, arg in zip(sig.params, args):
-            self.check_arg(receiver.type, method, param.name, param.type, arg)
-        return self.dispatch(receiver, method, sig, args)
+        return read
+
+    def pair(self, apply, left_node, right_node):
+        """Evaluate both operands, left first, and ``apply`` to their values."""
+        left, right, budget = self.expr(left_node), self.expr(right_node), self.budget
+
+        def run_pair():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            return apply(left(), right())
+
+        return run_pair
+
+    def negate(self, operand_node):
+        operand, budget = self.expr(operand_node), self.budget
+
+        def run_negate():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            value = operand()
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _Abort("TypeError", "unary minus needs a number")
+            return -value
+
+        return run_negate
+
+    def builtin(self, impl, arg_nodes: tuple):
+        arg_fns, budget = tuple(self.expr(a) for a in arg_nodes), self.budget
+
+        def call():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            return impl([f() for f in arg_fns])
+
+        return call
+
+    def emit(self, args: list) -> None:
+        if len(args) != 1:
+            raise _Abort("TypeError", "print takes 1 argument")
+        self.output.append(_fmt(args[0]))
+
+    def method_call(self, func: qn.Attribute, arg_nodes: tuple):
+        receiver_of, method, budget = self.expr(func.value), func.attr, self.budget
+        arg_fns = tuple(self.expr(a) for a in arg_nodes)
+        session, schema, (rule, key) = self.s, self.s.schema, _dispatch_rule(method)
+        rules = {"get": self.do_get, "find": self.do_find, "set": self.do_set}
+        act = rules.get(rule, self.no_rule)
+
+        def invoke():
+            self.steps += 1
+            if self.steps > budget:
+                raise _OverBudget()
+            receiver = receiver_of()
+            args = [f() for f in arg_fns] if arg_fns else []
+            if receiver is None:
+                raise _Abort("NullAccess", f"method {method!r} called on None")
+            if not isinstance(receiver, ObjRef):
+                raise _Abort("UnknownMethod", f"{_fmt(receiver)} has no methods")
+            sig = schema.method(receiver.type, method)
+            if sig is None:
+                raise _Abort("UnknownMethod", f"{receiver.type} has no method {method!r}")
+            if len(args) != sig.arity:
+                raise _Abort(
+                    "TypeError",
+                    f"{receiver.type}.{method} takes {sig.arity} argument(s), got {len(args)}",
+                )
+            for param, arg in zip(sig.params, args):
+                self.check_arg(receiver.type, method, param.name, param.type, arg)
+            return act(session.object(receiver.id), method, key, sig, args)
+
+        return invoke
 
     def check_arg(self, tname: str, method: str, pname: str, ref: TypeRef, value) -> None:
         ok = True
@@ -486,23 +683,10 @@ class _Interp:
             raise _Abort(
                 "TypeError",
                 f"{tname}.{method} argument {pname!r} expects {ref.base}, "
-                f"got {self.fmt(value)}",
+                f"got {_fmt(value)}",
             )
 
-    def dispatch(self, receiver: ObjRef, method: str, sig: MethodSig, args: list):
-        rec = self.s.object(receiver.id)
-        if method.startswith("get"):
-            return self.do_get(rec, method, sig)
-        if method.startswith("find"):
-            return self.do_find(rec, sig, args[0] if args else "")
-        if method.startswith("set"):
-            self.s._writable(rec.id).fields[_field_key(method)] = args[0] if args else None
-            if sig.mutates:
-                self.mutations += 1
-            return None
-        raise _Abort("UnknownMethod", f"no dispatch rule for {method!r}")
-
-    def do_get(self, rec: ObjRecord, method: str, sig: MethodSig):
+    def do_get(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
         if self.s.schema.is_object_type(sig.returns.base):
             kids = rec.children.get(method)
             if sig.returns.many:
@@ -515,7 +699,6 @@ class _Interp:
             child = self.s.materialize(sig.returns.base)
             self.s._writable(rec.id).children[method] = [child.id]
             return ObjRef(child.id, child.type)
-        key = _field_key(method)
         if key in rec.fields:
             value = rec.fields[key]
             if sig.returns.base in self.s.schema.enums and isinstance(value, str):
@@ -523,11 +706,12 @@ class _Interp:
                 if self.s.schema.enum_has(enum, const):
                     return EnumVal(enum, const)
             return value
-        return _default_for(sig.returns)
+        return _DEFAULTS.get(sig.returns.base)
 
-    def do_find(self, rec: ObjRecord, sig: MethodSig, wanted):
-        for key in sorted(rec.children):
-            for cid in rec.children[key]:
+    def do_find(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
+        wanted = args[0] if args else ""
+        for child_key in sorted(rec.children):
+            for cid in rec.children[child_key]:
                 child = self.s.object(cid)
                 if child.type == sig.returns.base and child.fields.get("name") == wanted:
                     return ObjRef(child.id, child.type)
@@ -535,95 +719,10 @@ class _Interp:
             return None
         raise _Abort("TypeError", f"nothing named {wanted!r} found")
 
-    def builtin(self, name: str, e: qn.Call):
-        args = [self.expr(a) for a in e.args]
-        if name == "print":
-            if len(args) != 1:
-                raise _Abort("TypeError", "print takes 1 argument")
-            self.output.append(self.fmt(args[0]))
-            return None
-        if name == "len":
-            if len(args) != 1 or not isinstance(args[0], (list, str, range)):
-                raise _Abort("TypeError", "len takes one collection")
-            return len(args[0])
-        if name == "range":
-            if len(args) != 1 or not isinstance(args[0], int) or isinstance(args[0], bool):
-                raise _Abort("TypeError", "range takes one int")
-            return range(args[0])
-        raise _Abort("NameError", f"name {name!r} is not defined")
+    def do_set(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
+        self.s._writable(rec.id).fields[key] = args[0] if args else None
+        if sig.mutates:
+            self.mutations += 1
 
-    def binop(self, e: qn.BinOp):
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        op = e.op
-        if op in ("==", "!="):
-            same = self.equals(left, right)
-            return same if op == "==" else not same
-        if op in ("<", "<=", ">", ">="):
-            if not self.comparable(left, right):
-                raise _Abort(
-                    "TypeError", f"cannot order {self.fmt(left)} and {self.fmt(right)}"
-                )
-            return {"<": left < right, "<=": left <= right,
-                    ">": left > right, ">=": left >= right}[op]
-        if op == "+" and isinstance(left, str) and isinstance(right, str):
-            return left + right
-        if self.numeric(left) and self.numeric(right):
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise _Abort("TypeError", "division by zero")
-                return left / right
-        raise _Abort("TypeError", f"bad operands for {op!r}")
-
-    @staticmethod
-    def numeric(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    @staticmethod
-    def comparable(a, b) -> bool:
-        if isinstance(a, str) and isinstance(b, str):
-            return True
-        return _Interp.numeric(a) and _Interp.numeric(b)
-
-    @staticmethod
-    def equals(a, b) -> bool:
-        if isinstance(a, ObjRef) and isinstance(b, ObjRef):
-            return a.id == b.id
-        if isinstance(a, EnumVal) and isinstance(b, EnumVal):
-            return a == b
-        if type(a) is bool or type(b) is bool:
-            return a is b
-        if _Interp.numeric(a) and _Interp.numeric(b):
-            return a == b
-        if type(a) is not type(b):
-            return False
-        return a == b
-
-    def fmt(self, value) -> str:
-        if value is None:
-            return "None"
-        if isinstance(value, bool):
-            return "True" if value else "False"
-        if isinstance(value, float):
-            return repr(value)
-        if isinstance(value, (int, str)):
-            return str(value)
-        if isinstance(value, ObjRef):
-            return f"<{value.type} {value.id}>"
-        if isinstance(value, EnumVal):
-            return f"{value.enum}.{value.const}"
-        if isinstance(value, ModuleVal):
-            return f"<module {value.name}>"
-        if isinstance(value, EnumNamespace):
-            return f"<enum {value.enum}>"
-        if isinstance(value, range):
-            return f"range({len(value)})"
-        if isinstance(value, list):
-            return "[" + ", ".join(self.fmt(v) for v in value) + "]"
-        return str(value)
+    def no_rule(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
+        raise _Abort("UnknownMethod", f"no dispatch rule for {method!r}")

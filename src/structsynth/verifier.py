@@ -18,7 +18,7 @@ from .judges import JudgeContext, JudgeFailure
 from .qas.analysis import BUILTINS, Candidate, TypedScript
 from .qas.parser import Script, SyntaxFailure
 from .retrieval import EvidenceSet
-from .schema import ApiSchema, valid_enum_ref, valid_import
+from .schema import ApiSchema, TypeRef, valid_enum_ref, valid_import
 
 L1_SYNTAX = "L1_SYNTAX"
 L2_USE_BEFORE_DEF = "L2_USE_BEFORE_DEF"
@@ -26,6 +26,7 @@ L2_EDGE_UNREALIZED = "L2_EDGE_UNREALIZED"
 L2_NULL_UNGUARDED = "L2_NULL_UNGUARDED"
 L3_UNKNOWN_METHOD = "L3_UNKNOWN_METHOD"
 L3_BAD_ARITY = "L3_BAD_ARITY"
+L3_BAD_ARG_TYPE = "L3_BAD_ARG_TYPE"
 L3_BAD_ATTRIBUTE = "L3_BAD_ATTRIBUTE"
 L3_NOT_ITERABLE = "L3_NOT_ITERABLE"
 L3_UNKNOWN_ENUM = "L3_UNKNOWN_ENUM"
@@ -33,7 +34,7 @@ L3_INVALID_IMPORT = "L3_INVALID_IMPORT"
 L3_NOT_IN_EVIDENCE = "L3_NOT_IN_EVIDENCE"
 L4_JUDGE_UNAVAILABLE = "L4_JUDGE_UNAVAILABLE"
 
-# Value types the runtime gives no methods, like any collection.
+# Value types the runtime gives no methods or attributes, like any collection.
 _SCALARS = frozenset({"string", "int", "float", "bool"})
 
 
@@ -170,6 +171,32 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
     return tuple(issues)
 
 
+def _plain_value(t: TypeRef, schema: ApiSchema) -> str | None:
+    """How to name a receiver with no methods or attributes, or None if it may have them.
+
+    Collections, scalars and enum constants have neither at runtime.
+    """
+    if t.many:
+        return f"a {t.base} collection"
+    if t.base in _SCALARS or t.base in schema.enums:
+        return t.base
+    return None
+
+
+def _accepts(param: TypeRef, arg: TypeRef, schema: ApiSchema) -> bool:
+    """Whether an argument of static type ``arg`` can pass the runtime's check for ``param``.
+
+    The runtime checks scalar, enum and object parameters: an int is accepted
+    for a float, a bool for nothing but a bool. An argument of unknown type
+    passes.
+    """
+    base = param.base
+    checked = base in _SCALARS or base in schema.enums or schema.is_object_type(base)
+    if arg.is_unknown or not checked:
+        return True
+    return not arg.many and (arg.base == base or (base, arg.base) == ("float", "int"))
+
+
 def _call_edge(g: DepGraph | None, receiver: str, method: str) -> str | None:
     """Graph region blamed for a call: its own edge, else the receiver's."""
     if g is None:
@@ -203,8 +230,8 @@ def verify_api_alignment(
             )
     for cs in ts.call_sites:
         base = cs.receiver_type.base
-        if cs.receiver_type.many or base in _SCALARS:
-            shown = f"a {base} collection" if cs.receiver_type.many else base
+        shown = _plain_value(cs.receiver_type, schema)
+        if shown is not None:
             issues.append(
                 Issue(L3_UNKNOWN_METHOD, 3, f"{shown} has no method {cs.method!r}",
                       location=cs.location)
@@ -233,6 +260,18 @@ def verify_api_alignment(
                     location=cs.location,
                 )
             )
+        else:
+            for param, arg in zip(sig.params, cs.arg_types):
+                if not _accepts(param.type, arg, schema):
+                    issues.append(
+                        Issue(
+                            L3_BAD_ARG_TYPE,
+                            3,
+                            f"{base}.{cs.method} argument {param.name!r} expects "
+                            f"{param.type.base}, got {_plain_value(arg, schema) or arg.base}",
+                            location=cs.location,
+                        )
+                    )
         if evidence is not None and not evidence.covers(base, cs.method):
             issues.append(
                 Issue(
@@ -270,7 +309,13 @@ def verify_api_alignment(
             )
     for ar in ts.attribute_reads:
         base = ar.receiver_type.base
-        if schema.is_object_type(base) and schema.attribute(base, ar.attribute) is None:
+        shown = _plain_value(ar.receiver_type, schema)
+        if shown is not None:
+            issues.append(
+                Issue(L3_BAD_ATTRIBUTE, 3, f"{shown} has no attribute {ar.attribute!r}",
+                      location=ar.location)
+            )
+        elif schema.is_object_type(base) and schema.attribute(base, ar.attribute) is None:
             issues.append(
                 Issue(
                     L3_BAD_ATTRIBUTE,

@@ -277,6 +277,376 @@ def test_arithmetic_and_comparisons(snapshot, schema):
     assert run(session, "x = 1 / 0\n").error_kind == "TypeError"
 
 
+# Every statement and expression kind and every runtime error path, pinned to
+# exact results: (status, output, error kind, error message, steps, mutations).
+INTERPRETER_CASES = [
+    pytest.param(
+        'print(7)\nprint(2.5)\nprint("s")\nprint(True)\nprint(False)\nprint(None)\n',
+        ("ok", ("7", "2.5", "s", "True", "False", "None"), None, "", 18, 0),
+        id="literals",
+    ),
+    pytest.param("x = 3\ny = x\nprint(y)\n", ("ok", ("3",), None, "", 7, 0), id="assign-name"),
+    pytest.param("design.getBlock()\n", ("ok", (), None, "", 3, 0), id="expr-stmt"),
+    pytest.param(
+        "import odb\nprint(odb)\nprint(odb.PlacementStatus)\n",
+        ("ok", ("<module odb>", "<enum PlacementStatus>"), None, "", 8, 0),
+        id="import-module",
+    ),
+    pytest.param(
+        "import odb.PlacementStatus\nprint(odb.PlacementStatus.PLACED)\n",
+        ("ok", ("PlacementStatus.PLACED",), None, "", 6, 0),
+        id="import-dotted",
+    ),
+    pytest.param(
+        "for n in design.getBlock().getNets():\n    print(n.name)\n",
+        ("ok", ("clk", "rst", "data"), None, "", 19, 0),
+        id="for-list",
+    ),
+    pytest.param(
+        "for i in range(3):\n    print(i * 2)\n",
+        ("ok", ("0", "2", "4"), None, "", 21, 0),
+        id="for-range",
+    ),
+    pytest.param(
+        "for i in range(0):\n    print(i)\nprint(len(range(0)))\n",
+        ("ok", ("0",), None, "", 8, 0),
+        id="for-empty",
+    ),
+    pytest.param(
+        "for i in range(2):\n    for j in range(2):\n        print(i + j)\n",
+        ("ok", ("0", "1", "1", "2"), None, "", 35, 0),
+        id="nested-for",
+    ),
+    pytest.param(
+        'x = 2\nif x > 1:\n    print("big")\nelse:\n    print("small")\nif x < 1:\n'
+        '    print("small")\nelse:\n    print("big")\n',
+        ("ok", ("big", "big"), None, "", 16, 0),
+        id="if-else",
+    ),
+    pytest.param(
+        'if 0:\n    print(1)\nif "":\n    print(2)\nif None:\n    print(3)\nif design:\n'
+        "    print(4)\n",
+        ("ok", ("4",), None, "", 11, 0),
+        id="if-no-else",
+    ),
+    pytest.param(
+        "import odb\nif odb:\n    print(1)\nif odb.PlacementStatus.PLACED:\n    print(2)\n"
+        "if design.getBlock().getNets():\n    print(3)\nif range(0):\n    print(4)\n",
+        ("ok", ("1", "2", "3"), None, "", 23, 0),
+        id="truthy-values",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nprint(net.name)\n'
+        "print(net.weight)\n",
+        ("ok", ("clk", "1"), None, "", 15, 0),
+        id="attribute-field",
+    ),
+    pytest.param(
+        "block = design.getBlock()\nfor i in block.getInsts():\n    print(i.name)\n"
+        'print(block.findNet("rst").weight)\n',
+        ("ok", ("u1", "u2", "2"), None, "", 22, 0),
+        id="attribute-default",
+    ),
+    pytest.param(
+        "nets = design.getBlock().getNets()\nprint(nets[1])\nprint(nets[-1].name)\n",
+        ("ok", ("<Net n2>", "data"), None, "", 16, 0),
+        id="index-list",
+    ),
+    pytest.param(
+        'x = "abc"\nprint(x[0])\nprint(x[-1])\n',
+        ("ok", ("a", "c"), None, "", 13, 0),
+        id="index-string",
+    ),
+    pytest.param("print(range(5)[3])\n", ("ok", ("3",), None, "", 6, 0), id="index-range"),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nprint(net.getName())\n',
+        ("ok", ("clk",), None, "", 11, 0),
+        id="get-field",
+    ),
+    pytest.param(
+        "print(design.getBlock().getInsts())\n",
+        ("ok", ("[<Inst i1>, <Inst i2>]",), None, "", 5, 0),
+        id="get-many",
+    ),
+    pytest.param(
+        'print(design.getBlock().findNet("data"))\n',
+        ("ok", ("<Net n3>",), None, "", 6, 0),
+        id="find-hit",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("nope")\nprint(net)\nprint(net == None)\n',
+        ("ok", ("None", "True"), None, "", 15, 0),
+        id="find-miss",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(4)\n'
+        "print(net.weight)\nnet.setWeight(6)\nprint(net.getName())\n",
+        ("ok", ("4", "clk"), None, "", 23, 2),
+        id="set-int",
+    ),
+    pytest.param(
+        "import odb\nfor i in design.getBlock().getInsts():\n"
+        "    i.setPlacementStatus(odb.PlacementStatus.FIRM)\n",
+        ("ok", (), None, "", 19, 2),
+        id="set-enum",
+    ),
+    pytest.param(
+        'print(len("abcd"))\nprint(len(design.getBlock().getNets()))\nprint(range(4))\n',
+        ("ok", ("4", "3", "range(4)"), None, "", 14, 0),
+        id="builtins",
+    ),
+    pytest.param(
+        "print(-3)\nprint(-2.5)\nx = 4\nprint(-x)\nprint(--x)\n",
+        ("ok", ("-3", "-2.5", "-4", "4"), None, "", 19, 0),
+        id="unary",
+    ),
+    pytest.param(
+        "print(1 + 2)\nprint(5 - 7)\nprint(3 * 4)\nprint(7 / 2)\nprint(1.5 + 2)\nprint(2 * 2.0)\n"
+        "print(1 + 2 * 3 - 4 / 2)\n",
+        ("ok", ("3", "-2", "12", "3.5", "3.5", "4.0", "5.0"), None, "", 41, 0),
+        id="arith",
+    ),
+    pytest.param(
+        'print("a" + "b")\nx = "n: " + design.getBlock().findNet("clk").getName()\nprint(x)\n',
+        ("ok", ("ab", "n: clk"), None, "", 16, 0),
+        id="concat",
+    ),
+    pytest.param(
+        "print(1 < 2)\nprint(2 <= 2)\nprint(3 > 4)\nprint(3 >= 4)\nprint(1 == 1.0)\n"
+        "print(1 != 2)\n",
+        ("ok", ("True", "True", "False", "False", "True", "True"), None, "", 30, 0),
+        id="compare-numbers",
+    ),
+    pytest.param(
+        'print("a" < "b")\nprint("b" >= "a")\nprint("a" == "a")\nprint("a" != "a")\n',
+        ("ok", ("True", "True", "True", "False"), None, "", 20, 0),
+        id="compare-strings",
+    ),
+    pytest.param(
+        'print(1 == "1")\nprint(True == 1)\nprint(True == True)\nprint(None == None)\n'
+        "print(design == design)\nprint(design.getBlock() == design)\nimport odb\n"
+        "print(odb.PlacementStatus.PLACED == odb.PlacementStatus.PLACED)\n"
+        "print(odb.PlacementStatus.PLACED != odb.PlacementStatus.FIRM)\n",
+        ("ok", ("False", "False", "True", "True", "True", "False", "True", "True"), None,
+         "", 50, 0),
+        id="equals-mixed",
+    ),
+    pytest.param(
+        "print(design.getBlock().getNets())\nprint(range(2))\n",
+        ("ok", ("[<Net n1>, <Net n2>, <Net n3>]", "range(2)"), None, "", 9, 0),
+        id="print-collections",
+    ),
+    pytest.param(
+        "print(ghost)\n",
+        ("runtime_error", (), "NameError", "name 'ghost' is not defined", 3, 0),
+        id="name-error",
+    ),
+    pytest.param(
+        "frob(1)\n",
+        ("runtime_error", (), "NameError", "name 'frob' is not defined", 3, 0),
+        id="name-error-call",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("nope")\nprint(net.name)\n',
+        ("runtime_error", (), "NullAccess", "attribute 'name' read on None", 11, 0),
+        id="null-attribute",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("nope")\nprint(net.getName())\n',
+        ("runtime_error", (), "NullAccess", "method 'getName' called on None", 11, 0),
+        id="null-call",
+    ),
+    pytest.param(
+        "print(design.area)\n",
+        ("runtime_error", (), "BadAttribute", "Design has no attribute 'area'", 4, 0),
+        id="bad-attribute-object",
+    ),
+    pytest.param(
+        'x = "ab"\nprint(x.name)\n',
+        ("runtime_error", (), "BadAttribute", "attribute 'name' on ab", 6, 0),
+        id="bad-attribute-scalar",
+    ),
+    pytest.param(
+        "print(design.getBlock().getNets().name)\n",
+        ("runtime_error", (), "BadAttribute",
+         "attribute 'name' on [<Net n1>, <Net n2>, <Net n3>]", 6, 0),
+        id="bad-attribute-collection",
+    ),
+    pytest.param(
+        "import odb\nx = odb.Bogus\n",
+        ("runtime_error", (), "EnumError", "module 'odb' has no member 'Bogus'", 4, 0),
+        id="enum-error-module",
+    ),
+    pytest.param(
+        "import odb\nx = odb.PlacementStatus.NOPE\n",
+        ("runtime_error", (), "EnumError", "PlacementStatus has no constant 'NOPE'", 5, 0),
+        id="enum-error-constant",
+    ),
+    pytest.param(
+        "design.optimize()\n",
+        ("runtime_error", (), "UnknownMethod", "Design has no method 'optimize'", 3, 0),
+        id="unknown-method-object",
+    ),
+    pytest.param(
+        "x = 1\nx.frob()\n",
+        ("runtime_error", (), "UnknownMethod", "1 has no methods", 5, 0),
+        id="unknown-method-scalar",
+    ),
+    pytest.param(
+        "import odb\nx = odb.PlacementStatus.PLACED\nprint(x.getName())\n",
+        ("runtime_error", (), "UnknownMethod", "PlacementStatus.PLACED has no methods", 9, 0),
+        id="unknown-method-enum",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(1, 2)\n',
+        ("runtime_error", (), "TypeError", "Net.setWeight takes 1 argument(s), got 2", 12, 0),
+        id="arity",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight("heavy")\n',
+        ("runtime_error", (), "TypeError",
+         "Net.setWeight argument 'weight' expects int, got heavy", 11, 0),
+        id="arg-type-int",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(True)\n',
+        ("runtime_error", (), "TypeError",
+         "Net.setWeight argument 'weight' expects int, got True", 11, 0),
+        id="arg-type-bool-for-int",
+    ),
+    pytest.param(
+        "print(design.getBlock().findNet(5))\n",
+        ("runtime_error", (), "TypeError",
+         "Block.findNet argument 'name' expects string, got 5", 6, 0),
+        id="arg-type-string",
+    ),
+    pytest.param(
+        "for i in design.getBlock().getInsts():\n    i.setPlacementStatus(3)\n",
+        ("runtime_error", (), "TypeError",
+         "Inst.setPlacementStatus argument 'status' expects PlacementStatus, got 3", 9, 0),
+        id="arg-type-enum",
+    ),
+    pytest.param(
+        'x = "ab"\nprint(x["a"])\n',
+        ("runtime_error", (), "TypeError", "index must be an int", 7, 0),
+        id="index-not-int",
+    ),
+    pytest.param(
+        "x = 5\nprint(x[0])\n",
+        ("runtime_error", (), "TypeError", "value is not indexable", 7, 0),
+        id="not-indexable",
+    ),
+    pytest.param(
+        'x = "ab"\nprint(x[5])\n',
+        ("runtime_error", (), "TypeError", "index 5 out of range", 7, 0),
+        id="index-out-of-range",
+    ),
+    pytest.param(
+        'print(-"a")\n',
+        ("runtime_error", (), "TypeError", "unary minus needs a number", 4, 0),
+        id="unary-minus",
+    ),
+    pytest.param(
+        'print(1 < "a")\n',
+        ("runtime_error", (), "TypeError", "cannot order 1 and a", 5, 0),
+        id="ordering",
+    ),
+    pytest.param(
+        'print(1 - "a")\n',
+        ("runtime_error", (), "TypeError", "bad operands for '-'", 5, 0),
+        id="bad-operands",
+    ),
+    pytest.param(
+        'print("a" + 1)\n',
+        ("runtime_error", (), "TypeError", "bad operands for '+'", 5, 0),
+        id="bad-operands-concat",
+    ),
+    pytest.param(
+        "print(1 / 0)\n",
+        ("runtime_error", (), "TypeError", "division by zero", 5, 0),
+        id="division-by-zero",
+    ),
+    pytest.param(
+        "x = 1\nx[0](2)\n",
+        ("runtime_error", (), "TypeError", "value is not callable", 4, 0),
+        id="not-callable",
+    ),
+    pytest.param(
+        "import nosuch\n",
+        ("runtime_error", (), "ImportError", "no module named 'nosuch'", 1, 0),
+        id="import-error",
+    ),
+    pytest.param(
+        "for x in 5:\n    print(x)\n",
+        ("runtime_error", (), "TypeError", "for-loop needs a collection", 2, 0),
+        id="for-not-collection",
+    ),
+    pytest.param(
+        "import odb\nfor x in odb:\n    print(x)\n",
+        ("runtime_error", (), "TypeError", "for-loop needs a collection", 3, 0),
+        id="for-over-module",
+    ),
+    pytest.param(
+        "print(1, 2)\n",
+        ("runtime_error", (), "TypeError", "print takes 1 argument", 4, 0),
+        id="print-arity",
+    ),
+    pytest.param(
+        "print(len(5))\n",
+        ("runtime_error", (), "TypeError", "len takes one collection", 4, 0),
+        id="len-arg",
+    ),
+    pytest.param(
+        'print(range("a"))\n',
+        ("runtime_error", (), "TypeError", "range takes one int", 4, 0),
+        id="range-arg",
+    ),
+    pytest.param(
+        "print(range(True))\n",
+        ("runtime_error", (), "TypeError", "range takes one int", 4, 0),
+        id="range-bool",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(9)\n'
+        "print(net.weight)\nprint(ghost)\n",
+        ("runtime_error", ("9",), "NameError", "name 'ghost' is not defined", 18, 1),
+        id="output-then-fail",
+    ),
+    pytest.param(
+        "for i in range(100000):\n    x = i\n",
+        ("timeout", (), None, "step budget of 100000 exceeded", 100001, 0),
+        id="timeout",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, expected", INTERPRETER_CASES)
+def test_interpreter_results_are_pinned(snapshot, schema, source, expected):
+    r = run(fresh_session(snapshot, schema), source)
+    got = (r.status.value, r.output, r.error_kind, r.error_message, r.steps, r.mutations)
+    assert got == expected
+
+
+def test_step_budget_boundary(snapshot, schema):
+    source = "for i in range(3):\n    print(i * 2)\n"  # 21 steps
+    within = run(fresh_session(snapshot, schema, step_budget=21), source)
+    assert (within.status, within.steps, within.output) == (ExecStatus.OK, 21, ("0", "2", "4"))
+    over = run(fresh_session(snapshot, schema, step_budget=20), source)
+    assert (over.status, over.steps, over.output) == (ExecStatus.TIMEOUT, 21, ("0", "2"))
+    assert over.error_message == "step budget of 20 exceeded"
+
+
+def test_modulo(snapshot, schema):
+    session = fresh_session(snapshot, schema)
+    result = run(session, "print(7 % 3)\nprint(-7 % 3)\nprint(7.5 % 2)\nx = 5 % 2\nprint(x)\n")
+    assert result.status is ExecStatus.OK
+    assert result.output == ("1", "2", "1.5", "1")
+    zero = run(session, "print(5 % 0)\n")
+    assert (zero.error_kind, zero.error_message) == ("TypeError", "division by zero")
+    text = run(session, 'print("a" % 2)\n')
+    assert (text.error_kind, text.error_message) == ("TypeError", "bad operands for '%'")
+
+
 def test_tool_calls_increment_on_every_status(snapshot, schema):
     session = fresh_session(snapshot, schema, step_budget=5)
     run(session, "x = 1\n")

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge, ScriptedJudge
 from structsynth.qas.analysis import analyze
-from structsynth.runtime import Session
+from structsynth.fixtures import fixture_path
+from structsynth.runtime import ExecStatus, Session
+from structsynth.schema import schema_from_dict
 from structsynth.verifier import (
     L1_SYNTAX,
     L2_EDGE_UNREALIZED,
     L2_NULL_UNGUARDED,
     L2_USE_BEFORE_DEF,
+    L3_BAD_ARG_TYPE,
     L3_BAD_ARITY,
     L3_BAD_ATTRIBUTE,
     L3_INVALID_IMPORT,
@@ -176,15 +181,48 @@ def test_len_of_string_passes_layer_three_as_it_runs(schema, snapshot):
         ('x = "ab"\nprint(x.getName())\n', L3_UNKNOWN_METHOD, "UnknownMethod"),
         ("print(design.getBlock().getNets().getName())\n", L3_UNKNOWN_METHOD,
          "UnknownMethod"),
+        ('x = "ab"\nprint(x.name)\n', L3_BAD_ATTRIBUTE, "BadAttribute"),
+        ("print(design.getBlock().getNets().name)\n", L3_BAD_ATTRIBUTE, "BadAttribute"),
+        ("import odb\nx = odb.PlacementStatus.PLACED\nprint(x.getName())\n",
+         L3_UNKNOWN_METHOD, "UnknownMethod"),
+        ("import odb\nfor x in odb:\n    print(x)\n", L3_NOT_ITERABLE, "TypeError"),
+        ('for net in design.getBlock().getNets():\n    net.setWeight("heavy")\n',
+         L3_BAD_ARG_TYPE, "TypeError"),
     ],
     ids=["range-of-range", "for-over-string", "for-over-object", "method-on-string",
-         "method-on-collection"],
+         "method-on-collection", "attribute-on-string", "attribute-on-collection",
+         "method-on-enum", "for-over-module", "string-for-int-argument"],
 )
 def test_layer_three_rejects_what_fails_at_runtime(schema, snapshot, src, code, runtime_kind):
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
     assert verdict.codes() == (code,)
     assert Session(snapshot, schema).execute(src).error_kind == runtime_kind
+
+
+def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    params = {"string": "string", "int": "int", "float": "float", "bool": "bool",
+              "status": "PlacementStatus", "net": "Net"}
+    raw["types"]["Net"]["methods"].update({
+        f"set{name.title()}": {"params": [{"name": name, "type": {"base": base}}],
+                               "returns": {"base": "void"}}
+        for name, base in params.items()
+    })
+    schema = schema_from_dict(raw)
+    args = ['"a"', "1", "1.5", "True", "odb.PlacementStatus.FIRM", "net", "design.getBlock()",
+            "design.getBlock().getNets()", "range(2)", "None", "print(1)"]
+    loop = "import odb\nfor net in design.getBlock().getNets():\n"
+    for name in params:
+        for arg in args:
+            src = f"{loop}    net.set{name.title()}({arg})\n"
+            codes = verify_all(analyze(src, schema), None, schema).codes()
+            result = Session(snapshot, schema).execute(src)
+            assert codes in ((), (L3_BAD_ARG_TYPE,)), src
+            assert (codes == ()) == (result.status is ExecStatus.OK), src
+            assert codes == () or result.error_kind == "TypeError", src
+    unknown = f"x = 1\nif x > 0:\n    x = \"a\"\n{loop}    net.setInt(x)\n"
+    assert verify_all(analyze(unknown, schema), None, schema).passed
 
 
 def test_evidence_gap_is_warning_only(schema, retriever):
