@@ -38,7 +38,7 @@ from .depgraph import (
     ground_truth_graph,
     validate_graph,
 )
-from .extractors import PatternTableExtractor, ScriptedExtractor
+from .extractors import PatternTableExtractor
 from .generators import (
     DefectKind,
     FaultInjectionGenerator,
@@ -47,7 +47,7 @@ from .generators import (
     TemplateGenerator,
     apply_defect,
 )
-from .judges import JudgeFailure, JudgeVerdict, RuleBasedJudge, ScriptedJudge
+from .judges import JudgeFailure, JudgeVerdict, RuleBasedJudge
 from .orchestrator import (
     EpisodeResult,
     ReflectionOutcome,
@@ -107,8 +107,6 @@ __all__ = [
     "RuleBasedJudge",
     "RuleBasedReflector",
     "SchemaError",
-    "ScriptedExtractor",
-    "ScriptedJudge",
     "Session",
     "Severity",
     "Snapshot",

@@ -64,9 +64,8 @@ class MultiTaskSpec:
 
 
 def load_suite(path: str | Path) -> list[TaskSpec]:
-    raw = _read_tasks(path)
     tasks = []
-    for item in raw:
+    for item in _read_tasks(path, "prompt"):
         truth = item.get("truth_graph")
         tasks.append(
             TaskSpec(
@@ -80,20 +79,23 @@ def load_suite(path: str | Path) -> list[TaskSpec]:
 
 
 def load_multi_suite(path: str | Path) -> list[MultiTaskSpec]:
-    raw = _read_tasks(path)
     return [
         MultiTaskSpec(task_id=str(item["id"]), steps=tuple(str(s) for s in item["steps"]))
-        for item in raw
+        for item in _read_tasks(path, "steps")
     ]
 
 
-def _read_tasks(path: str | Path) -> list[dict]:
+def _read_tasks(path: str | Path, field: str) -> list[dict]:
+    """The suite's task entries, each an object with an ``id`` and ``field``."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read suite {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ParseError("suite document needs a 'tasks' list")
+    for i, item in enumerate(doc["tasks"]):
+        if not isinstance(item, dict) or "id" not in item or field not in item:
+            raise ParseError(f"suite {path}: task {i} needs 'id' and {field!r}")
     return doc["tasks"]
 
 

@@ -52,7 +52,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     candidate = analyze(_read_source(args.source), schema)
     if args.graph:
-        graph = DepGraph.from_dict(json.loads(_read_source(args.graph)))
+        graph = _read_graph(args.graph)
     elif candidate.typed is not None:
         # No graph supplied: check the program against its own shape so the
         # causal layer still runs.
@@ -157,8 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    pred = DepGraph.from_dict(json.loads(_read_source(args.pred)))
-    truth = DepGraph.from_dict(json.loads(_read_source(args.truth)))
+    pred, truth = _read_graph(args.pred), _read_graph(args.truth)
     print(json.dumps(asdict(graph_metrics(pred, truth)), indent=2))
     return 0
 
@@ -292,6 +291,14 @@ def _read_source(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc}")
+
+
+def _read_graph(path: str) -> DepGraph:
+    try:
+        raw = json.loads(_read_source(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"cannot read graph {path}: {exc}") from exc
+    return DepGraph.from_dict(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Protocol
 
 from .qas.analysis import TypedScript
-from .schema import ApiSchema
+from .schema import ApiSchema, ParseError
 
 
 class GraphInvariantError(Exception):
@@ -31,8 +31,8 @@ class ExtractorFailure(Exception):
     """The extractor produced unparseable output twice in a row."""
 
 
-class ExtractorOutputError(Exception):
-    """One extractor response could not be parsed into a graph."""
+class ExtractorOutputError(ParseError):
+    """One extractor response, or a graph document, could not be parsed into a graph."""
 
 
 class NodeKind(str, Enum):

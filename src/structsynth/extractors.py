@@ -1,4 +1,4 @@
-"""Graph extractors: a deterministic pattern table and a scripted stub.
+"""Graph extractor: a deterministic pattern table.
 
 Node labels carry the rendering hints generators understand:
 object nodes use space-separated ``key=value`` tokens (``name=clk``,
@@ -9,12 +9,10 @@ nodes spell the call itself (``setWeight(2)``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .depgraph import (
     DepGraph,
     EdgeKind,
-    ExtractorOutputError,
     Feedback,
     GraphEdge,
     GraphNode,
@@ -212,31 +210,3 @@ _PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
         lambda m: _all_of("Net", "getNets", "getName"),
     ),
 )
-
-
-@dataclass
-class ScriptedExtractor:
-    """Replays canned responses; raw strings marked unparseable raise on arrival.
-
-    Each response may be a DepGraph, a dict (decoded as a graph document), or
-    a plain string (treated as a malformed response). The call log keeps the
-    feedback each round received so tests can assert on the refinement loop.
-    """
-
-    responses: list
-    calls: list[tuple[str, tuple[Feedback, ...]]] = field(default_factory=list)
-    _cursor: int = 0
-
-    def extract(
-        self, prompt: str, previous: DepGraph | None, feedback: tuple[Feedback, ...]
-    ) -> DepGraph:
-        self.calls.append((prompt, feedback))
-        if not self.responses:
-            raise ExtractorOutputError("no scripted responses")
-        item = self.responses[min(self._cursor, len(self.responses) - 1)]
-        self._cursor += 1
-        if isinstance(item, DepGraph):
-            return item
-        if isinstance(item, dict):
-            return DepGraph.from_dict(item)
-        raise ExtractorOutputError(f"unparseable extractor response: {item!r}")

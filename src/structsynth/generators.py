@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
@@ -386,36 +386,3 @@ class FaultInjectionGenerator:
         if self.repairs_seen >= self.heal_after:
             return clean
         return apply_defect(clean, self.defect, self.schema)
-
-
-@dataclass
-class HintSensitiveGenerator:
-    """Produces a defective program unless a hint mentioning the cue arrives."""
-
-    base: object
-    cue: str
-    defect: DefectKind
-    schema: ApiSchema
-
-    def generate(self, request: GenerationRequest) -> str:
-        clean = self.base.generate(request)
-        if any(self.cue in h for h in request.hints):
-            return clean
-        return apply_defect(clean, self.defect, self.schema)
-
-
-@dataclass
-class ScriptedGenerator:
-    """Replays canned sources; the last one repeats once exhausted."""
-
-    sources: list[str]
-    requests: list[GenerationRequest] = field(default_factory=list)
-    _cursor: int = 0
-
-    def generate(self, request: GenerationRequest) -> str:
-        self.requests.append(request)
-        if not self.sources:
-            raise GeneratorFailure("no scripted sources")
-        src = self.sources[min(self._cursor, len(self.sources) - 1)]
-        self._cursor += 1
-        return src

@@ -56,7 +56,7 @@ class RuleBasedJudge:
                     ),
                 )
             return JudgeVerdict(ok=True)
-        if not any(b.name == "print" for b in ctx.typed.builtin_calls):
+        if not any(op.op == "print" for op in ctx.typed.operations):
             return JudgeVerdict(
                 ok=False,
                 findings=(
@@ -64,18 +64,3 @@ class RuleBasedJudge:
                 ),
             )
         return JudgeVerdict(ok=True)
-
-
-@dataclass
-class ScriptedJudge:
-    """Replays canned verdicts, for exercising the pipeline around the judge."""
-
-    verdicts: list[JudgeVerdict]
-    _cursor: int = 0
-
-    def judge(self, ctx: JudgeContext) -> JudgeVerdict:
-        if not self.verdicts:
-            raise JudgeFailure("no scripted verdicts")
-        v = self.verdicts[min(self._cursor, len(self.verdicts) - 1)]
-        self._cursor += 1
-        return v

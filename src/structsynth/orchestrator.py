@@ -160,16 +160,6 @@ class RuleBasedReflector:
 
 
 @dataclass
-class ScriptedReflector:
-    """Replays a fixed hint set regardless of what failed."""
-
-    hints: tuple[StepHint, ...]
-
-    def reflect(self, episode: EpisodeResult) -> tuple[StepHint, ...]:
-        return self.hints
-
-
-@dataclass
 class ReflectionOutcome:
     first: EpisodeResult
     second: EpisodeResult | None

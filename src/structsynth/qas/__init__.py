@@ -6,12 +6,10 @@ statement-set normalization for similarity measures, type inference, and
 """
 
 from .analysis import (
-    BUILTINS,
-    AttributeRead,
-    BuiltinCall,
     CallSite,
     Candidate,
     EnumRef,
+    Operation,
     TypedScript,
     UndefinedUse,
     analyze,
@@ -22,12 +20,10 @@ from .parser import Script, SyntaxFailure, SyntaxIssue, parse
 from . import nodes
 
 __all__ = [
-    "BUILTINS",
-    "AttributeRead",
-    "BuiltinCall",
     "CallSite",
     "Candidate",
     "EnumRef",
+    "Operation",
     "Script",
     "SyntaxFailure",
     "SyntaxIssue",

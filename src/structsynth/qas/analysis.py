@@ -7,15 +7,17 @@ uncertainty scoring read that value instead of parsing the text again.
 Inference is a forward dataflow pass seeded by the schema roots. It resolves
 a receiver type for every method call it can, tracks nullability until an
 explicit None-comparison guard discharges it, and records everything later
-verification layers need: call sites, builtin calls, loop iterables, attribute
-reads, imports, enum-style dotted references, and uses of names with no
-dominating definition.
+verification layers need: call sites, every other operation whose operand
+kinds ``kinds`` constrains, imports, enum-style dotted references, and uses of
+names with no dominating definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
+from .. import kinds
 from ..schema import UNKNOWN, ApiSchema, TypeRef
 from .nodes import (
     Assign,
@@ -43,30 +45,6 @@ from .parser import Script, SyntaxFailure, parse
 
 Location = tuple[int, int]
 
-# Builtin callables: name -> (arity, param kind). Param kinds are checked at
-# the API-alignment layer; "any" is unchecked.
-BUILTINS: dict[str, tuple[int, str]] = {
-    "print": (1, "any"),
-    "len": (1, "many"),
-    "range": (1, "int"),
-}
-
-_BOOL = TypeRef("bool")
-_INT = TypeRef("int")
-_FLOAT = TypeRef("float")
-_STRING = TypeRef("string")
-_VOID = TypeRef("void")
-_NONE = TypeRef("void", nullable=True)
-# What a loop over an imported namespace iterates: known, and not a collection.
-_MODULE = TypeRef("module")
-
-
-@dataclass(frozen=True)
-class ModuleBinding:
-    """An imported namespace; not a value type."""
-
-    name: str
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -79,28 +57,20 @@ class CallSite:
     mutates: bool
 
 
-@dataclass(frozen=True)
-class BuiltinCall:
-    name: str
-    arg_types: tuple[TypeRef, ...]
-    location: Location
+class Operation(NamedTuple):
+    """One use of values whose kinds ``kinds`` constrains.
 
+    ``op`` is a binary operator or one of ``print``, ``len``, ``range``,
+    ``for``, ``index``, ``neg``, ``call``, ``method`` and ``attribute``.
+    ``node`` is the expression that performs it; for ``for``, the expression
+    iterated. ``allowed`` is the table's verdict; a receiver that may be None
+    is judged as if it were not, since layer 2 reports that fault.
+    """
 
-@dataclass(frozen=True)
-class LoopIterable:
-    """What a ``for`` loop iterates over."""
-
-    iterable_text: str
-    iterable_type: TypeRef
-    location: Location
-
-
-@dataclass(frozen=True)
-class AttributeRead:
-    receiver_text: str
-    receiver_type: TypeRef
-    attribute: str
-    location: Location
+    op: str
+    operands: tuple[TypeRef, ...]
+    node: Expr
+    allowed: bool
 
 
 @dataclass(frozen=True)
@@ -122,11 +92,8 @@ class UndefinedUse:
 class TypedScript:
     """A script plus everything inference learned about it."""
 
-    final_env: dict[str, TypeRef]
     call_sites: tuple[CallSite, ...]
-    builtin_calls: tuple[BuiltinCall, ...]
-    loop_iterables: tuple[LoopIterable, ...]
-    attribute_reads: tuple[AttributeRead, ...]
+    operations: tuple[Operation, ...]
     imports: tuple[str, ...]
     enum_refs: tuple[EnumRef, ...]
     undefined_uses: tuple[UndefinedUse, ...]
@@ -182,29 +149,13 @@ def analyze(source: str, schema: ApiSchema) -> Candidate:
     return Candidate(source, script, infer_types(script, schema), normalize_statements(script))
 
 
-def _dotted(expr: Expr) -> list[str] | None:
-    """Flatten a pure Name/Attribute chain into its dotted segments."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 class _Inference:
     def __init__(self, schema: ApiSchema):
         self.schema = schema
-        self.env: dict[str, TypeRef | ModuleBinding] = {}
+        self.env: dict[str, TypeRef] = {}
         self.definite: set[str] = set()
         self.call_sites: list[CallSite] = []
-        self.builtin_calls: list[BuiltinCall] = []
-        self.loop_iterables: list[LoopIterable] = []
-        self.attribute_reads: list[AttributeRead] = []
+        self.operations: list[Operation] = []
         self.imports: list[str] = []
         self.enum_refs: list[EnumRef] = []
         self.undefined_uses: list[UndefinedUse] = []
@@ -214,13 +165,9 @@ class _Inference:
             self.env[root_var] = TypeRef(root_type)
             self.definite.add(root_var)
         self._walk(script.statements)
-        final = {k: v for k, v in self.env.items() if isinstance(v, TypeRef)}
         return TypedScript(
-            final_env=final,
             call_sites=tuple(self.call_sites),
-            builtin_calls=tuple(self.builtin_calls),
-            loop_iterables=tuple(self.loop_iterables),
-            attribute_reads=tuple(self.attribute_reads),
+            operations=tuple(self.operations),
             imports=tuple(self.imports),
             enum_refs=tuple(self.enum_refs),
             undefined_uses=tuple(self.undefined_uses),
@@ -239,7 +186,7 @@ class _Inference:
         if isinstance(s, ImportStmt):
             root = s.name.split(".")[0]
             self.imports.append(s.name)
-            self.env[root] = ModuleBinding(root)
+            self.env[root] = kinds.MODULE_TYPE
             self.definite.add(root)
             return {root}
         if isinstance(s, Assign):
@@ -257,27 +204,28 @@ class _Inference:
         raise TypeError(f"not a statement node: {s!r}")
 
     def _for(self, s: ForStmt) -> set[str]:
-        binding = self._expr(s.iterable)
-        iterable = _MODULE if isinstance(binding, ModuleBinding) else binding
-        self.loop_iterables.append(
-            LoopIterable(expr_to_source(s.iterable), iterable, s.location)
-        )
-        elem = iterable.element()
-        pre_env = dict(self.env)
+        elem = self._apply("for", (self._expr(s.iterable),), s.iterable)
         pre_def = set(self.definite)
-        self.env[s.var] = elem
-        self.definite.add(s.var)
-        assigned = self._walk(s.body) | {s.var}
-        # The body may run zero times: merge against the pre-loop state.
-        for var in assigned:
-            post = self.env.get(var)
-            pre = pre_env.get(var)
-            if pre is None:
-                continue  # new binding survives with its body type, not definite
-            if pre != post:
-                self.env[var] = UNKNOWN
-        self.definite = pre_def
-        return assigned
+        records = (self.call_sites, self.operations, self.imports, self.enum_refs,
+                   self.undefined_uses)
+        marks = [len(r) for r in records]
+        while True:
+            start = dict(self.env)
+            self.env[s.var] = elem
+            self.definite.add(s.var)
+            assigned = self._walk(s.body) | {s.var}
+            # The body may run zero times, or again on the state it left:
+            # merge each binding it changed with the state it started from.
+            # A new binding survives with its body type, not definite.
+            carried = assigned & start.keys()
+            for var in carried:
+                self.env[var] = kinds.join(start[var], self.env[var])
+            self.definite = set(pre_def)
+            if all(self.env[var] == start[var] for var in carried):
+                return assigned
+            # A type widened: type the body again from the wider state.
+            for r, n in zip(records, marks):
+                del r[n:]
 
     def _if(self, s: IfStmt) -> set[str]:
         self._expr(s.test)
@@ -307,10 +255,8 @@ class _Inference:
             t_else = env_else.get(var, pre_env.get(var))
             if t_then is None or t_else is None:
                 self.env[var] = t_then if t_then is not None else t_else  # type: ignore[assignment]
-            elif t_then == t_else:
-                self.env[var] = t_then
             else:
-                self.env[var] = UNKNOWN
+                self.env[var] = kinds.join(t_then, t_else)
         return assigned_then | assigned_else
 
     def _null_guard(self, test: Expr) -> tuple[str, str] | None:
@@ -327,38 +273,43 @@ class _Inference:
 
     def _narrow(self, var: str) -> None:
         binding = self.env.get(var)
-        if isinstance(binding, TypeRef) and binding.nullable:
+        if binding is not None and binding.nullable:
             self.env[var] = binding.without_null()
 
     # ---- expression walk ----
 
-    def _expr(self, e: Expr) -> TypeRef | ModuleBinding:
+    def _expr(self, e: Expr) -> TypeRef:
         if isinstance(e, Name):
             return self._name(e)
         if isinstance(e, IntLit):
-            return _INT
+            return kinds.INT_TYPE
         if isinstance(e, FloatLit):
-            return _FLOAT
+            return kinds.FLOAT_TYPE
         if isinstance(e, StringLit):
-            return _STRING
+            return kinds.STRING_TYPE
         if isinstance(e, BoolLit):
-            return _BOOL
+            return kinds.BOOL_TYPE
         if isinstance(e, NoneLit):
-            return _NONE
+            return kinds.NONE_TYPE
         if isinstance(e, Attribute):
             return self._attribute(e)
         if isinstance(e, Index):
-            return self._index(e)
+            return self._apply("index", (self._expr(e.value), self._expr(e.index)), e)
         if isinstance(e, Call):
             return self._call(e)
         if isinstance(e, UnaryOp):
-            operand = self._as_type(self._expr(e.operand))
-            return operand if operand.base in ("int", "float") else UNKNOWN
+            return self._apply("neg", (self._expr(e.operand),), e)
         if isinstance(e, BinOp):
-            return self._binop(e)
+            return self._apply(e.op, (self._expr(e.left), self._expr(e.right)), e)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def _name(self, e: Name) -> TypeRef | ModuleBinding:
+    def _apply(self, op: str, operands: tuple[TypeRef, ...], node: Expr) -> TypeRef:
+        """Record ``op`` on ``operands``; the type it yields, or UNKNOWN when it fails."""
+        allowed = kinds.allows(op, operands, self.schema)
+        self.operations.append(Operation(op, operands, node, allowed))
+        return kinds.result(op, operands) if allowed else UNKNOWN
+
+    def _name(self, e: Name) -> TypeRef:
         binding = self.env.get(e.id)
         if binding is None:
             self.undefined_uses.append(UndefinedUse(e.id, e.location, "undefined"))
@@ -367,75 +318,41 @@ class _Inference:
             self.undefined_uses.append(UndefinedUse(e.id, e.location, "not dominated"))
         return binding
 
-    def _attribute(self, e: Attribute) -> TypeRef | ModuleBinding:
-        chain = _dotted(e)
-        if chain is not None:
-            base_binding = self.env.get(chain[0])
-            if isinstance(base_binding, ModuleBinding) or base_binding is None:
-                return self._namespace_chain(e, chain, base_binding)
-        receiver = self._expr(e.value)
-        if isinstance(receiver, ModuleBinding):
-            return UNKNOWN
-        self.attribute_reads.append(
-            AttributeRead(expr_to_source(e.value), receiver, e.attr, e.location)
-        )
-        declared = self.schema.attribute(receiver.base, e.attr)
-        return declared if declared is not None else UNKNOWN
+    def _attribute(self, e: Attribute, outermost: bool = True) -> TypeRef:
+        """Type an attribute read.
 
-    def _namespace_chain(
-        self, e: Attribute, chain: list[str], base: ModuleBinding | None
-    ) -> TypeRef | ModuleBinding:
-        """Resolve module-rooted or unbound dotted chains.
-
-        Three-segment-or-longer chains are recorded as enum reference
-        candidates whether or not they resolve, so fabricated enum names
-        stay countable downstream.
+        The outermost read of a chain of three or more names rooted at a module
+        or an unbound name is an enum reference candidate, recorded whether or
+        not it resolves, so fabricated enum names stay countable downstream.
         """
-        dotted = ".".join(chain)
-        if len(chain) >= 3:
-            self.enum_refs.append(EnumRef(dotted, e.location))
-            if base is not None and chain[1] in self.schema.enums and len(chain) == 3:
-                return TypeRef(chain[1])
-            return UNKNOWN
-        if base is None:
-            self.undefined_uses.append(UndefinedUse(chain[0], e.location, "undefined"))
-        return UNKNOWN
-
-    def _index(self, e: Index) -> TypeRef:
-        value = self._as_type(self._expr(e.value))
-        self._expr(e.index)
-        if value.many:
-            return value.element()
-        if value.base == "string":
-            return _STRING
-        return UNKNOWN
+        root, segments = e.value, 2
+        while outermost and isinstance(root, Attribute):
+            root, segments = root.value, segments + 1
+        if segments >= 3 and isinstance(root, Name):
+            if self.env.get(root.id, kinds.MODULE_TYPE) == kinds.MODULE_TYPE:
+                self.enum_refs.append(EnumRef(expr_to_source(e), e.location))
+        nested = isinstance(e.value, Attribute)
+        receiver = self._attribute(e.value, False) if nested else self._expr(e.value)
+        read = kinds.attribute(receiver, e.attr, self.schema)
+        self.operations.append(Operation("attribute", (receiver,), e, read is not None))
+        return read if read is not None else UNKNOWN
 
     def _call(self, e: Call) -> TypeRef:
         if isinstance(e.func, Attribute):
             return self._method_call(e)
-        arg_types = tuple(self._as_type(self._expr(a)) for a in e.args)
-        if isinstance(e.func, Name):
-            builtin = BUILTINS.get(e.func.id)
-            if builtin is not None:
-                self.builtin_calls.append(BuiltinCall(e.func.id, arg_types, e.location))
-                if e.func.id == "len":
-                    return _INT
-                if e.func.id == "range":
-                    return TypeRef("int", many=True)
-                return _VOID
-            self._name(e.func)
-            return UNKNOWN
-        self._expr(e.func)
-        return UNKNOWN
+        arg_types = tuple(self._expr(a) for a in e.args)
+        if isinstance(e.func, Name) and e.func.id in kinds.BUILTINS:
+            return self._apply(e.func.id, arg_types, e)
+        return self._apply("call", (self._expr(e.func),), e)
 
     def _method_call(self, e: Call) -> TypeRef:
         func = e.func
         assert isinstance(func, Attribute)
         receiver = self._expr(func.value)
-        arg_types = tuple(self._as_type(self._expr(a)) for a in e.args)
-        if isinstance(receiver, ModuleBinding):
-            return UNKNOWN
-        sig = self.schema.method(receiver.base, func.attr) if not receiver.is_unknown else None
+        arg_types = tuple(self._expr(a) for a in e.args)
+        sig = self.schema.method(receiver.base, func.attr)
+        allowed = kinds.allows("method", (receiver.without_null(),), self.schema)
+        self.operations.append(Operation("method", (receiver,), e, allowed))
         self.call_sites.append(
             CallSite(
                 receiver_text=expr_to_source(func.value),
@@ -448,19 +365,3 @@ class _Inference:
             )
         )
         return sig.returns if sig is not None else UNKNOWN
-
-    def _binop(self, e: BinOp) -> TypeRef:
-        left = self._as_type(self._expr(e.left))
-        right = self._as_type(self._expr(e.right))
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            return _BOOL
-        numeric = {"int", "float"}
-        if left.base in numeric and right.base in numeric and not (left.many or right.many):
-            return _FLOAT if "float" in (left.base, right.base) else _INT
-        if e.op == "+" and left.base == "string" and right.base == "string":
-            return _STRING
-        return UNKNOWN
-
-    @staticmethod
-    def _as_type(binding: TypeRef | ModuleBinding) -> TypeRef:
-        return binding if isinstance(binding, TypeRef) else UNKNOWN

@@ -18,6 +18,7 @@ from enum import Enum
 from functools import partial
 from pathlib import Path
 
+from . import kinds
 from .qas import nodes as qn
 from .qas.parser import SyntaxFailure, parse
 from .schema import ApiSchema, MethodSig, ParseError, TypeRef, Violation
@@ -184,6 +185,11 @@ class ModuleVal:
 class EnumNamespace:
     module: str
     enum: str
+
+
+# The kind of each runtime value type that some parameter check accepts.
+_VALUE_KINDS = {str: kinds.STRING, bool: kinds.BOOL, int: kinds.INT, float: kinds.FLOAT,
+                ObjRef: kinds.OBJECT, EnumVal: kinds.ENUM}
 
 
 class _Abort(Exception):
@@ -666,20 +672,8 @@ class _Interp:
         return invoke
 
     def check_arg(self, tname: str, method: str, pname: str, ref: TypeRef, value) -> None:
-        ok = True
-        if ref.base == "string":
-            ok = isinstance(value, str)
-        elif ref.base == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif ref.base == "float":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif ref.base == "bool":
-            ok = isinstance(value, bool)
-        elif ref.base in self.s.schema.enums:
-            ok = isinstance(value, EnumVal) and value.enum == ref.base
-        elif self.s.schema.is_object_type(ref.base):
-            ok = isinstance(value, ObjRef) and value.type == ref.base
-        if not ok:
+        name = value.type if isinstance(value, ObjRef) else getattr(value, "enum", "")
+        if not kinds.accepts(ref, _VALUE_KINDS.get(type(value), ""), name, self.s.schema):
             raise _Abort(
                 "TypeError",
                 f"{tname}.{method} argument {pname!r} expects {ref.base}, "

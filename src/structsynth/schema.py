@@ -59,7 +59,7 @@ class TypeRef:
         return TypeRef(self.base, many=False, nullable=False)
 
     def without_null(self) -> "TypeRef":
-        return TypeRef(self.base, many=self.many, nullable=False)
+        return TypeRef(self.base, many=self.many) if self.nullable else self
 
     def to_dict(self) -> dict:
         out: dict = {"base": self.base}

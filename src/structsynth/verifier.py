@@ -13,12 +13,14 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .depgraph import DepGraph, EdgeKind
+from . import kinds
+from .depgraph import DepGraph
 from .judges import JudgeContext, JudgeFailure
-from .qas.analysis import BUILTINS, Candidate, TypedScript
+from .qas.analysis import Candidate, TypedScript
+from .qas.nodes import expr_to_source
 from .qas.parser import Script, SyntaxFailure
 from .retrieval import EvidenceSet
-from .schema import ApiSchema, TypeRef, valid_enum_ref, valid_import
+from .schema import ApiSchema, valid_import
 
 L1_SYNTAX = "L1_SYNTAX"
 L2_USE_BEFORE_DEF = "L2_USE_BEFORE_DEF"
@@ -29,13 +31,16 @@ L3_BAD_ARITY = "L3_BAD_ARITY"
 L3_BAD_ARG_TYPE = "L3_BAD_ARG_TYPE"
 L3_BAD_ATTRIBUTE = "L3_BAD_ATTRIBUTE"
 L3_NOT_ITERABLE = "L3_NOT_ITERABLE"
+L3_BAD_OPERAND = "L3_BAD_OPERAND"
 L3_UNKNOWN_ENUM = "L3_UNKNOWN_ENUM"
 L3_INVALID_IMPORT = "L3_INVALID_IMPORT"
 L3_NOT_IN_EVIDENCE = "L3_NOT_IN_EVIDENCE"
 L4_JUDGE_UNAVAILABLE = "L4_JUDGE_UNAVAILABLE"
 
-# Value types the runtime gives no methods or attributes, like any collection.
-_SCALARS = frozenset({"string", "int", "float", "bool"})
+# The code L3 reports for an operation the kind table rejects; L3_BAD_OPERAND otherwise.
+_OPERATION_CODES = {"for": L3_NOT_ITERABLE, "print": L3_BAD_ARITY, "len": L3_BAD_ARITY,
+                    "range": L3_BAD_ARITY, "method": L3_UNKNOWN_METHOD,
+                    "attribute": L3_BAD_ATTRIBUTE}
 
 
 class Severity(str, Enum):
@@ -116,24 +121,14 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
                 location=use.location,
             )
         )
-    for cs in ts.call_sites:
-        if cs.receiver_type.nullable and schema.is_object_type(cs.receiver_type.base):
+    for op in ts.operations:
+        if op.op in ("method", "attribute") and kinds.may_be_none(op.operands[0]):
             issues.append(
                 Issue(
                     L2_NULL_UNGUARDED,
                     2,
-                    f"{cs.receiver_text} may be None when calling {cs.method}",
-                    location=cs.location,
-                )
-            )
-    for ar in ts.attribute_reads:
-        if ar.receiver_type.nullable and schema.is_object_type(ar.receiver_type.base):
-            issues.append(
-                Issue(
-                    L2_NULL_UNGUARDED,
-                    2,
-                    f"{ar.receiver_text} may be None when reading {ar.attribute}",
-                    location=ar.location,
+                    f"{expr_to_source(op.node)}: the receiver may be None",
+                    location=op.node.location,
                 )
             )
     if g is not None:
@@ -171,32 +166,6 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
     return tuple(issues)
 
 
-def _plain_value(t: TypeRef, schema: ApiSchema) -> str | None:
-    """How to name a receiver with no methods or attributes, or None if it may have them.
-
-    Collections, scalars and enum constants have neither at runtime.
-    """
-    if t.many:
-        return f"a {t.base} collection"
-    if t.base in _SCALARS or t.base in schema.enums:
-        return t.base
-    return None
-
-
-def _accepts(param: TypeRef, arg: TypeRef, schema: ApiSchema) -> bool:
-    """Whether an argument of static type ``arg`` can pass the runtime's check for ``param``.
-
-    The runtime checks scalar, enum and object parameters: an int is accepted
-    for a float, a bool for nothing but a bool. An argument of unknown type
-    passes.
-    """
-    base = param.base
-    checked = base in _SCALARS or base in schema.enums or schema.is_object_type(base)
-    if arg.is_unknown or not checked:
-        return True
-    return not arg.many and (arg.base == base or (base, arg.base) == ("float", "int"))
-
-
 def _call_edge(g: DepGraph | None, receiver: str, method: str) -> str | None:
     """Graph region blamed for a call: its own edge, else the receiver's."""
     if g is None:
@@ -217,27 +186,14 @@ def verify_api_alignment(
     evidence: EvidenceSet | None = None,
     g: DepGraph | None = None,
 ) -> tuple[Issue, ...]:
-    """Layer 3: every name the program touches must exist in the API."""
+    """Layer 3: every name exists in the API; every operation gets kinds it supports."""
     issues: list[Issue] = []
     for name in ts.imports:
-        if not valid_import(schema, name):
+        if name.split(".")[0] not in schema.modules or not valid_import(schema, name):
             issues.append(Issue(L3_INVALID_IMPORT, 3, f"import {name} names nothing in the API"))
-    for ref in ts.enum_refs:
-        if not valid_enum_ref(schema, ref.name):
-            issues.append(
-                Issue(L3_UNKNOWN_ENUM, 3, f"{ref.name} is not a known enum constant",
-                      location=ref.location)
-            )
     for cs in ts.call_sites:
         base = cs.receiver_type.base
-        shown = _plain_value(cs.receiver_type, schema)
-        if shown is not None:
-            issues.append(
-                Issue(L3_UNKNOWN_METHOD, 3, f"{shown} has no method {cs.method!r}",
-                      location=cs.location)
-            )
-            continue
-        if not schema.is_object_type(base):
+        if cs.receiver_type.many or not schema.is_object_type(base):
             continue
         sig = schema.method(base, cs.method)
         if sig is None:
@@ -262,13 +218,14 @@ def verify_api_alignment(
             )
         else:
             for param, arg in zip(sig.params, cs.arg_types):
-                if not _accepts(param.type, arg, schema):
+                arg_kinds = kinds.kinds(arg, schema) or ()
+                if not all(kinds.accepts(param.type, k, arg.base, schema) for k in arg_kinds):
                     issues.append(
                         Issue(
                             L3_BAD_ARG_TYPE,
                             3,
                             f"{base}.{cs.method} argument {param.name!r} expects "
-                            f"{param.type.base}, got {_plain_value(arg, schema) or arg.base}",
+                            f"{param.type.base}, got {kinds.describe(arg)}",
                             location=cs.location,
                         )
                     )
@@ -282,48 +239,19 @@ def verify_api_alignment(
                     location=cs.location,
                 )
             )
-    for bc in ts.builtin_calls:
-        arity, kind = BUILTINS[bc.name]
-        if len(bc.arg_types) != arity:
-            issues.append(
-                Issue(L3_BAD_ARITY, 3, f"{bc.name} takes {arity} argument(s)",
-                      location=bc.location)
-            )
-        elif kind == "many" and not (
-            bc.arg_types[0].many or bc.arg_types[0].base in ("string", "?")
-        ):
-            issues.append(
-                Issue(L3_BAD_ARITY, 3, f"{bc.name} expects a collection", location=bc.location)
-            )
-        elif kind == "int" and (bc.arg_types[0].many or bc.arg_types[0].base not in ("int", "?")):
-            issues.append(
-                Issue(L3_BAD_ARITY, 3, f"{bc.name} expects an int", location=bc.location)
-            )
-    for loop in ts.loop_iterables:
-        it = loop.iterable_type
-        if not (it.many or it.is_unknown):
-            issues.append(
-                Issue(L3_NOT_ITERABLE, 3,
-                      f"for-loop over {loop.iterable_text} needs a collection, got {it.base}",
-                      location=loop.location)
-            )
-    for ar in ts.attribute_reads:
-        base = ar.receiver_type.base
-        shown = _plain_value(ar.receiver_type, schema)
-        if shown is not None:
-            issues.append(
-                Issue(L3_BAD_ATTRIBUTE, 3, f"{shown} has no attribute {ar.attribute!r}",
-                      location=ar.location)
-            )
-        elif schema.is_object_type(base) and schema.attribute(base, ar.attribute) is None:
-            issues.append(
-                Issue(
-                    L3_BAD_ATTRIBUTE,
-                    3,
-                    f"{base} has no attribute {ar.attribute!r}",
-                    location=ar.location,
-                )
-            )
+    for op in ts.operations:
+        if op.allowed:
+            continue
+        code = _OPERATION_CODES.get(op.op, L3_BAD_OPERAND)
+        if op.op == "attribute":
+            receiver = op.operands[0].without_null()
+            if kinds.kinds(receiver, schema) <= {kinds.MODULE, kinds.NAMESPACE}:
+                code = L3_UNKNOWN_ENUM
+            message = f"{kinds.describe(receiver)} has no attribute {op.node.attr!r}"
+        else:
+            shown = ", ".join(kinds.describe(t) for t in op.operands)
+            message = f"{expr_to_source(op.node)}: {op.op} does not take {shown}"
+        issues.append(Issue(code, 3, message, location=op.node.location))
     return tuple(issues)
 
 

@@ -1,0 +1,104 @@
+"""Test doubles for the pipeline's plug-in points: canned extractors, generators,
+judges and reflectors that replay fixed answers, so tests can drive the loop
+around each stage deterministically."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from structsynth.depgraph import DepGraph, ExtractorOutputError, Feedback
+from structsynth.generators import (
+    DefectKind,
+    GenerationRequest,
+    GeneratorFailure,
+    apply_defect,
+)
+from structsynth.judges import JudgeContext, JudgeFailure, JudgeVerdict
+from structsynth.orchestrator import EpisodeResult, StepHint
+from structsynth.schema import ApiSchema
+
+
+@dataclass
+class ScriptedJudge:
+    """Replays canned verdicts, for exercising the pipeline around the judge."""
+
+    verdicts: list[JudgeVerdict]
+    _cursor: int = 0
+
+    def judge(self, ctx: JudgeContext) -> JudgeVerdict:
+        if not self.verdicts:
+            raise JudgeFailure("no scripted verdicts")
+        v = self.verdicts[min(self._cursor, len(self.verdicts) - 1)]
+        self._cursor += 1
+        return v
+
+
+@dataclass
+class ScriptedExtractor:
+    """Replays canned responses; raw strings marked unparseable raise on arrival.
+
+    Each response may be a DepGraph, a dict (decoded as a graph document), or
+    a plain string (treated as a malformed response). The call log keeps the
+    feedback each round received so tests can assert on the refinement loop.
+    """
+
+    responses: list
+    calls: list[tuple[str, tuple[Feedback, ...]]] = field(default_factory=list)
+    _cursor: int = 0
+
+    def extract(
+        self, prompt: str, previous: DepGraph | None, feedback: tuple[Feedback, ...]
+    ) -> DepGraph:
+        self.calls.append((prompt, feedback))
+        if not self.responses:
+            raise ExtractorOutputError("no scripted responses")
+        item = self.responses[min(self._cursor, len(self.responses) - 1)]
+        self._cursor += 1
+        if isinstance(item, DepGraph):
+            return item
+        if isinstance(item, dict):
+            return DepGraph.from_dict(item)
+        raise ExtractorOutputError(f"unparseable extractor response: {item!r}")
+
+
+@dataclass
+class HintSensitiveGenerator:
+    """Produces a defective program unless a hint mentioning the cue arrives."""
+
+    base: object
+    cue: str
+    defect: DefectKind
+    schema: ApiSchema
+
+    def generate(self, request: GenerationRequest) -> str:
+        clean = self.base.generate(request)
+        if any(self.cue in h for h in request.hints):
+            return clean
+        return apply_defect(clean, self.defect, self.schema)
+
+
+@dataclass
+class ScriptedGenerator:
+    """Replays canned sources; the last one repeats once exhausted."""
+
+    sources: list[str]
+    requests: list[GenerationRequest] = field(default_factory=list)
+    _cursor: int = 0
+
+    def generate(self, request: GenerationRequest) -> str:
+        self.requests.append(request)
+        if not self.sources:
+            raise GeneratorFailure("no scripted sources")
+        src = self.sources[min(self._cursor, len(self.sources) - 1)]
+        self._cursor += 1
+        return src
+
+
+@dataclass
+class ScriptedReflector:
+    """Replays a fixed hint set regardless of what failed."""
+
+    hints: tuple[StepHint, ...]
+
+    def reflect(self, episode: EpisodeResult) -> tuple[StepHint, ...]:
+        return self.hints

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 
+from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
 from structsynth.bench import (
     Labeled,
     TaskSpec,
@@ -37,13 +38,11 @@ from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
     GenerationRequest,
-    HintSensitiveGenerator,
-    ScriptedGenerator,
     TemplateGenerator,
     apply_defect,
 )
 from structsynth.judges import RuleBasedJudge
-from structsynth.orchestrator import ScriptedReflector, StepHint, run_episode, run_with_reflection
+from structsynth.orchestrator import StepHint, run_episode, run_with_reflection
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.runtime import ExecStatus, Session

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from doubles import ScriptedGenerator
 from structsynth.bench import (
     BUCKETS,
     Labeled,
@@ -26,7 +27,6 @@ from structsynth.fixtures import multis_suite, singles_suite
 from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
-    ScriptedGenerator,
     TemplateGenerator,
 )
 from structsynth.judges import RuleBasedJudge

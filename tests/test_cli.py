@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,53 @@ def test_stdin_source(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("print(design)\n"))
     assert main(["run", "-"]) == 0
     assert capsys.readouterr().out == "<Design d1>\n"
+
+
+_GRAPH = json.dumps({"nodes": [{"id": "d", "kind": "object", "type": "Design"}], "edges": []})
+_SUITE_TASK = {"id": "s1", "prompt": "Print the weight of net clk"}
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"s.json": json.dumps({"tasks": [{"prompt": "Print the weight of net clk"}]})},
+         ["bench", "--suite", "s.json", "--no-multis"]),
+        ({"s.json": json.dumps({"tasks": [{"id": "s1"}]})},
+         ["bench", "--suite", "s.json", "--no-multis"]),
+        ({"s.json": json.dumps({"tasks": ["s1"]})}, ["bench", "--suite", "s.json", "--no-multis"]),
+        ({"s.json": json.dumps({"tasks": [{**_SUITE_TASK, "truth_graph": {"nodes": []}}]})},
+         ["bench", "--suite", "s.json", "--no-multis"]),
+        ({"s.json": json.dumps({"tasks": [_SUITE_TASK]}),
+          "m.json": json.dumps({"tasks": [{"id": "m1"}]})},
+         ["bench", "--suite", "s.json", "--multis", "m.json"]),
+        ({"p.txt": CLEAN, "g.json": "{not json"}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.txt": CLEAN, "g.json": json.dumps({"nodes": []})},
+         ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.json": "{not json", "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.json": _GRAPH, "t.json": json.dumps({"nodes": []})},
+         ["score", "--pred", "p.json", "--truth", "t.json"]),
+    ],
+    ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
+         "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
+         "verify-graph-without-edges", "score-not-json", "score-graph-without-edges"],
+)
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
+    paths = {name: write(tmp_path, name, text) for name, text in files.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# Recorded with the same arguments: `structsynth bench --json > tests/golden/bench.json`.
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["bench", "--json"], "bench.json"),
+        (["bench", "--layers", "1,3,4", "--theta-sweep", "0.1:0.9:0.2"], "bench_layers_sweep.txt"),
+    ],
+    ids=["json", "layers-sweep"],
+)
+def test_bench_output_matches_golden_file(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from doubles import ScriptedGenerator
 from structsynth.controller import (
     Action,
     ActionKind,
@@ -19,7 +20,6 @@ from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
-    ScriptedGenerator,
     TemplateGenerator,
 )
 from structsynth.qas import analysis

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubles import ScriptedExtractor
 from structsynth.depgraph import (
     DepGraph,
     EdgeKind,
@@ -22,7 +23,6 @@ from structsynth.depgraph import (
     ground_truth_graph,
     validate_graph,
 )
-from structsynth.extractors import ScriptedExtractor
 from structsynth.qas.analysis import infer_types
 from structsynth.qas.parser import parse
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from doubles import ScriptedExtractor
 from structsynth.depgraph import (
     DepGraph,
     ExtractorOutputError,
@@ -11,7 +12,7 @@ from structsynth.depgraph import (
     graph_metrics,
     validate_graph,
 )
-from structsynth.extractors import PatternTableExtractor, ScriptedExtractor
+from structsynth.extractors import PatternTableExtractor
 from structsynth.fixtures import singles_suite
 
 

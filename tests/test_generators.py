@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from doubles import HintSensitiveGenerator, ScriptedGenerator
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
@@ -9,8 +10,6 @@ from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
     GenerationRequest,
-    HintSensitiveGenerator,
-    ScriptedGenerator,
     TemplateGenerator,
     apply_defect,
 )

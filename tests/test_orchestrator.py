@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
+from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
 from structsynth.controller import SynthesisConfig
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
-    HintSensitiveGenerator,
-    ScriptedGenerator,
     TemplateGenerator,
 )
 from structsynth.judges import RuleBasedJudge
 from structsynth.orchestrator import (
     RuleBasedReflector,
-    ScriptedReflector,
     StepHint,
     run_episode,
     run_with_reflection,

@@ -140,15 +140,19 @@ def test_infer_types_canonical(schema):
     ts = infer_types(parse(CANONICAL), schema)
     assert ts.undefined_uses == ()
     assert ts.imports == ("odb",)
-    assert ts.final_env["block"] == TypeRef("Block")
-    # findNet's nullability is visible at the binding...
-    assert ts.final_env["net"] == TypeRef("Net", nullable=True)
     sites = {(c.receiver_text, c.method): c for c in ts.call_sites}
+    assert sites[("block", "findNet")].receiver_type == TypeRef("Block")
+    # findNet's nullability is visible where the guard reads the binding...
+    guard = next(op for op in ts.operations if op.op == "!=")
+    assert guard.operands == (TypeRef("Net", nullable=True), TypeRef("void", nullable=True))
     # ...but discharged inside the None guard.
     assert not sites[("net", "setWeight")].receiver_type.nullable
     assert sites[("net", "setWeight")].mutates
     assert sites[("inst", "setPlacementStatus")].receiver_type == TypeRef("Inst")
-    assert {b.name for b in ts.builtin_calls} == {"print", "len"}
+    assert [op.op for op in ts.operations if op.op != "method"] == [
+        "!=", "for", "==", "attribute", "attribute", "len", "print"
+    ]
+    assert sum(op.op == "method" for op in ts.operations) == len(ts.call_sites) == 7
     assert [e.name for e in ts.enum_refs] == ["odb.PlacementStatus.PLACED"]
 
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from doubles import ScriptedJudge
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
-from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge, ScriptedJudge
+from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge
 from structsynth.qas.analysis import analyze
 from structsynth.fixtures import fixture_path
 from structsynth.runtime import ExecStatus, Session
@@ -18,6 +19,7 @@ from structsynth.verifier import (
     L3_BAD_ARG_TYPE,
     L3_BAD_ARITY,
     L3_BAD_ATTRIBUTE,
+    L3_BAD_OPERAND,
     L3_INVALID_IMPORT,
     L3_NOT_IN_EVIDENCE,
     L3_NOT_ITERABLE,
@@ -171,33 +173,70 @@ def test_len_of_string_passes_layer_three_as_it_runs(schema, snapshot):
     assert verdict.codes() == (L3_BAD_ARITY,)
 
 
-@pytest.mark.parametrize(
-    "src, code, runtime_kind",
-    [
-        ("for i in range(range(3)):\n    print(i)\n", L3_BAD_ARITY, "TypeError"),
-        ('x = "ab"\nfor c in x:\n    print(c)\n', L3_NOT_ITERABLE, "TypeError"),
-        ("block = design.getBlock()\nfor x in block:\n    print(x)\n", L3_NOT_ITERABLE,
-         "TypeError"),
-        ('x = "ab"\nprint(x.getName())\n', L3_UNKNOWN_METHOD, "UnknownMethod"),
-        ("print(design.getBlock().getNets().getName())\n", L3_UNKNOWN_METHOD,
-         "UnknownMethod"),
-        ('x = "ab"\nprint(x.name)\n', L3_BAD_ATTRIBUTE, "BadAttribute"),
-        ("print(design.getBlock().getNets().name)\n", L3_BAD_ATTRIBUTE, "BadAttribute"),
-        ("import odb\nx = odb.PlacementStatus.PLACED\nprint(x.getName())\n",
-         L3_UNKNOWN_METHOD, "UnknownMethod"),
-        ("import odb\nfor x in odb:\n    print(x)\n", L3_NOT_ITERABLE, "TypeError"),
-        ('for net in design.getBlock().getNets():\n    net.setWeight("heavy")\n',
-         L3_BAD_ARG_TYPE, "TypeError"),
-    ],
-    ids=["range-of-range", "for-over-string", "for-over-object", "method-on-string",
-         "method-on-collection", "attribute-on-string", "attribute-on-collection",
-         "method-on-enum", "for-over-module", "string-for-int-argument"],
-)
-def test_layer_three_rejects_what_fails_at_runtime(schema, snapshot, src, code, runtime_kind):
-    verdict = verify_all(analyze(src, schema), None, schema)
-    assert verdict.failure_layer == 3
+_GUARDED_NET = 'block = design.getBlock()\nnet = block.findNet("clk")\nif net != None:\n'
+
+# Programs that passed L1-L3 and then failed at runtime, each with the code that
+# now rejects it and the runtime's error kind. ``net.setPeer`` takes a Net.
+HOLES = [
+    ("range-of-range", "for i in range(range(3)):\n    print(i)\n", L3_BAD_ARITY, "TypeError"),
+    ("for-over-string", 'x = "ab"\nfor c in x:\n    print(c)\n', L3_NOT_ITERABLE, "TypeError"),
+    ("for-over-object", "block = design.getBlock()\nfor x in block:\n    print(x)\n",
+     L3_NOT_ITERABLE, "TypeError"),
+    ("method-on-string", 'x = "ab"\nprint(x.getName())\n', L3_UNKNOWN_METHOD, "UnknownMethod"),
+    ("method-on-collection", "print(design.getBlock().getNets().getName())\n",
+     L3_UNKNOWN_METHOD, "UnknownMethod"),
+    ("attribute-on-string", 'x = "ab"\nprint(x.name)\n', L3_BAD_ATTRIBUTE, "BadAttribute"),
+    ("attribute-on-collection", "print(design.getBlock().getNets().name)\n", L3_BAD_ATTRIBUTE,
+     "BadAttribute"),
+    ("method-on-enum", "import odb\nx = odb.PlacementStatus.PLACED\nprint(x.getName())\n",
+     L3_UNKNOWN_METHOD, "UnknownMethod"),
+    ("for-over-module", "import odb\nfor x in odb:\n    print(x)\n", L3_NOT_ITERABLE,
+     "TypeError"),
+    ("string-for-int-argument",
+     'for net in design.getBlock().getNets():\n    net.setWeight("heavy")\n', L3_BAD_ARG_TYPE,
+     "TypeError"),
+    ("index-object", "block = design.getBlock()\nprint(block[0])\n", L3_BAD_OPERAND,
+     "TypeError"),
+    ("module-member", "import odb\nx = odb.Bogus\n", L3_UNKNOWN_ENUM, "EnumError"),
+    ("module-attribute", "import odb\nprint(odb.name)\n", L3_UNKNOWN_ENUM, "EnumError"),
+    ("for-over-enum", "import odb\nfor x in odb.PlacementStatus:\n    print(x)\n",
+     L3_NOT_ITERABLE, "TypeError"),
+    ("attribute-on-none", "x = None\nprint(x.name)\n", L2_NULL_UNGUARDED, "NullAccess"),
+    ("method-on-none", "x = None\nx.getName()\n", L2_NULL_UNGUARDED, "NullAccess"),
+    ("order-object", "block = design.getBlock()\nprint(block < 3)\n", L3_BAD_OPERAND,
+     "TypeError"),
+    ("string-plus-int", 'x = "a" + 1\n', L3_BAD_OPERAND, "TypeError"),
+    ("call-int", "x = 3\nx()\n", L3_BAD_OPERAND, "NameError"),
+    ("negate-string", 'print(-"a")\n', L3_BAD_OPERAND, "TypeError"),
+    ("index-with-string", 'x = "ab"\nprint(x["a"])\n', L3_BAD_OPERAND, "TypeError"),
+    ("call-result", "design.getBlock()()\n", L3_BAD_OPERAND, "TypeError"),
+    ("method-on-module", "import odb\nodb.foo()\n", L3_UNKNOWN_METHOD, "UnknownMethod"),
+    ("attribute-on-void", _GUARDED_NET + "    x = net.setWeight(1)\n    print(x.name)\n",
+     L2_NULL_UNGUARDED, "NullAccess"),
+    ("enum-namespace-member", "import odb\nx = odb.PlacementStatus\nprint(x.BOGUS)\n",
+     L3_UNKNOWN_ENUM, "EnumError"),
+    ("nullable-argument", _GUARDED_NET + '    net.setPeer(block.findNet("zz"))\n',
+     L3_BAD_ARG_TYPE, "TypeError"),
+    ("import-type", "import Net\nx = 1\n", L3_INVALID_IMPORT, "ImportError"),
+    ("unbound-enum-chain", "x = odb.PlacementStatus.PLACED\n", L2_USE_BEFORE_DEF, "NameError"),
+    ("range-of-quotient", "for i in range(4 / 2):\n    print(i)\n", L3_BAD_ARITY,
+     "TypeError"),
+    ("none-on-one-path", "x = None\nif 1 > 2:\n    x = design.getBlock()\nprint(x.getNets())\n",
+     L2_NULL_UNGUARDED, "NullAccess"),
+    ("loop-carried-type",
+     'count = 0\nfor n in design.getBlock().getNets():\n    print(count + 1)\n    count = "s"\n',
+     L3_BAD_OPERAND, "TypeError"),
+]
+
+
+@pytest.mark.parametrize("src, code, runtime_kind", [h[1:] for h in HOLES],
+                         ids=[h[0] for h in HOLES])
+def test_layer_three_rejects_what_fails_at_runtime(peer_schema, peer_snapshot, src, code,
+                                                  runtime_kind):
+    verdict = verify_all(analyze(src, peer_schema), None, peer_schema)
+    assert verdict.failure_layer == int(code[1])
     assert verdict.codes() == (code,)
-    assert Session(snapshot, schema).execute(src).error_kind == runtime_kind
+    assert Session(peer_snapshot, peer_schema).execute(src).error_kind == runtime_kind
 
 
 def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
@@ -213,6 +252,7 @@ def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
     args = ['"a"', "1", "1.5", "True", "odb.PlacementStatus.FIRM", "net", "design.getBlock()",
             "design.getBlock().getNets()", "range(2)", "None", "print(1)"]
     loop = "import odb\nfor net in design.getBlock().getNets():\n"
+    accepted = set()
     for name in params:
         for arg in args:
             src = f"{loop}    net.set{name.title()}({arg})\n"
@@ -221,8 +261,14 @@ def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
             assert codes in ((), (L3_BAD_ARG_TYPE,)), src
             assert (codes == ()) == (result.status is ExecStatus.OK), src
             assert codes == () or result.error_kind == "TypeError", src
-    unknown = f"x = 1\nif x > 0:\n    x = \"a\"\n{loop}    net.setInt(x)\n"
-    assert verify_all(analyze(unknown, schema), None, schema).passed
+            if codes == ():
+                accepted.add((name, arg))
+    assert accepted == {("string", '"a"'), ("int", "1"), ("float", "1"), ("float", "1.5"),
+                        ("bool", "True"), ("status", "odb.PlacementStatus.FIRM"), ("net", "net")}
+    # x is an int on one path and a string on the other, so it may fail the check.
+    merged = f"x = 1\nif x > 0:\n    x = \"a\"\n{loop}    net.setInt(x)\n"
+    assert verify_all(analyze(merged, schema), None, schema).codes() == (L3_BAD_ARG_TYPE,)
+    assert Session(snapshot, schema).execute(merged).error_kind == "TypeError"
 
 
 def test_evidence_gap_is_warning_only(schema, retriever):
