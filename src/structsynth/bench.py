@@ -421,6 +421,7 @@ def ablation_precisions(
                 judge,
                 case.task.prompt,
                 max_layer=max_layer,
+                step_budget=step_budget,
             )
             if verdict.passed:
                 passes += 1

@@ -21,7 +21,7 @@ from .generators import GeneratorFailure, TemplateGenerator
 from .judges import RuleBasedJudge
 from .qas.analysis import analyze
 from .retrieval import Retriever, load_corpus
-from .runtime import ExecStatus, Session, load_snapshot
+from .runtime import STEP_BUDGET, ExecStatus, Session, load_snapshot
 from .schema import ApiSchema, ParseError, SchemaError, load_schema
 from .verifier import VerdictReport, verify_all
 
@@ -178,7 +178,7 @@ def _cmd_multistep(args: argparse.Namespace) -> int:
         RuleBasedJudge(),
         lambda: Session(snapshot, schema, step_budget=args.step_budget),
         reflector=None if args.no_reflection else RuleBasedReflector(),
-        config=SynthesisConfig(),
+        config=SynthesisConfig(step_budget=args.step_budget),
     )
     for i, step in enumerate(outcome.final.steps):
         print(f"step {i + 1} [{step.status}]: {step.prompt}")
@@ -220,7 +220,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     exit_code = 0
     for max_layer in layers:
-        config = SynthesisConfig(budget=args.budget, max_layer=max_layer)
+        config = SynthesisConfig(
+            budget=args.budget, max_layer=max_layer, step_budget=args.step_budget
+        )
         report = run_bench(
             tasks,
             schema,
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="program file, or - for stdin")
     p.add_argument("--schema")
     p.add_argument("--snapshot", help="snapshot JSON (default: packaged)")
-    p.add_argument("--step-budget", type=int, default=100_000)
+    p.add_argument("--step-budget", type=int, default=STEP_BUDGET)
     p.add_argument("--crash-probability", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_run)
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--corpus")
     p.add_argument("--snapshot")
-    p.add_argument("--step-budget", type=int, default=100_000)
+    p.add_argument("--step-budget", type=int, default=STEP_BUDGET)
     p.add_argument("--no-reflection", action="store_true")
     p.set_defaults(func=_cmd_multistep)
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execute rejected programs too, for verifier quality")
     p.add_argument("--theta-sweep", dest="sweep", metavar="START:STOP:STEP",
                    help="uncertainty filter sweep, e.g. 0.1:0.9:0.2")
-    p.add_argument("--step-budget", type=int, default=100_000)
+    p.add_argument("--step-budget", type=int, default=STEP_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

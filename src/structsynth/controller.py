@@ -16,6 +16,7 @@ from .depgraph import DepGraph, ExtractorFailure, Feedback, GraphExtractor, extr
 from .generators import GenerationRequest, GeneratorFailure
 from .qas.analysis import Candidate, analyze
 from .retrieval import EvidenceSet, Retriever
+from .runtime import STEP_BUDGET
 from .schema import ApiSchema
 from .uncertainty import UncertaintyConfig, UncertaintyReport, compute_uncertainty, jaccard
 from .verifier import L3_NOT_IN_EVIDENCE, VerdictReport, verify_all
@@ -62,6 +63,7 @@ class SynthesisConfig:
     extract_rounds: int = 3
     max_layer: int = 4
     loop_similarity: float = 0.9
+    step_budget: int = STEP_BUDGET
     uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)
 
 
@@ -221,7 +223,8 @@ def synthesize(
         candidate = analyze(source, schema)
         trajectory.candidates.append(candidate)
         trajectory.verdicts.append(
-            verify_all(candidate, g, schema, evidence, judge, prompt, max_layer=config.max_layer)
+            verify_all(candidate, g, schema, evidence, judge, prompt,
+                       max_layer=config.max_layer, step_budget=config.step_budget)
         )
         trajectory.evidence_versions.append(evidence.version)
 

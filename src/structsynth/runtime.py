@@ -23,6 +23,9 @@ from .qas import nodes as qn
 from .qas.parser import SyntaxFailure, parse
 from .schema import ApiSchema, MethodSig, ParseError, TypeRef, Violation
 
+# Interpreter steps one execution may take; the verifier's L4 bound reads it too.
+STEP_BUDGET = 100_000
+
 
 class SnapshotError(Exception):
     """Snapshot does not conform to the schema; carries every violation."""
@@ -61,7 +64,8 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
     """Decode and conformance-check a snapshot document.
 
     Conformance is eager and exhaustive: undeclared object types, dangling
-    child ids, children keyed by non-methods, empty root types, and schema
+    child ids, children keyed by non-methods, scalar attribute fields holding
+    a value of the wrong kind, empty root types, and schema
     methods that fit no dispatch convention are all collected and reported
     together. Unbound schema roots bind to the first record of their type.
     """
@@ -108,6 +112,13 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
                             f"{cid} is {child.type}, method returns {sig.returns.base}",
                         )
                     )
+        for key, value in rec.fields.items():
+            ref = decl.attributes.get(key)
+            if ref is not None and ref.base in _DEFAULTS and not _holds(ref, value, schema):
+                violations.append(
+                    Violation(f"{rec.id}.fields.{key}",
+                              f"declared {kinds.describe(ref)}, holds {value!r}")
+                )
 
     by_type: dict[str, list[str]] = {}
     for rid in sorted(objects):
@@ -192,6 +203,15 @@ _VALUE_KINDS = {str: kinds.STRING, bool: kinds.BOOL, int: kinds.INT, float: kind
                 ObjRef: kinds.OBJECT, EnumVal: kinds.ENUM}
 
 
+def _holds(ref: TypeRef, value, schema: ApiSchema) -> bool:
+    """Whether ``value`` is one that the declared type ``ref`` accepts."""
+    if ref.many:
+        return isinstance(value, list) and all(_holds(ref.element(), v, schema) for v in value)
+    if value is None:
+        return ref.nullable
+    return kinds.accepts(ref, _VALUE_KINDS.get(type(value), ""), "", schema)
+
+
 class _Abort(Exception):
     def __init__(self, kind: str, message: str):
         self.kind = kind
@@ -216,6 +236,11 @@ def _dispatch_rule(method: str) -> tuple[str, str]:
 _DEFAULTS = {"string": "", "int": 0, "float": 0.0, "bool": False}
 
 
+def _unset(ref: TypeRef):
+    """What a declared value that the snapshot leaves unset reads as: [] when ``many``."""
+    return [] if ref.many else _DEFAULTS.get(ref.base)
+
+
 class Session:
     """One live environment: a mutable store plus per-call accounting.
 
@@ -234,7 +259,7 @@ class Session:
         self,
         snapshot: Snapshot,
         schema: ApiSchema,
-        step_budget: int = 100_000,
+        step_budget: int = STEP_BUDGET,
         crash_probability: float = 0.0,
         seed: int = 0,
     ):
@@ -433,12 +458,54 @@ def _not_callable(args: list):
     raise _Abort("TypeError", "value is not callable")
 
 
+def min_steps(statements: tuple) -> int:
+    """A lower bound on the steps ``_Interp`` takes to run ``statements`` to the end.
+
+    Each node counts what its closure counts. An ``if`` counts the cheaper of
+    its branches; a ``for`` counts N iterations over ``range(<int literal>)``
+    and none over anything else. A static cost bound in the spirit of SPEED
+    (Gulwani, Mehra and Chilimbi, POPL 2009), kept to literal loop bounds.
+    """
+    return sum(1 + _stmt_steps(st) for st in statements)
+
+
+def _stmt_steps(st) -> int:
+    if isinstance(st, (qn.Assign, qn.ExprStmt)):
+        return _expr_steps(st.value)
+    if isinstance(st, qn.IfStmt):
+        return _expr_steps(st.test) + min(min_steps(st.body), min_steps(st.orelse))
+    if isinstance(st, qn.ForStmt):
+        it = st.iterable
+        literal = (isinstance(it, qn.Call) and isinstance(it.func, qn.Name)
+                   and it.func.id == "range" and len(it.args) == 1
+                   and isinstance(it.args[0], qn.IntLit))
+        trips = it.args[0].value if literal else 0
+        return _expr_steps(it) + trips * (1 + min_steps(st.body))
+    return 0
+
+
+def _expr_steps(e) -> int:
+    if isinstance(e, qn.Call):
+        if isinstance(e.func, qn.Attribute):
+            return 1 + _expr_steps(e.func.value) + sum(map(_expr_steps, e.args))
+        return 1 + (sum(map(_expr_steps, e.args)) if isinstance(e.func, qn.Name) else 0)
+    if isinstance(e, qn.Attribute):
+        return 1 + _expr_steps(e.value)
+    if isinstance(e, (qn.BinOp, qn.Index)):
+        left, right = (e.left, e.right) if isinstance(e, qn.BinOp) else (e.value, e.index)
+        return 1 + _expr_steps(left) + _expr_steps(right)
+    if isinstance(e, qn.UnaryOp):
+        return 1 + _expr_steps(e.operand)
+    return 1
+
+
 class _Interp:
     """One execution: the script is compiled into closures once, then run.
 
     Each node becomes a closure over its children's closures and over every
     decision that needs no runtime value. A step is one statement, loop
     iteration or expression node; its closure counts it on entry.
+    ``min_steps`` bounds the same count from below without running.
     """
 
     __slots__ = ("s", "env", "output", "steps", "mutations", "budget")
@@ -585,7 +652,7 @@ class _Interp:
                 if declared is None:
                     raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
                 fields = session.object(base.id).fields
-                return fields[attr] if attr in fields else _DEFAULTS.get(declared.base)
+                return fields[attr] if attr in fields else _unset(declared)
             if isinstance(base, ModuleVal):
                 if names_enum:
                     return EnumNamespace(base.name, attr)
@@ -700,7 +767,7 @@ class _Interp:
                 if self.s.schema.enum_has(enum, const):
                     return EnumVal(enum, const)
             return value
-        return _DEFAULTS.get(sig.returns.base)
+        return _unset(sig.returns)
 
     def do_find(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
         wanted = args[0] if args else ""

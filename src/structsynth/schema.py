@@ -146,9 +146,7 @@ class ApiSchema:
 
 
 def valid_import(schema: ApiSchema, name: str) -> bool:
-    """A dotted import may name a type, a module, an enum, or one constant."""
-    if name in schema.types:
-        return True
+    """A dotted import names a schema module, optionally one of its enums or one constant."""
     segs = name.split(".")
     if segs[0] not in schema.modules:
         return False

@@ -20,6 +20,7 @@ from .qas.analysis import Candidate, TypedScript
 from .qas.nodes import expr_to_source
 from .qas.parser import Script, SyntaxFailure
 from .retrieval import EvidenceSet
+from .runtime import STEP_BUDGET, min_steps
 from .schema import ApiSchema, valid_import
 
 L1_SYNTAX = "L1_SYNTAX"
@@ -36,6 +37,7 @@ L3_UNKNOWN_ENUM = "L3_UNKNOWN_ENUM"
 L3_INVALID_IMPORT = "L3_INVALID_IMPORT"
 L3_NOT_IN_EVIDENCE = "L3_NOT_IN_EVIDENCE"
 L4_JUDGE_UNAVAILABLE = "L4_JUDGE_UNAVAILABLE"
+L4_STEP_BOUND = "L4_STEP_BOUND"
 
 # The code L3 reports for an operation the kind table rejects; L3_BAD_OPERAND otherwise.
 _OPERATION_CODES = {"for": L3_NOT_ITERABLE, "print": L3_BAD_ARITY, "len": L3_BAD_ARITY,
@@ -189,7 +191,7 @@ def verify_api_alignment(
     """Layer 3: every name exists in the API; every operation gets kinds it supports."""
     issues: list[Issue] = []
     for name in ts.imports:
-        if name.split(".")[0] not in schema.modules or not valid_import(schema, name):
+        if not valid_import(schema, name):
             issues.append(Issue(L3_INVALID_IMPORT, 3, f"import {name} names nothing in the API"))
     for cs in ts.call_sites:
         base = cs.receiver_type.base
@@ -255,6 +257,15 @@ def verify_api_alignment(
     return tuple(issues)
 
 
+def verify_step_bound(script: Script, step_budget: int) -> tuple[Issue, ...]:
+    """Layer 4, before the judge: the program cannot finish within the step budget."""
+    bound = min_steps(script.statements)
+    if bound <= step_budget:
+        return ()
+    return (Issue(L4_STEP_BOUND, 4,
+                  f"needs at least {bound} steps to finish; the budget is {step_budget}"),)
+
+
 def verify_semantic(
     ts: TypedScript,
     g: DepGraph,
@@ -282,6 +293,7 @@ def verify_all(
     prompt: str = "",
     *,
     max_layer: int = 4,
+    step_budget: int = STEP_BUDGET,
 ) -> VerdictReport:
     """Run the staged pipeline up to max_layer and report the outcome."""
     issues: list[Issue] = []
@@ -326,7 +338,9 @@ def verify_all(
         return report(0)
 
     sem_issues = timed(
-        4, lambda: verify_semantic(ts, graph, schema, judge, prompt, candidate.source)
+        4,
+        lambda: verify_step_bound(candidate.script, step_budget)
+        or verify_semantic(ts, graph, schema, judge, prompt, candidate.source),
     )
     issues.extend(sem_issues)
     if any(i.severity is Severity.ERROR for i in sem_issues):

@@ -47,7 +47,7 @@ from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.runtime import ExecStatus, Session
 from structsynth.uncertainty import UncertaintyConfig, compute_uncertainty
-from structsynth.verifier import Issue, VerdictReport, verify_all
+from structsynth.verifier import L4_STEP_BOUND, Issue, VerdictReport, verify_all
 
 TOL = 1e-9
 API_FAULTS = {"UnknownMethod", "BadAttribute", "NullAccess"}
@@ -290,7 +290,7 @@ def test_planted_defects_surface_at_their_home_layer(schema):
         DefectKind.ARITY: BASE_PROMPTS,
         DefectKind.MISSING_OUTPUT: QUERY_PROMPTS,
         DefectKind.MISSING_ACTION: ACTION_PROMPTS,
-        DefectKind.TIMEOUT_LOOP: QUERY_PROMPTS,
+        DefectKind.TIMEOUT_LOOP: QUERY_PROMPTS + ACTION_PROMPTS,
     }
     assert set(prompts_for) == set(DefectKind)
     judge = RuleBasedJudge()
@@ -302,6 +302,8 @@ def test_planted_defects_surface_at_their_home_layer(schema):
             verdict = verify_all(analyze(broken, schema), graph, schema, None, judge, prompt)
             assert not verdict.passed, (kind, prompt)
             assert verdict.failure_layer == DEFECT_LAYER[kind], (kind, prompt, verdict.codes())
+            if kind is DefectKind.TIMEOUT_LOOP:
+                assert verdict.codes() == (L4_STEP_BOUND,), (prompt, verdict.codes())
 
 
 def _heal_run(schema, retriever, defect: DefectKind, heal_after: int, budget: int):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from structsynth.cli import main
+from structsynth.cli import build_parser, main
+from structsynth.runtime import STEP_BUDGET
 
 CLEAN = (
     "block = design.getBlock()\n"
@@ -240,3 +241,16 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
 def test_bench_output_matches_golden_file(capsys, argv, golden):
     assert main(argv) == 0
     assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_step_budget_flag_sets_the_verifier_bound_too(tmp_path, capsys):
+    for argv in (["run", "-"], ["multistep", "--prompt", "x"], ["bench"]):
+        assert build_parser().parse_args(argv).step_budget == STEP_BUDGET
+    # "List all nets" needs at least 6 steps, so a budget of 5 rejects it at L4
+    assert main(["multistep", "--prompt", "List all nets", "--step-budget", "5"]) == 1
+    assert "failed at layer 4" in capsys.readouterr().out
+    suite = {"tasks": [{"id": "s1", "prompt": "List all nets", "kind": "query"}]}
+    path = write(tmp_path, "suite.json", json.dumps(suite))
+    main(["bench", "--suite", path, "--no-multis", "--json", "--step-budget", "5"])
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert (record["accepted"], record["final_layer"]) == (False, 4)

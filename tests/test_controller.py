@@ -26,11 +26,13 @@ from structsynth.qas import analysis
 from structsynth.fixtures import toy_schema
 from structsynth.judges import RuleBasedJudge
 from structsynth.qas.analysis import Candidate, analyze
+from structsynth.runtime import min_steps
 from structsynth.verifier import (
     L2_NULL_UNGUARDED,
     L2_USE_BEFORE_DEF,
     L3_NOT_IN_EVIDENCE,
     L3_UNKNOWN_METHOD,
+    L4_STEP_BOUND,
     Issue,
     Severity,
     VerdictReport,
@@ -289,6 +291,37 @@ def test_synthesize_budget_zero_never_repairs(schema, retriever):
     assert not result.accepted
     assert result.trajectory.actions == []
     assert result.verdict.failure_layer == 3
+
+
+# Lists the nets, then spins 17 times: a static bound of 60 steps.
+SIXTY_STEPS = (
+    "block = design.getBlock()\n"
+    "for net in block.getNets():\n"
+    "    print(net.getName())\n"
+    "for i in range(17):\n"
+    "    x = i\n"
+)
+
+
+@pytest.mark.parametrize("step_budget, accepted", [(50, False), (60, True), (None, True)])
+def test_synthesize_rejects_a_program_over_the_step_budget_at_layer_four(
+    schema, retriever, step_budget, accepted
+):
+    assert min_steps(analyze(SIXTY_STEPS, schema).script.statements) == 60
+    config = SynthesisConfig() if step_budget is None else SynthesisConfig(step_budget=step_budget)
+    result = synthesize(
+        prompt="List all nets",
+        schema=schema,
+        retriever=retriever,
+        extractor=PatternTableExtractor(schema),
+        generator=ScriptedGenerator(sources=[SIXTY_STEPS]),
+        judge=RuleBasedJudge(),
+        config=config,
+    )
+    assert result.accepted is accepted
+    if not accepted:
+        assert result.verdict.failure_layer == 4
+        assert result.verdict.codes() == (L4_STEP_BOUND,)
 
 
 def test_graph_re_extract_resets_window_and_bumps_evidence(schema, retriever):

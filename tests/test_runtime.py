@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
+from structsynth.fixtures import fixture_path, make_scaled_snapshot, toy_snapshot
+from structsynth.qas import nodes as qn
+from structsynth.qas.analysis import analyze
+from structsynth.qas.parser import parse
 from structsynth.runtime import (
     ExecStatus,
     Session,
     Snapshot,
     SnapshotError,
+    min_steps,
     snapshot_from_dict,
 )
-from structsynth.schema import ParseError
+from structsynth.schema import ParseError, schema_from_dict
+from structsynth.verifier import verify_all
 
 
 def fresh_session(snapshot, schema, **kwargs) -> Session:
@@ -627,6 +634,28 @@ def test_interpreter_results_are_pinned(snapshot, schema, source, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("source, expected", INTERPRETER_CASES)
+def test_min_steps_bounds_the_pinned_steps(source, expected):
+    if expected[0] != "ok":
+        return
+    statements, steps = parse(source).statements, expected[4]
+    assert min_steps(statements) <= steps
+    if not any(isinstance(s, (qn.IfStmt, qn.ForStmt)) for s in statements):
+        assert min_steps(statements) == steps  # straight-line: the bound is exact
+
+
+def test_min_steps_counts_literal_loops_and_the_cheaper_branch(snapshot, schema):
+    loop = "for i in range(3):\n    print(i * 2)\n"  # 21 steps, as pinned below
+    assert min_steps(parse(loop).statements) == 21
+    spin = "for i in range(100000):\n    x = i\n"
+    assert min_steps(parse(spin).statements) == 300_003
+    branches = "if 1 > 2:\n    print(1 + 2 + 3)\nelse:\n    print(4)\n"
+    assert min_steps(parse(branches).statements) == 1 + 3 + 3
+    assert run(fresh_session(snapshot, schema), branches).steps == 1 + 3 + 3
+    not_literal = "n = 5\nfor i in range(n):\n    print(i)\nfor b in design.getBlock():\n    x = 1\n"
+    assert min_steps(parse(not_literal).statements) == 2 + 3 + 3  # zero iterations each
+
+
 def test_step_budget_boundary(snapshot, schema):
     source = "for i in range(3):\n    print(i * 2)\n"  # 21 steps
     within = run(fresh_session(snapshot, schema, step_budget=21), source)
@@ -769,3 +798,54 @@ def test_string_operations(snapshot, schema):
     )
     assert result.status is ExecStatus.OK
     assert result.output == ("net: clk", "True")
+
+
+@pytest.fixture(scope="module")
+def tags_schema():
+    """The toy schema plus a many-valued string attribute and getter on Net."""
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    raw["types"]["Net"]["attributes"]["tags"] = {"base": "string", "many": True}
+    raw["types"]["Net"]["methods"]["getTags"] = {"returns": {"base": "string", "many": True}}
+    return schema_from_dict(raw)
+
+
+def test_unset_many_value_reads_as_an_empty_list(tags_schema):
+    source = (
+        "for net in design.getBlock().getNets():\n"
+        "    for t in net.tags:\n"
+        "        print(t)\n"
+        "    for t in net.getTags():\n"
+        "        print(t)\n"
+        "    print(len(net.tags))\n"
+    )
+    assert verify_all(analyze(source, tags_schema), None, tags_schema).passed
+    result = run(fresh_session(toy_snapshot(tags_schema), tags_schema), source)
+    assert (result.status, result.output) == (ExecStatus.OK, ("0", "0", "0"))
+
+
+def _toy_with_net_fields(fields: dict) -> dict:
+    raw = json.loads(fixture_path("toy_snapshot.json").read_text())
+    raw["objects"][2]["fields"].update(fields)
+    return raw
+
+
+@pytest.mark.parametrize("fields, location", [
+    ({"weight": "heavy"}, "n1.fields.weight"),
+    ({"weight": True}, "n1.fields.weight"),
+    ({"weight": None}, "n1.fields.weight"),
+    ({"name": 7}, "n1.fields.name"),
+])
+def test_snapshot_field_values_must_fit_declared_scalar_types(schema, fields, location):
+    with pytest.raises(SnapshotError) as exc:
+        snapshot_from_dict(_toy_with_net_fields(fields), schema)
+    assert [v.location for v in exc.value.violations] == [location]
+
+
+def test_snapshot_field_check_leaves_undeclared_fields_and_lists(schema, tags_schema):
+    snapshot_from_dict(_toy_with_net_fields({"colour": 1, "weight": 2}), schema)
+    assert toy_snapshot(schema) and make_scaled_snapshot(schema)
+    snapshot_from_dict(_toy_with_net_fields({"tags": ["a", "b"]}), tags_schema)
+    with pytest.raises(SnapshotError):
+        snapshot_from_dict(_toy_with_net_fields({"tags": "a"}), tags_schema)
+    with pytest.raises(SnapshotError):
+        snapshot_from_dict(_toy_with_net_fields({"tags": ["a", 1]}), tags_schema)

@@ -63,7 +63,7 @@ def test_valid_import(schema):
     assert valid_import(schema, "odb")
     assert valid_import(schema, "odb.PlacementStatus")
     assert valid_import(schema, "odb.PlacementStatus.PLACED")
-    assert valid_import(schema, "Net")
+    assert not valid_import(schema, "Net")
     assert not valid_import(schema, "odb.Ghost")
     assert not valid_import(schema, "odb.PlacementStatus.WIBBLE")
     assert not valid_import(schema, "pandas")

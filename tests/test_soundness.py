@@ -6,7 +6,8 @@ are random conformant programs, their planted defects and the programs in
 ``HOLES``; Hypothesis mutates their syntax trees. Every mutant that layers 1
 to 3 accept runs once. A runtime error fails the test unless it is a value
 fault, which no static kind rule can see: division by zero, an index out of
-range, a ``find*`` miss, or the step budget running out.
+range, a ``find*`` miss, or the step budget running out. Every mutant that
+runs to the end takes at least the steps that L4's static bound predicts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from structsynth.generators import DefectKind, apply_defect
 from structsynth.qas import nodes as qn
 from structsynth.qas.analysis import analyze
 from structsynth.qas.parser import SyntaxFailure, parse
-from structsynth.runtime import ExecStatus, Session
+from structsynth.runtime import ExecStatus, Session, min_steps
 from structsynth.verifier import verify_all
 from test_verifier import HOLES
 
@@ -158,13 +159,16 @@ def _is_value_fault(message: str) -> bool:
 def test_programs_passing_layers_one_to_three_raise_no_api_fault(peer_schema, peer_snapshot,
                                                                   data):
     source = data.draw(mutants(peer_schema))
-    if not verify_all(analyze(source, peer_schema), None, peer_schema).passed:
+    candidate = analyze(source, peer_schema)
+    if not verify_all(candidate, None, peer_schema).passed:
         return
     result = Session(peer_snapshot, peer_schema, step_budget=5_000).execute(source)
     if result.status is ExecStatus.RUNTIME_ERROR:
         assert _is_value_fault(result.error_message), (
             f"passed L1-L3, then {result.error_kind}: {result.error_message}\n{source}"
         )
+    if result.status is ExecStatus.OK:
+        assert min_steps(candidate.script.statements) <= result.steps, source
 
 
 def test_value_faults_are_told_apart_by_message(schema, snapshot):

@@ -123,9 +123,10 @@ def test_trajectory_requires_one_verdict_per_candidate(schema):
 
 
 def test_code_penalty_single_bad_import(schema):
-    src = "import foo\nblock = design.getBlock()\n"
-    cs = compute_code_signals(analyze(src, schema), schema)
-    assert cs == CodeSignals(1, 0, 0.0, 0.85)
+    for name in ("foo", "Net"):  # a type name is not a module
+        src = f"import {name}\nblock = design.getBlock()\n"
+        cs = compute_code_signals(analyze(src, schema), schema)
+        assert cs == CodeSignals(1, 0, 0.0, 0.85), name
 
 
 def test_code_penalty_import_plus_enum(schema):

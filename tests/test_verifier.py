@@ -26,6 +26,7 @@ from structsynth.verifier import (
     L3_UNKNOWN_ENUM,
     L3_UNKNOWN_METHOD,
     L4_JUDGE_UNAVAILABLE,
+    L4_STEP_BOUND,
     Severity,
     verify_all,
 )
@@ -291,6 +292,20 @@ def test_judge_rejection_fails_layer_four(schema):
     verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.failure_layer == 4
     assert verdict.codes() == ("L4_X",)
+
+
+def test_step_bound_runs_before_a_plugged_in_judge(schema):
+    judge = ScriptedJudge([JudgeVerdict(ok=True)])
+    spinning = CLEAN + "for i in range(30):\n    x = i\n"  # 11 + 3 + 30 * 3 = 104 steps
+    verdict = verify_all(analyze(spinning, schema), spine(), schema, judge=judge, step_budget=103)
+    assert (verdict.failure_layer, verdict.codes()) == (4, (L4_STEP_BOUND,))
+    assert verdict.layers_run == (1, 2, 3, 4)
+    assert judge._cursor == 0  # the judge never ran
+    assert verify_all(analyze(spinning, schema), spine(), schema, judge=judge,
+                      step_budget=104).passed
+    assert judge._cursor == 1
+    # L4 needs a judge and a graph; without them the bound is not checked either
+    assert verify_all(analyze(spinning, schema), None, schema, step_budget=1).passed
 
 
 def test_judge_ok_findings_become_warnings(schema):
