@@ -274,7 +274,7 @@ def run_task(
     forced = False
     if result.accepted or force_exec:
         forced = not result.accepted
-        execution = session.execute(result.source)
+        execution = session.execute(result.candidate.script)
         exec_status = execution.status.value
     metrics = (
         graph_metrics(result.graph, task.truth_graph)
@@ -398,16 +398,16 @@ def ablation_precisions(
 ) -> dict[int, AblationPoint]:
     """Verifier precision at several pipeline depths over planted programs.
 
-    Every case executes once in its own session to establish ground truth;
-    unparseable programs count as runtime errors.
+    Every case is analyzed once, then its parse executes once in its own
+    session to establish ground truth; unparseable programs count as runtime
+    errors.
     """
     judge = RuleBasedJudge()
-    truths: list[bool] = []
-    for case in cases:
-        session = Session(snapshot, schema, step_budget=step_budget)
-        execution = session.execute(case.source)
-        truths.append(execution.status is ExecStatus.OK)
     analyzed = [analyze(case.source, schema) for case in cases]
+    truths: list[bool] = []
+    for candidate in analyzed:
+        session = Session(snapshot, schema, step_budget=step_budget)
+        truths.append(session.execute(candidate.script).status is ExecStatus.OK)
     out: dict[int, AblationPoint] = {}
     for max_layer in layers:
         passes = 0

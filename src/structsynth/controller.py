@@ -69,7 +69,7 @@ class SynthesisConfig:
 
 @dataclass
 class SynthesisResult:
-    source: str
+    candidate: Candidate  # the last candidate; run its parse, not its text
     verdict: VerdictReport
     accepted: bool
     trajectory: Trajectory
@@ -77,6 +77,10 @@ class SynthesisResult:
     evidence: EvidenceSet
     uncertainty: UncertaintyReport
     extraction_rounds: int
+
+    @property
+    def source(self) -> str:
+        return self.candidate.source
 
 
 def _issue_hints(verdict: VerdictReport) -> tuple[str, ...]:
@@ -287,7 +291,7 @@ def synthesize(
         config.uncertainty,
     )
     return SynthesisResult(
-        source=trajectory.candidates[-1].source,
+        candidate=trajectory.candidates[-1],
         verdict=trajectory.verdicts[-1],
         accepted=accepted,
         trajectory=trajectory,

@@ -96,7 +96,7 @@ def run_episode(
             )
             failed = True
             continue
-        execution = session.execute(result.source)
+        execution = session.execute(result.candidate.script)
         if execution.status is not ExecStatus.OK:
             episode.steps.append(
                 StepOutcome(prompt, "exec_failed", result, execution,

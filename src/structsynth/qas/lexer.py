@@ -3,27 +3,42 @@
 Indentation uses spaces only; a tab anywhere in a line is a lexical error.
 Blank and comment-only lines produce no tokens. Errors are collected per line
 so the parser can report every problem in one pass.
+
+Each line is scanned with one alternation regex (the tokenizer recipe from
+the ``re`` documentation): the name of the group that matched decides the
+token's kind.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 KEYWORDS = frozenset({"import", "for", "in", "if", "else", "True", "False", "None"})
 
-# Longest operators first so '==' wins over '='.
-_OPERATORS = ("==", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "%",
-              "(", ")", "[", "]", ",", ".", ":")
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
-
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 
+# Alternatives are tried in order: FLOAT before INT, and a well-formed STRING
+# before BADSTR, which catches any quote that does not open one. Digits use
+# \d (any Unicode decimal digit); names are ASCII only. Longest operators come
+# first so '==' wins over '='.
+_TOKEN_RE = re.compile(r"""
+    (?P<SKIP>\ +)
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>==|!=|<=|>=|[=<>+\-*/%()\[\],.:])
+  | (?P<FLOAT>\d+\.\d+)
+  | (?P<INT>\d+)
+  | (?P<STRING>'(?:[^'\\]|\\[\\'"nt])*'|"(?:[^"\\]|\\[\\'"nt])*")
+  | (?P<BADSTR>['"])
+  | (?P<COMMENT>\#)
+  | (?P<MISMATCH>.)
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+class Token(NamedTuple):
     kind: str  # NAME KW INT FLOAT STRING OP NEWLINE INDENT DEDENT EOF
     text: str
     line: int
@@ -49,7 +64,7 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
             issues.append(LexIssue(lineno, raw_line.index("\t") + 1, "tab character not allowed"))
             continue
         stripped = raw_line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
 
         width = len(raw_line) - len(raw_line.lstrip(" "))
@@ -64,14 +79,13 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
                 issues.append(LexIssue(lineno, 1, "unindent does not match any outer level"))
                 indents.append(width)
 
-        ok = _lex_line(raw_line, lineno, width, tokens, issues)
-        if ok:
-            tokens.append(Token("NEWLINE", "", lineno, len(raw_line) + 1))
-        else:
+        mark = len(tokens)
+        issue = _lex_line(raw_line, lineno, width, tokens)
+        if issue is not None:
             # Drop the partial line so the parser never sees a broken tail.
-            while tokens and tokens[-1].kind not in ("NEWLINE", "INDENT", "DEDENT"):
-                tokens.pop()
-            tokens.append(Token("NEWLINE", "", lineno, len(raw_line) + 1))
+            del tokens[mark:]
+            issues.append(issue)
+        tokens.append(Token("NEWLINE", "", lineno, len(raw_line) + 1))
 
     while len(indents) > 1:
         indents.pop()
@@ -80,65 +94,41 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
     return tokens, issues
 
 
-def _lex_line(line: str, lineno: int, start: int, tokens: list[Token], issues: list[LexIssue]) -> bool:
-    i = start
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == " ":
-            i += 1
+def _lex_line(line: str, lineno: int, start: int, tokens: list[Token]) -> LexIssue | None:
+    """Append the line's tokens; return the first issue instead, if any."""
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(line, start):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch == "#":
+        text = m.group()
+        col = m.start() + 1
+        if kind == "NAME":
+            append(Token("KW" if text in KEYWORDS else "NAME", text, lineno, col))
+        elif kind == "STRING":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], body)
+            append(Token("STRING", body, lineno, col))
+        elif kind == "COMMENT":
             break
-        col = i + 1
-        if ch in "'\"":
-            value, end = _lex_string(line, i, lineno, issues)
-            if end is None:
-                return False
-            tokens.append(Token("STRING", value, lineno, col))
-            i = end
-            continue
-        m = _NUM_RE.match(line, i)
-        if m:
-            text = m.group(0)
-            kind = "FLOAT" if "." in text else "INT"
-            tokens.append(Token(kind, text, lineno, col))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(line, i)
-        if m:
-            text = m.group(0)
-            kind = "KW" if text in KEYWORDS else "NAME"
-            tokens.append(Token(kind, text, lineno, col))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if line.startswith(op, i):
-                tokens.append(Token("OP", op, lineno, col))
-                i += len(op)
-                break
+        elif kind == "BADSTR":
+            return _string_issue(line, m.start(), lineno)
+        elif kind == "MISMATCH":
+            return LexIssue(lineno, col, f"unexpected character {text!r}")
         else:
-            issues.append(LexIssue(lineno, col, f"unexpected character {ch!r}"))
-            return False
-    return True
+            append(Token(kind, text, lineno, col))
+    return None
 
 
-def _lex_string(line: str, i: int, lineno: int, issues: list[LexIssue]) -> tuple[str, int | None]:
+def _string_issue(line: str, i: int, lineno: int) -> LexIssue:
+    """The issue for a string opened at ``i`` that does not close cleanly."""
     quote = line[i]
-    out: list[str] = []
     j = i + 1
-    while j < len(line):
-        ch = line[j]
-        if ch == "\\":
-            if j + 1 < len(line) and line[j + 1] in _ESCAPES:
-                out.append(_ESCAPES[line[j + 1]])
-                j += 2
-                continue
-            issues.append(LexIssue(lineno, j + 1, "bad escape sequence"))
-            return "", None
-        if ch == quote:
-            return "".join(out), j + 1
-        out.append(ch)
+    while j < len(line) and line[j] != quote:
+        if line[j] == "\\":
+            if j + 1 >= len(line) or line[j + 1] not in _ESCAPES:
+                return LexIssue(lineno, j + 1, "bad escape sequence")
+            j += 1
         j += 1
-    issues.append(LexIssue(lineno, i + 1, "unterminated string literal"))
-    return "", None
+    return LexIssue(lineno, i + 1, "unterminated string literal")

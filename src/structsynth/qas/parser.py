@@ -81,12 +81,15 @@ class _Parser:
         return tok
 
     def check(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.check(kind, text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            if kind != "EOF":
+                self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, text: str | None = None, what: str = "") -> Token:
@@ -228,9 +231,9 @@ class _Parser:
 
     def _comparison(self) -> Expr:
         left = self._arith()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "OP" and tok.text in nodes.COMPARE_OPS:
-            self.advance()
+            self.pos += 1
             right = self._arith()
             return BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
         return left
@@ -238,9 +241,9 @@ class _Parser:
     def _arith(self) -> Expr:
         left = self._term()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "OP" and tok.text in nodes.ADD_OPS:
-                self.advance()
+                self.pos += 1
                 right = self._term()
                 left = BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
             else:
@@ -249,18 +252,18 @@ class _Parser:
     def _term(self) -> Expr:
         left = self._factor()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "OP" and tok.text in nodes.MUL_OPS:
-                self.advance()
+                self.pos += 1
                 right = self._factor()
                 left = BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
             else:
                 return left
 
     def _factor(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "OP" and tok.text == "-":
-            self.advance()
+            self.pos += 1
             operand = self._factor()
             return UnaryOp(op="-", operand=operand, line=tok.line, col=tok.col)
         return self._postfix()
@@ -268,13 +271,13 @@ class _Parser:
     def _postfix(self) -> Expr:
         expr = self._atom()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "OP" and tok.text == ".":
-                self.advance()
+                self.pos += 1
                 attr = self.expect("NAME", what="a name after '.'")
                 expr = Attribute(value=expr, attr=attr.text, line=tok.line, col=tok.col)
             elif tok.kind == "OP" and tok.text == "(":
-                self.advance()
+                self.pos += 1
                 args: list[Expr] = []
                 if not self.check("OP", ")"):
                     args.append(self._expression())
@@ -283,7 +286,7 @@ class _Parser:
                 self.expect("OP", ")")
                 expr = Call(func=expr, args=tuple(args), line=tok.line, col=tok.col)
             elif tok.kind == "OP" and tok.text == "[":
-                self.advance()
+                self.pos += 1
                 index = self._expression()
                 self.expect("OP", "]")
                 expr = Index(value=expr, index=index, line=tok.line, col=tok.col)
@@ -291,27 +294,27 @@ class _Parser:
                 return expr
 
     def _atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "NAME":
-            self.advance()
+            self.pos += 1
             return Name(id=tok.text, line=tok.line, col=tok.col)
         if tok.kind == "INT":
-            self.advance()
+            self.pos += 1
             return IntLit(value=int(tok.text), line=tok.line, col=tok.col)
         if tok.kind == "FLOAT":
-            self.advance()
+            self.pos += 1
             return FloatLit(value=float(tok.text), line=tok.line, col=tok.col)
         if tok.kind == "STRING":
-            self.advance()
+            self.pos += 1
             return StringLit(value=tok.text, line=tok.line, col=tok.col)
         if tok.kind == "KW" and tok.text in ("True", "False"):
-            self.advance()
+            self.pos += 1
             return BoolLit(value=tok.text == "True", line=tok.line, col=tok.col)
         if tok.kind == "KW" and tok.text == "None":
-            self.advance()
+            self.pos += 1
             return NoneLit(line=tok.line, col=tok.col)
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+            self.pos += 1
             inner = self._expression()
             self.expect("OP", ")")
             return inner

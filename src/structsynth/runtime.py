@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import kinds
 from .qas import nodes as qn
-from .qas.parser import SyntaxFailure, parse
-from .schema import ApiSchema, MethodSig, ParseError, TypeRef, Violation
+from .qas.parser import Script, SyntaxFailure, parse
+from .schema import ApiSchema, MethodSig, ParseError, TypeRef, Violation, valid_import
 
 # Interpreter steps one execution may take; the verifier's L4 bound reads it too.
 STEP_BUDGET = 100_000
@@ -296,13 +296,14 @@ class Session:
             self._overlay[oid] = rec
         return rec
 
-    def execute(self, source: str) -> ExecutionResult:
+    def execute(self, program: str | Script | SyntaxFailure) -> ExecutionResult:
+        """Run source text, or the outcome of parsing it; both give the same result."""
         self.tool_calls += 1
         if self.crash_probability > 0 and self._rng.random() < self.crash_probability:
             return ExecutionResult(
                 ExecStatus.RUNTIME_ERROR, (), "Crash", "injected crash", 0, 0
             )
-        parsed = parse(source)
+        parsed = parse(program) if isinstance(program, str) else program
         if isinstance(parsed, SyntaxFailure):
             first = parsed.errors[0]
             return ExecutionResult(
@@ -558,12 +559,16 @@ class _Interp:
 
             return branch
         if isinstance(st, qn.ImportStmt):
+            # The import rule is L3's: a schema module, optionally one of its
+            # enums or one constant. The import binds the root module.
             root = st.name.split(".")[0]
-            module = ModuleVal(root) if root in self.s.schema.modules else None
+            schema = self.s.schema
+            module = ModuleVal(root) if valid_import(schema, st.name) else None
+            missing = root if root not in schema.modules else st.name
 
             def load():
                 if module is None:
-                    raise _Abort("ImportError", f"no module named {root!r}")
+                    raise _Abort("ImportError", f"no module named {missing!r}")
                 env[root] = module
 
             return load

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from structsynth.fixtures import fixture_path, toy_retriever, toy_schema, toy_snapshot
+from structsynth.qas import parser
 from structsynth.schema import schema_from_dict
 
 
@@ -37,3 +39,21 @@ def peer_schema():
 @pytest.fixture(scope="session")
 def peer_snapshot(peer_schema):
     return toy_snapshot(peer_schema)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Counts calls of ``structsynth.qas.parser.parse`` through every module binding."""
+    calls = []
+    original = parser.parse
+
+    def counted(source):
+        calls.append(source)
+        return original(source)
+
+    for name, module in list(sys.modules.items()):
+        if name == "structsynth" or name.startswith("structsynth."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

@@ -106,6 +106,26 @@ def test_run_task_clean(schema, retriever, snapshot):
     assert rec.graph is not None and rec.graph.exact_match
 
 
+def test_run_task_executes_the_accepted_parse_without_parsing_again(
+    schema, retriever, snapshot, parse_calls
+):
+    task = TaskSpec("t", "Set the weight of net clk to 3", "action")
+    generator = FaultInjectionGenerator(
+        TemplateGenerator(schema), DefectKind.UNKNOWN_METHOD, schema, heal_after=1
+    )
+    rec = run_task(
+        task,
+        schema,
+        retriever,
+        PatternTableExtractor(schema),
+        generator,
+        RuleBasedJudge(),
+        lambda: Session(snapshot, schema),
+    )
+    assert (rec.exec_status, rec.tool_calls, rec.repairs) == ("ok", 1, 1)
+    assert len(parse_calls) == rec.repairs + 1  # one parse per candidate, none to execute
+
+
 def test_run_task_rejection_skips_execution(schema, retriever, snapshot):
     task = TaskSpec("t", "Set the weight of net clk to 3", "action")
     generator = FaultInjectionGenerator(

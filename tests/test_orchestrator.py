@@ -56,6 +56,27 @@ def test_steps_share_one_session(schema, retriever, snapshot):
     assert result.first_failure() is None
 
 
+def test_episode_executes_each_accepted_parse_without_parsing_again(
+    schema, retriever, snapshot, parse_calls
+):
+    generator = FaultInjectionGenerator(
+        TemplateGenerator(schema), DefectKind.UNKNOWN_METHOD, schema, heal_after=1
+    )
+    session = Session(snapshot, schema)
+    result = episode(
+        ["Set the weight of net clk to 9", "Print the weight of net clk"],
+        schema,
+        retriever,
+        session,
+        generator=generator,
+    )
+    assert [s.status for s in result.steps] == ["ok", "ok"]
+    candidates = [c.source for s in result.steps for c in s.synthesis.trajectory.candidates]
+    assert len(candidates) == 3  # one planted defect, repaired once
+    assert parse_calls == candidates  # one parse per candidate, none to execute
+    assert result.tool_calls == 2
+
+
 def test_first_failure_skips_remaining_steps(schema, retriever, snapshot):
     generator = ScriptedGenerator(sources=[LIST_NETS, "print(ghost)\n"])
     result = episode(

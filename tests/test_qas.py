@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structsynth.fixtures import random_conformant_program
+from structsynth.extractors import PatternTableExtractor
+from structsynth.fixtures import multis_suite, random_conformant_program, singles_suite
+from structsynth.generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
 from structsynth.qas.analysis import infer_types, normalize_statements
+from structsynth.qas.lexer import tokenize
 from structsynth.qas.nodes import (
     Assign,
     Attribute,
@@ -188,3 +193,197 @@ def test_infer_types_enum_chain_is_not_undefined(schema):
     ts = infer_types(parse(src), schema)
     assert ts.undefined_uses == ()
     assert [e.name for e in ts.enum_refs] == ["odb.PlacementStatus.PLACED"]
+
+
+# ---- lexer pins: (source, tokens as (kind, text, line, col), issues as (line, col, message)) ----
+
+LEX_TABLE = {
+    'tab_indent': (
+        'x = 1\n\ty = 2\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '1', 1, 5), ('NEWLINE', '', 1, 6),
+         ('EOF', '', 3, 1)],
+        [(2, 1, 'tab character not allowed')],
+    ),
+    'tab_inside': (
+        'x =\t1\n',
+        [('EOF', '', 2, 1)],
+        [(1, 4, 'tab character not allowed')],
+    ),
+    'bad_dedent': (
+        'if x:\n        y = 1\n    z = 2\n',
+        [('KW', 'if', 1, 1), ('NAME', 'x', 1, 4), ('OP', ':', 1, 5), ('NEWLINE', '', 1, 6),
+         ('INDENT', '', 2, 1), ('NAME', 'y', 2, 9), ('OP', '=', 2, 11), ('INT', '1', 2, 13),
+         ('NEWLINE', '', 2, 14), ('DEDENT', '', 3, 1), ('NAME', 'z', 3, 5), ('OP', '=', 3, 7),
+         ('INT', '2', 3, 9), ('NEWLINE', '', 3, 10), ('DEDENT', '', 4, 1), ('EOF', '', 4, 1)],
+        [(3, 1, 'unindent does not match any outer level')],
+    ),
+    'unterminated_string': (
+        'x = "abc\n',
+        [('NEWLINE', '', 1, 9), ('EOF', '', 2, 1)],
+        [(1, 5, 'unterminated string literal')],
+    ),
+    'unterminated_after_escape': (
+        "x = 'ab\\'\n",
+        [('NEWLINE', '', 1, 10), ('EOF', '', 2, 1)],
+        [(1, 5, 'unterminated string literal')],
+    ),
+    'bad_escape': (
+        'x = "a\\qb"\n',
+        [('NEWLINE', '', 1, 11), ('EOF', '', 2, 1)],
+        [(1, 7, 'bad escape sequence')],
+    ),
+    'escape_at_eol': (
+        'x = "ab\\\n',
+        [('NEWLINE', '', 1, 9), ('EOF', '', 2, 1)],
+        [(1, 8, 'bad escape sequence')],
+    ),
+    'escapes': (
+        'x = \'a\\\'b\\"c\\\\d\\ne\\tf\'\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('STRING', 'a\'b"c\\d\ne\tf', 1, 5),
+         ('NEWLINE', '', 1, 23), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'dollar': (
+        'x = $1\n',
+        [('NEWLINE', '', 1, 7), ('EOF', '', 2, 1)],
+        [(1, 5, "unexpected character '$'")],
+    ),
+    'tilde': (
+        'y = 2\nx = ~1 + 3\n',
+        [('NAME', 'y', 1, 1), ('OP', '=', 1, 3), ('INT', '2', 1, 5), ('NEWLINE', '', 1, 6),
+         ('NEWLINE', '', 2, 11), ('EOF', '', 3, 1)],
+        [(2, 5, "unexpected character '~'")],
+    ),
+    'non_ascii_letter': (
+        'café = 1\n',
+        [('NEWLINE', '', 1, 9), ('EOF', '', 2, 1)],
+        [(1, 4, "unexpected character 'é'")],
+    ),
+    'unicode_digit': (
+        'x = ٣ + 1٤.٥\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '٣', 1, 5), ('OP', '+', 1, 7),
+         ('FLOAT', '1٤.٥', 1, 9), ('NEWLINE', '', 1, 13), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'dotted_number': (
+        'x = 1.5.3\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('FLOAT', '1.5', 1, 5), ('OP', '.', 1, 8),
+         ('INT', '3', 1, 9), ('NEWLINE', '', 1, 10), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'number_then_name': (
+        'x = 12abc\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '12', 1, 5), ('NAME', 'abc', 1, 7),
+         ('NEWLINE', '', 1, 10), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'mixed_quotes': (
+        'x = "it\'s" + \'say "hi"\'\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('STRING', "it's", 1, 5), ('OP', '+', 1, 12),
+         ('STRING', 'say "hi"', 1, 14), ('NEWLINE', '', 1, 24), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'hash_in_string': (
+        "x = 'a#b'\n",
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('STRING', 'a#b', 1, 5),
+         ('NEWLINE', '', 1, 10), ('EOF', '', 2, 1)],
+        [],
+    ),
+    'trailing_comment': (
+        'x = 1  # note = $\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '1', 1, 5), ('NEWLINE', '', 1, 18),
+         ('EOF', '', 2, 1)],
+        [],
+    ),
+    'blank_and_comment_lines': (
+        '\n   \n# c\n  # indented comment\nx = 1\n\n',
+        [('NAME', 'x', 5, 1), ('OP', '=', 5, 3), ('INT', '1', 5, 5), ('NEWLINE', '', 5, 6),
+         ('EOF', '', 7, 1)],
+        [],
+    ),
+    'unicode_space': (
+        '\xa0# c\nx = 1\xa0\n',
+        [('NEWLINE', '', 2, 7), ('EOF', '', 3, 1)],
+        [(2, 6, "unexpected character '\\xa0'")],
+    ),
+    'crlf': (
+        'x = 1\r\nif x:\r\n    y = 2\r\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '1', 1, 5), ('NEWLINE', '', 1, 6),
+         ('KW', 'if', 2, 1), ('NAME', 'x', 2, 4), ('OP', ':', 2, 5), ('NEWLINE', '', 2, 6),
+         ('INDENT', '', 3, 1), ('NAME', 'y', 3, 5), ('OP', '=', 3, 7), ('INT', '2', 3, 9),
+         ('NEWLINE', '', 3, 10), ('DEDENT', '', 4, 1), ('EOF', '', 4, 1)],
+        [],
+    ),
+    'operators': (
+        'a = b==c!=d<=e>=f<g>h+i-j*k/l%m\nz = f(x)[0].y, 1.\n',
+        [('NAME', 'a', 1, 1), ('OP', '=', 1, 3), ('NAME', 'b', 1, 5), ('OP', '==', 1, 6),
+         ('NAME', 'c', 1, 8), ('OP', '!=', 1, 9), ('NAME', 'd', 1, 11), ('OP', '<=', 1, 12),
+         ('NAME', 'e', 1, 14), ('OP', '>=', 1, 15), ('NAME', 'f', 1, 17), ('OP', '<', 1, 18),
+         ('NAME', 'g', 1, 19), ('OP', '>', 1, 20), ('NAME', 'h', 1, 21), ('OP', '+', 1, 22),
+         ('NAME', 'i', 1, 23), ('OP', '-', 1, 24), ('NAME', 'j', 1, 25), ('OP', '*', 1, 26),
+         ('NAME', 'k', 1, 27), ('OP', '/', 1, 28), ('NAME', 'l', 1, 29), ('OP', '%', 1, 30),
+         ('NAME', 'm', 1, 31), ('NEWLINE', '', 1, 32), ('NAME', 'z', 2, 1), ('OP', '=', 2, 3),
+         ('NAME', 'f', 2, 5), ('OP', '(', 2, 6), ('NAME', 'x', 2, 7), ('OP', ')', 2, 8),
+         ('OP', '[', 2, 9), ('INT', '0', 2, 10), ('OP', ']', 2, 11), ('OP', '.', 2, 12),
+         ('NAME', 'y', 2, 13), ('OP', ',', 2, 14), ('INT', '1', 2, 16), ('OP', '.', 2, 17),
+         ('NEWLINE', '', 2, 18), ('EOF', '', 3, 1)],
+        [],
+    ),
+    'keywords': (
+        'import odb\nfor i in x:\n    if True:\n        y = None\n    else:\n        y = False\n',
+        [('KW', 'import', 1, 1), ('NAME', 'odb', 1, 8), ('NEWLINE', '', 1, 11),
+         ('KW', 'for', 2, 1), ('NAME', 'i', 2, 5), ('KW', 'in', 2, 7), ('NAME', 'x', 2, 10),
+         ('OP', ':', 2, 11), ('NEWLINE', '', 2, 12), ('INDENT', '', 3, 1), ('KW', 'if', 3, 5),
+         ('KW', 'True', 3, 8), ('OP', ':', 3, 12), ('NEWLINE', '', 3, 13), ('INDENT', '', 4, 1),
+         ('NAME', 'y', 4, 9), ('OP', '=', 4, 11), ('KW', 'None', 4, 13), ('NEWLINE', '', 4, 17),
+         ('DEDENT', '', 5, 1), ('KW', 'else', 5, 5), ('OP', ':', 5, 9), ('NEWLINE', '', 5, 10),
+         ('INDENT', '', 6, 1), ('NAME', 'y', 6, 9), ('OP', '=', 6, 11), ('KW', 'False', 6, 13),
+         ('NEWLINE', '', 6, 18), ('DEDENT', '', 7, 1), ('DEDENT', '', 7, 1), ('EOF', '', 7, 1)],
+        [],
+    ),
+    'error_keeps_indent': (
+        "if x:\n    y = 'open\n    z = 1\nw = 2\n",
+        [('KW', 'if', 1, 1), ('NAME', 'x', 1, 4), ('OP', ':', 1, 5), ('NEWLINE', '', 1, 6),
+         ('INDENT', '', 2, 1), ('NEWLINE', '', 2, 14), ('NAME', 'z', 3, 5), ('OP', '=', 3, 7),
+         ('INT', '1', 3, 9), ('NEWLINE', '', 3, 10), ('DEDENT', '', 4, 1), ('NAME', 'w', 4, 1),
+         ('OP', '=', 4, 3), ('INT', '2', 4, 5), ('NEWLINE', '', 4, 6), ('EOF', '', 5, 1)],
+        [(2, 9, 'unterminated string literal')],
+    ),
+    'empty': (
+        '',
+        [('EOF', '', 1, 1)],
+        [],
+    ),
+}
+
+
+
+def _lexed(source: str) -> tuple[list[tuple], list[tuple]]:
+    tokens, issues = tokenize(source)
+    return (
+        [(t.kind, t.text, t.line, t.col) for t in tokens],
+        [(i.line, i.col, i.message) for i in issues],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LEX_TABLE))
+def test_lexer_pinned_edge_cases(name):
+    source, tokens, issues = LEX_TABLE[name]
+    assert _lexed(source) == (tokens, issues)
+
+
+def test_lexer_token_streams_of_suite_programs_are_pinned(schema):
+    """Every suite prompt's template program and its planted-defect variants lex as recorded."""
+    extractor = PatternTableExtractor(schema)
+    generator = TemplateGenerator(schema)
+    prompts = [t.prompt for t in singles_suite()] + [p for m in multis_suite() for p in m.steps]
+    digest = hashlib.sha256()
+    programs = 0
+    for prompt in prompts:
+        graph = extractor.extract(prompt, None, ())
+        clean = generator.generate(GenerationRequest(prompt=prompt, graph=graph))
+        for source in [clean] + [apply_defect(clean, kind, schema) for kind in DefectKind]:
+            digest.update(repr(_lexed(source)).encode())
+            programs += 1
+    assert programs == 825
+    assert digest.hexdigest()[:16] == "62e7ae5c950c894b"

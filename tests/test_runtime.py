@@ -10,7 +10,7 @@ import pytest
 from structsynth.fixtures import fixture_path, make_scaled_snapshot, toy_snapshot
 from structsynth.qas import nodes as qn
 from structsynth.qas.analysis import analyze
-from structsynth.qas.parser import parse
+from structsynth.qas.parser import SyntaxFailure, parse
 from structsynth.runtime import (
     ExecStatus,
     Session,
@@ -632,6 +632,24 @@ def test_interpreter_results_are_pinned(snapshot, schema, source, expected):
     r = run(fresh_session(snapshot, schema), source)
     got = (r.status.value, r.output, r.error_kind, r.error_message, r.steps, r.mutations)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(case.values[0], id=case.id) for case in INTERPRETER_CASES]
+    + [pytest.param("x = = 1\nprint(2)\n", id="unparseable")],
+)
+def test_execute_runs_a_parse_outcome_like_its_text(snapshot, schema, source):
+    parsed = parse(source)
+    by_text, by_parse = fresh_session(snapshot, schema), fresh_session(snapshot, schema)
+    expected = by_text.execute(source)
+    assert by_parse.execute(parsed) == expected
+    assert by_text.tool_calls == by_parse.tool_calls == 1
+    assert by_text.mutations == by_parse.mutations
+    if isinstance(parsed, SyntaxFailure):
+        assert (expected.error_kind, expected.error_message) == (
+            "SyntaxError", "line 1: unexpected '='"
+        )
 
 
 @pytest.mark.parametrize("source, expected", INTERPRETER_CASES)

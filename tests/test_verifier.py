@@ -219,6 +219,9 @@ HOLES = [
     ("nullable-argument", _GUARDED_NET + '    net.setPeer(block.findNet("zz"))\n',
      L3_BAD_ARG_TYPE, "TypeError"),
     ("import-type", "import Net\nx = 1\n", L3_INVALID_IMPORT, "ImportError"),
+    ("import-unknown-enum", "import odb.Ghost\nprint(1)\n", L3_INVALID_IMPORT, "ImportError"),
+    ("import-unknown-constant", "import odb.PlacementStatus.BOGUS\nprint(1)\n",
+     L3_INVALID_IMPORT, "ImportError"),
     ("unbound-enum-chain", "x = odb.PlacementStatus.PLACED\n", L2_USE_BEFORE_DEF, "NameError"),
     ("range-of-quotient", "for i in range(4 / 2):\n    print(i)\n", L3_BAD_ARITY,
      "TypeError"),
