@@ -66,7 +66,7 @@ from .runtime import (
     load_snapshot,
 )
 from .schema import ApiSchema, ParseError, SchemaError, TypeRef, load_schema
-from .uncertainty import UncertaintyConfig, UncertaintyReport, compute_uncertainty
+from .uncertainty import UncertaintyReport, compute_uncertainty
 from .verifier import Issue, Severity, VerdictReport, verify_all
 
 __version__ = "0.1.0"
@@ -116,7 +116,6 @@ __all__ = [
     "TemplateGenerator",
     "Trajectory",
     "TypeRef",
-    "UncertaintyConfig",
     "UncertaintyReport",
     "VerdictReport",
     "analyze",

@@ -394,7 +394,6 @@ def ablation_precisions(
     schema: ApiSchema,
     snapshot: Snapshot,
     layers: Sequence[int] = (1, 3, 4),
-    step_budget: int = 5000,
 ) -> dict[int, AblationPoint]:
     """Verifier precision at several pipeline depths over planted programs.
 
@@ -406,7 +405,7 @@ def ablation_precisions(
     analyzed = [analyze(case.source, schema) for case in cases]
     truths: list[bool] = []
     for candidate in analyzed:
-        session = Session(snapshot, schema, step_budget=step_budget)
+        session = Session(snapshot, schema)
         truths.append(session.execute(candidate.script).status is ExecStatus.OK)
     out: dict[int, AblationPoint] = {}
     for max_layer in layers:
@@ -421,7 +420,6 @@ def ablation_precisions(
                 judge,
                 case.task.prompt,
                 max_layer=max_layer,
-                step_budget=step_budget,
             )
             if verdict.passed:
                 passes += 1

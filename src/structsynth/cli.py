@@ -21,7 +21,7 @@ from .generators import GeneratorFailure, TemplateGenerator
 from .judges import RuleBasedJudge
 from .qas.analysis import analyze
 from .retrieval import Retriever, load_corpus
-from .runtime import STEP_BUDGET, ExecStatus, Session, load_snapshot
+from .runtime import STEP_BUDGET, ExecStatus, Session, SnapshotError, load_snapshot
 from .schema import ApiSchema, ParseError, SchemaError, load_schema
 from .verifier import VerdictReport, verify_all
 
@@ -208,6 +208,14 @@ def _parse_sweep(text: str) -> list[float]:
     return thetas
 
 
+def _layer_list(text: str) -> list[int]:
+    """``--layers``: a comma list of verifier depths, each from 1 to 4."""
+    parts = text.split(",")
+    if not all(p.strip() in ("1", "2", "3", "4") for p in parts):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of layers 1 to 4")
+    return [int(p) for p in parts]
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     retriever = _load_retriever(args.corpus)
@@ -216,8 +224,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     multis = load_multi_suite(args.multis) if args.multis else (
         [] if args.no_multis else load_multi_suite(fixture_path("suite/multis.json"))
     )
-    layers = [int(p) for p in args.layers.split(",")] if args.layers else [args.max_layer]
-
+    layers = args.layers
     exit_code = 0
     for max_layer in layers:
         config = SynthesisConfig(
@@ -365,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--snapshot")
     p.add_argument("--budget", type=int, default=4)
-    p.add_argument("--max-layer", type=int, default=4, choices=(1, 2, 3, 4))
-    p.add_argument("--layers", help="comma list of max layers to compare, e.g. 1,3,4")
+    p.add_argument("--layers", type=_layer_list, default="4",
+                   help="comma list of max layers to compare, e.g. 1,3,4 (default: 4)")
     p.add_argument("--force-exec", action="store_true",
                    help="execute rejected programs too, for verifier quality")
     p.add_argument("--theta-sweep", dest="sweep", metavar="START:STOP:STEP",
@@ -382,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

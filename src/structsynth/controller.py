@@ -18,7 +18,7 @@ from .qas.analysis import Candidate, analyze
 from .retrieval import EvidenceSet, Retriever
 from .runtime import STEP_BUDGET
 from .schema import ApiSchema
-from .uncertainty import UncertaintyConfig, UncertaintyReport, compute_uncertainty, jaccard
+from .uncertainty import UncertaintyReport, compute_uncertainty, jaccard
 from .verifier import L3_NOT_IN_EVIDENCE, VerdictReport, verify_all
 
 
@@ -31,6 +31,8 @@ class ActionKind(Enum):
 
 # Escalation ladder; the guard moves to the entry after the one that stalled.
 _LADDER = (ActionKind.REGENERATE, ActionKind.EDGE_RE_RETRIEVE, ActionKind.GRAPH_RE_EXTRACT)
+
+LOOP_SIMILARITY = 0.9  # Jaccard similarity at which two candidates are twins
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,8 @@ class Trajectory:
 @dataclass(frozen=True)
 class SynthesisConfig:
     budget: int = 4
-    retrieval_k: int = 5
-    extract_rounds: int = 3
     max_layer: int = 4
-    loop_similarity: float = 0.9
     step_budget: int = STEP_BUDGET
-    uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)
 
 
 @dataclass
@@ -76,7 +74,6 @@ class SynthesisResult:
     graph: DepGraph
     evidence: EvidenceSet
     uncertainty: UncertaintyReport
-    extraction_rounds: int
 
     @property
     def source(self) -> str:
@@ -146,11 +143,11 @@ def select_action(trajectory: Trajectory, g: DepGraph) -> Action:
     return Action(ActionKind.REGENERATE, "semantic gap", hints)
 
 
-def loop_guard(trajectory: Trajectory, threshold: float = 0.9) -> bool:
+def loop_guard(trajectory: Trajectory) -> bool:
     """True when the last two candidates are near-identical twins.
 
     Twins means Jaccard similarity of normalized statement sets at or above
-    the threshold and an identical failure fingerprint (layer plus the
+    LOOP_SIMILARITY and an identical failure fingerprint (layer plus the
     multiset of error codes). Only the current policy window is consulted.
     """
     start = trajectory.window_start
@@ -160,7 +157,7 @@ def loop_guard(trajectory: Trajectory, threshold: float = 0.9) -> bool:
     va, vb = trajectory.verdicts[-2], trajectory.verdicts[-1]
     if va.failure_layer != vb.failure_layer or va.codes() != vb.codes():
         return False
-    return jaccard(a.statements, b.statements) >= threshold
+    return jaccard(a.statements, b.statements) >= LOOP_SIMILARITY
 
 
 def escalate(trajectory: Trajectory, g: DepGraph) -> Action:
@@ -192,18 +189,13 @@ def synthesize(
 ) -> SynthesisResult:
     """Full single-task loop: extract, retrieve, generate, verify, repair."""
     seed = (Feedback("", "reflection", reflection_hint),) if reflection_hint else ()
-    extraction = extract_graph(
-        prompt, extractor, schema, max_rounds=config.extract_rounds, seed_feedback=seed
-    )
-    g = extraction.graph
-    evidence = retriever.retrieve(prompt, k=config.retrieval_k)
+    g = extract_graph(prompt, extractor, schema, seed_feedback=seed).graph
+    evidence = retriever.retrieve(prompt)
     base_hints = (reflection_hint,) if reflection_hint else ()
 
     trajectory = Trajectory()
-    empty_streak = 0
 
     def generate(action_hints: tuple[str, ...], feedback: tuple[str, ...]) -> str:
-        nonlocal empty_streak
         previous = trajectory.candidates[-1].source if trajectory.candidates else None
         request = GenerationRequest(
             prompt=prompt,
@@ -216,11 +208,7 @@ def synthesize(
         for _ in range(2):
             out = generator.generate(request)
             if out.strip():
-                empty_streak = 0
                 return out
-            empty_streak += 1
-            if empty_streak >= 2:
-                break
         raise GeneratorFailure("generator returned empty output twice")
 
     def attempt(source: str) -> None:
@@ -238,44 +226,26 @@ def synthesize(
     accepted = trajectory.verdicts[-1].passed
     while not accepted and repairs_used < config.budget:
         action = select_action(trajectory, g)
-        if loop_guard(trajectory, config.loop_similarity):
+        if loop_guard(trajectory):
             action = escalate(trajectory, g)
         if action.kind is ActionKind.EDGE_RE_RETRIEVE:
             edge = g.find_edge(action.target_edge or "")
             focus = prompt
             if edge is not None:
                 nmap = g.node_map()
-                via = edge.via_method or ""
-                focus = " ".join(
-                    part
-                    for part in (
-                        prompt,
-                        nmap[edge.src].type_name or "",
-                        via,
-                        nmap[edge.dst].type_name or "",
-                    )
-                    if part
-                )
-            evidence = retriever.refresh(evidence, focus, k=config.retrieval_k)
+                parts = (nmap[edge.src].type_name, edge.via_method, nmap[edge.dst].type_name)
+                focus = " ".join(part for part in (prompt, *parts) if part)
+            evidence = retriever.refresh(evidence, focus)
         elif action.kind is ActionKind.GRAPH_RE_EXTRACT:
             feedback = tuple(
                 Feedback(i.graph_region or "", i.code, i.message)
                 for i in trajectory.verdicts[-1].errors()
             ) + seed
             try:
-                extraction = extract_graph(
-                    prompt,
-                    extractor,
-                    schema,
-                    max_rounds=config.extract_rounds,
-                    seed_feedback=feedback,
-                )
-                g = extraction.graph
+                g = extract_graph(prompt, extractor, schema, seed_feedback=feedback).graph
             except ExtractorFailure:
                 pass
-            evidence = retriever.retrieve(
-                prompt, k=config.retrieval_k, version=evidence.version + 1
-            )
+            evidence = retriever.retrieve(prompt, version=evidence.version + 1)
             trajectory.window_start = len(trajectory.candidates)
         source = generate(action.hints, _issue_hints(trajectory.verdicts[-1]))
         trajectory.actions.append(action)
@@ -283,13 +253,7 @@ def synthesize(
         repairs_used += 1
         accepted = trajectory.verdicts[-1].passed
 
-    report = compute_uncertainty(
-        trajectory.candidates,
-        trajectory.verdicts,
-        schema,
-        evidence,
-        config.uncertainty,
-    )
+    report = compute_uncertainty(trajectory.candidates, trajectory.verdicts, schema, evidence)
     return SynthesisResult(
         candidate=trajectory.candidates[-1],
         verdict=trajectory.verdicts[-1],
@@ -298,5 +262,4 @@ def synthesize(
         graph=g,
         evidence=evidence,
         uncertainty=report,
-        extraction_rounds=extraction.rounds_used,
     )

@@ -48,7 +48,6 @@ Location = tuple[int, int]
 
 @dataclass(frozen=True)
 class CallSite:
-    receiver_text: str
     receiver_type: TypeRef
     method: str
     arg_types: tuple[TypeRef, ...]
@@ -355,7 +354,6 @@ class _Inference:
         self.operations.append(Operation("method", (receiver,), e, allowed))
         self.call_sites.append(
             CallSite(
-                receiver_text=expr_to_source(func.value),
                 receiver_type=receiver,
                 method=func.attr,
                 arg_types=arg_types,

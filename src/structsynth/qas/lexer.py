@@ -1,6 +1,8 @@
 """Line-oriented lexer with indentation tracking.
 
-Indentation uses spaces only; a tab anywhere in a line is a lexical error.
+Lines end at ``\n`` or ``\r\n`` only; any other line-break character is an
+unexpected character. Indentation uses spaces only; a tab anywhere in a line
+is a lexical error.
 Blank and comment-only lines produce no tokens. Errors are collected per line
 so the parser can report every problem in one pass.
 
@@ -58,8 +60,13 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
     indents = [0]
     lineno = 0
 
-    for raw_line in source.splitlines():
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # a final newline ends the last line; it opens no new one
+    for raw_line in lines:
         lineno += 1
+        if raw_line.endswith("\r"):
+            raw_line = raw_line[:-1]
         if "\t" in raw_line:
             issues.append(LexIssue(lineno, raw_line.index("\t") + 1, "tab character not allowed"))
             continue

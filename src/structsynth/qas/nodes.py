@@ -32,6 +32,30 @@ class IntLit(_Node):
     value: int
 
 
+# An integer literal has at most MAX_INT_DIGITS digits, and the runtime prints
+# no longer int. Python refuses int/str conversions past a limit that the
+# environment may lower to 640 digits (PYTHONINTMAXSTRDIGITS), so both helpers
+# convert in pieces of that size and give the same result under any limit.
+MAX_INT_DIGITS = 4300
+_PIECE = 640
+_PIECE_BASE = 10**_PIECE
+
+
+def int_of_digits(text: str) -> int:
+    value = 0
+    for i in range(0, len(text), _PIECE):
+        piece = text[i : i + _PIECE]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def int_text(value: int) -> str:
+    if -_PIECE_BASE < value < _PIECE_BASE:
+        return str(value)
+    head, tail = divmod(abs(value), _PIECE_BASE)
+    return ("-" if value < 0 else "") + int_text(head) + f"{tail:0{_PIECE}d}"
+
+
 @dataclass(frozen=True)
 class FloatLit(_Node):
     value: float
@@ -149,7 +173,7 @@ def expr_to_source(e: Expr) -> str:
     if isinstance(e, Name):
         return e.id
     if isinstance(e, IntLit):
-        return repr(e.value)
+        return int_text(e.value)
     if isinstance(e, FloatLit):
         return repr(e.value)
     if isinstance(e, StringLit):

@@ -25,11 +25,13 @@ from .nodes import (
     ImportStmt,
     Index,
     IntLit,
+    MAX_INT_DIGITS,
     Name,
     NoneLit,
     Stmt,
     StringLit,
     UnaryOp,
+    int_of_digits,
 )
 
 
@@ -299,8 +301,10 @@ class _Parser:
             self.pos += 1
             return Name(id=tok.text, line=tok.line, col=tok.col)
         if tok.kind == "INT":
+            if len(tok.text) > MAX_INT_DIGITS:
+                self.error(tok, f"integer literal has more than {MAX_INT_DIGITS} digits")
             self.pos += 1
-            return IntLit(value=int(tok.text), line=tok.line, col=tok.col)
+            return IntLit(value=int_of_digits(tok.text), line=tok.line, col=tok.col)
         if tok.kind == "FLOAT":
             self.pos += 1
             return FloatLit(value=float(tok.text), line=tok.line, col=tok.col)

@@ -60,14 +60,23 @@ def load_snapshot(path: str | Path, schema: ApiSchema) -> Snapshot:
     return snapshot_from_dict(raw, schema)
 
 
+def _shaped(value, location: str, violations: list[Violation]) -> dict:
+    """``value`` if it is a JSON object; otherwise records a violation and reads as empty."""
+    if isinstance(value, dict):
+        return value
+    violations.append(Violation(location, "needs a JSON object"))
+    return {}
+
+
 def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
     """Decode and conformance-check a snapshot document.
 
-    Conformance is eager and exhaustive: undeclared object types, dangling
-    child ids, children keyed by non-methods, scalar attribute fields holding
-    a value of the wrong kind, empty root types, and schema
-    methods that fit no dispatch convention are all collected and reported
-    together. Unbound schema roots bind to the first record of their type.
+    Conformance is eager and exhaustive: fields, children or roots of the
+    wrong shape, undeclared object types, dangling child ids, children keyed
+    by non-methods, scalar attribute fields holding a value of the wrong kind,
+    empty root types, and schema methods that fit no dispatch convention are
+    all collected and reported together. Unbound schema roots bind to the
+    first record of their type.
     """
     if not isinstance(raw, dict) or not isinstance(raw.get("objects"), list):
         raise ParseError("snapshot document needs an 'objects' list")
@@ -77,11 +86,18 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
         if not isinstance(item, dict) or "id" not in item or "type" not in item:
             violations.append(Violation(f"objects[{i}]", "record needs id and type"))
             continue
+        children: dict[str, list[str]] = {}
+        for key, kids in _shaped(item.get("children", {}), f"objects[{i}].children",
+                                 violations).items():
+            if isinstance(kids, list):
+                children[key] = [str(c) for c in kids]
+            else:
+                violations.append(Violation(f"objects[{i}].children.{key}", "needs a list of ids"))
         rec = ObjRecord(
             id=str(item["id"]),
             type=str(item["type"]),
-            fields=dict(item.get("fields", {})),
-            children={k: [str(c) for c in v] for k, v in item.get("children", {}).items()},
+            fields=dict(_shaped(item.get("fields", {}), f"objects[{i}].fields", violations)),
+            children=children,
         )
         if rec.id in objects:
             violations.append(Violation(f"objects[{i}]", f"duplicate id {rec.id!r}"))
@@ -138,7 +154,7 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
                 )
 
     roots: dict[str, str] = {}
-    for var, rid in raw.get("roots", {}).items():
+    for var, rid in _shaped(raw.get("roots", {}), "roots", violations).items():
         want = schema.roots.get(var)
         if want is None:
             violations.append(Violation(f"roots.{var}", "not a schema root"))
@@ -368,6 +384,9 @@ def _equals(a, b) -> bool:
     return a == b
 
 
+_UNPRINTABLE = 10**qn.MAX_INT_DIGITS
+
+
 def _fmt(value) -> str:
     if value is None:
         return "None"
@@ -375,8 +394,13 @@ def _fmt(value) -> str:
         return "True" if value else "False"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (int, str)):
-        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        if not -_UNPRINTABLE < value < _UNPRINTABLE:
+            raise _Abort("TypeError",
+                         f"cannot print an int of more than {qn.MAX_INT_DIGITS} digits")
+        return qn.int_text(value)
     if isinstance(value, ObjRef):
         return f"<{value.type} {value.id}>"
     if isinstance(value, EnumVal):
@@ -435,7 +459,7 @@ def _subscript(base, idx):
         try:
             return base[idx]
         except IndexError:
-            raise _Abort("TypeError", f"index {idx} out of range") from None
+            raise _Abort("TypeError", f"index {_fmt(idx)} out of range") from None
     raise _Abort("TypeError", "value is not indexable")
 
 

@@ -17,41 +17,17 @@ from .retrieval import EvidenceSet
 from .schema import ApiSchema, valid_enum_ref, valid_import
 from .verifier import VerdictReport
 
-# Layer distances used when remapping is on: passing is closest, syntax
-# failure is farthest, and the middle layers order by how much of the
-# pipeline they survived.
-_REMAP = {0: 0, 4: 1, 3: 2, 2: 3, 1: 4}
+# Axis weights of the combined score, the code-confidence penalties, the
+# trajectory-risk weights, and the filter threshold: a program scoring above
+# THRESHOLD is withheld.
+CODE_WEIGHT, TRAJECTORY_WEIGHT, COVERAGE_WEIGHT = 0.4, 0.3, 0.3
+IMPORT_PENALTY, ENUM_PENALTY, UNKNOWN_METHOD_PENALTY = 0.15, 0.15, 0.6
+CONVERGENCE_WEIGHT, STAGNATION_WEIGHT, INEFFECTIVENESS_WEIGHT = 0.4, 0.3, 0.3
+THRESHOLD = 0.35
 
 
 def _clip01(x: float) -> float:
     return max(0.0, min(1.0, x))
-
-
-@dataclass(frozen=True)
-class UncertaintyConfig:
-    code_weight: float = 0.4
-    trajectory_weight: float = 0.3
-    coverage_weight: float = 0.3
-    import_penalty: float = 0.15
-    enum_penalty: float = 0.15
-    unknown_method_penalty: float = 0.6
-    convergence_weight: float = 0.4
-    stagnation_weight: float = 0.3
-    ineffectiveness_weight: float = 0.3
-    threshold: float = 0.35
-    remap_layers: bool = False
-
-    def __post_init__(self) -> None:
-        axis = self.code_weight + self.trajectory_weight + self.coverage_weight
-        traj = (
-            self.convergence_weight
-            + self.stagnation_weight
-            + self.ineffectiveness_weight
-        )
-        if abs(axis - 1.0) > 1e-9:
-            raise ValueError(f"axis weights must sum to 1, got {axis}")
-        if abs(traj - 1.0) > 1e-9:
-            raise ValueError(f"trajectory weights must sum to 1, got {traj}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +61,6 @@ class UncertaintyReport:
     trajectory_risk: float
     coverage_risk: float
     combined: float
-    threshold: float
     filtered: bool
 
 
@@ -95,9 +70,7 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def compute_code_signals(
-    candidate: Candidate, schema: ApiSchema, config: UncertaintyConfig = UncertaintyConfig()
-) -> CodeSignals:
+def compute_code_signals(candidate: Candidate, schema: ApiSchema) -> CodeSignals:
     """Hallucination counters over the final program; unparseable scores zero."""
     ts = candidate.typed
     if ts is None:
@@ -118,17 +91,15 @@ def compute_code_signals(
     ratio = unknown / len(ts.call_sites) if ts.call_sites else 0.0
     confidence = _clip01(
         1.0
-        - config.import_penalty * bad_imports
-        - config.enum_penalty * bad_enums
-        - config.unknown_method_penalty * ratio
+        - IMPORT_PENALTY * bad_imports
+        - ENUM_PENALTY * bad_enums
+        - UNKNOWN_METHOD_PENALTY * ratio
     )
     return CodeSignals(bad_imports, bad_enums, ratio, confidence)
 
 
 def compute_trajectory_signals(
-    candidates: Sequence[Candidate],
-    verdicts: Sequence[VerdictReport],
-    config: UncertaintyConfig = UncertaintyConfig(),
+    candidates: Sequence[Candidate], verdicts: Sequence[VerdictReport]
 ) -> TrajectorySignals:
     """Risk read off the repair loop: convergence, stagnation, ineffectiveness."""
     if len(candidates) != len(verdicts) or not verdicts:
@@ -139,28 +110,12 @@ def compute_trajectory_signals(
     if repairs == 0 and first == 0:
         convergence = 0.0
     else:
-        if config.remap_layers:
-            d_first, d_last = _REMAP[first], _REMAP[last]
-        else:
-            d_first, d_last = first, last
-        convergence = _clip01(1.0 - (d_first - d_last) / max(d_first, 1))
+        convergence = _clip01(1.0 - (first - last) / max(first, 1))
     if repairs == 0:
-        stagnation = 0.0
-    else:
-        sims = [
-            jaccard(a.statements, b.statements) for a, b in zip(candidates, candidates[1:])
-        ]
-        stagnation = sum(sims) / len(sims)
-    if repairs == 0:
-        ineffectiveness = 0.0
-    else:
-        flat = sum(
-            1
-            for t in range(1, len(verdicts))
-            if verdicts[t].failure_layer >= verdicts[t - 1].failure_layer
-        )
-        ineffectiveness = flat / repairs
-    return TrajectorySignals(convergence, stagnation, ineffectiveness)
+        return TrajectorySignals(convergence, 0.0, 0.0)
+    sims = [jaccard(a.statements, b.statements) for a, b in zip(candidates, candidates[1:])]
+    flat = sum(1 for a, b in zip(verdicts, verdicts[1:]) if b.failure_layer >= a.failure_layer)
+    return TrajectorySignals(convergence, sum(sims) / len(sims), flat / repairs)
 
 
 def compute_coverage(
@@ -191,24 +146,23 @@ def compute_uncertainty(
     verdicts: Sequence[VerdictReport],
     schema: ApiSchema,
     evidence: EvidenceSet | None = None,
-    config: UncertaintyConfig = UncertaintyConfig(),
 ) -> UncertaintyReport:
     """Score a finished attempt; the final candidate is the delivered program."""
     final = candidates[-1]
-    code = compute_code_signals(final, schema, config)
-    trajectory = compute_trajectory_signals(candidates, verdicts, config)
+    code = compute_code_signals(final, schema)
+    trajectory = compute_trajectory_signals(candidates, verdicts)
     coverage = compute_coverage(final, schema, evidence)
     code_risk = 1.0 - code.code_confidence
     trajectory_risk = (
-        config.convergence_weight * trajectory.convergence
-        + config.stagnation_weight * trajectory.stagnation
-        + config.ineffectiveness_weight * trajectory.ineffectiveness
+        CONVERGENCE_WEIGHT * trajectory.convergence
+        + STAGNATION_WEIGHT * trajectory.stagnation
+        + INEFFECTIVENESS_WEIGHT * trajectory.ineffectiveness
     )
     coverage_risk = 1.0 - coverage.coverage_confidence
     combined = (
-        config.code_weight * code_risk
-        + config.trajectory_weight * trajectory_risk
-        + config.coverage_weight * coverage_risk
+        CODE_WEIGHT * code_risk
+        + TRAJECTORY_WEIGHT * trajectory_risk
+        + COVERAGE_WEIGHT * coverage_risk
     )
     return UncertaintyReport(
         code=code,
@@ -218,6 +172,5 @@ def compute_uncertainty(
         trajectory_risk=trajectory_risk,
         coverage_risk=coverage_risk,
         combined=combined,
-        threshold=config.threshold,
-        filtered=combined > config.threshold,
+        filtered=combined > THRESHOLD,
     )

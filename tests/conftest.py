@@ -57,3 +57,18 @@ def parse_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+@pytest.fixture(params=["default", 640, 0])
+def int_str_limit(request):
+    """Runs the test under Python's int-string limit as set, at its lowest, and off."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None or request.param == "default":
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    setter(request.param)
+    try:
+        yield
+    finally:
+        setter(saved)

@@ -46,7 +46,8 @@ from structsynth.orchestrator import StepHint, run_episode, run_with_reflection
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.runtime import ExecStatus, Session
-from structsynth.uncertainty import UncertaintyConfig, compute_uncertainty
+from structsynth import uncertainty
+from structsynth.uncertainty import compute_uncertainty
 from structsynth.verifier import L4_STEP_BOUND, Issue, VerdictReport, verify_all
 
 TOL = 1e-9
@@ -134,54 +135,48 @@ S_UNPARSEABLE = "x = = 1\n"
 S_ALLPENALTIES = "import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n"
 
 
-def test_uncertainty_scores_match_hand_worked_fixtures(schema):
+def test_uncertainty_scores_match_hand_worked_fixtures(schema, monkeypatch):
     ev_b = _evidence("Design.getBlock")
     ev_bn = _evidence("Design.getBlock", "Block.getNets")
     ev_empty = _evidence()
-    remap = UncertaintyConfig(remap_layers=True)
-    default = UncertaintyConfig()
 
-    # columns: candidates, verdict layers, evidence, config,
+    # columns: candidates, verdict layers, evidence,
     #          expected (code risk, trajectory risk, coverage risk)
     rows = [
-        ([S1], [0], ev_b, default, (0.0, 0.0, 0.0)),
-        ([S_NOCALL], [2], None, default, (0.0, 0.4, 0.0)),
-        ([S2], [0], ev_b, default, (0.0, 0.0, 0.5)),
-        ([S_BADIMPORT], [3], ev_bn, default, (0.15, 0.4, 0.0)),
-        ([S4], [3], ev_bn, default, (0.0, 0.4, 0.5)),
-        ([S1, S1], [2, 2], ev_b, default, (0.0, 0.4 + 0.3 + 0.3, 0.0)),
-        ([S2, S1], [2, 0], ev_b, default, (0.0, 0.3 * 0.5, 0.0)),
-        ([S1, S4], [1, 4], ev_b, default, (0.0, 0.4 * 1.0 + 0.3 * 0.25 + 0.3 * 1.0, 0.75)),
-        ([S_UNPARSEABLE], [1], ev_b, default, (1.0, 0.4, 1.0)),
-        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], None, default, (1.0, 1.0, 1.0)),
-        ([S1, S1], [1, 4], ev_b, remap, (0.0, 0.4 * 0.25 + 0.3 + 0.3, 0.0)),
-        ([S2], [0], ev_empty, default, (0.0, 0.0, 1.0)),
-        ([S_NOCALL], [0], None, default, (0.0, 0.0, 0.0)),
-        ([S1, S2, S2], [3, 2, 2], ev_b, default, (0.0, 0.4 * (2 / 3) + 0.3 * 0.75 + 0.3 * 0.5, 0.5)),
-        ([S_ALLPENALTIES], [3], None, default, (1.0, 0.4, 0.0)),
+        ([S1], [0], ev_b, (0.0, 0.0, 0.0)),
+        ([S_NOCALL], [2], None, (0.0, 0.4, 0.0)),
+        ([S2], [0], ev_b, (0.0, 0.0, 0.5)),
+        ([S_BADIMPORT], [3], ev_bn, (0.15, 0.4, 0.0)),
+        ([S4], [3], ev_bn, (0.0, 0.4, 0.5)),
+        ([S1, S1], [2, 2], ev_b, (0.0, 0.4 + 0.3 + 0.3, 0.0)),
+        ([S2, S1], [2, 0], ev_b, (0.0, 0.3 * 0.5, 0.0)),
+        ([S1, S4], [1, 4], ev_b, (0.0, 0.4 * 1.0 + 0.3 * 0.25 + 0.3 * 1.0, 0.75)),
+        ([S_UNPARSEABLE], [1], ev_b, (1.0, 0.4, 1.0)),
+        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], None, (1.0, 1.0, 1.0)),
+        ([S2], [0], ev_empty, (0.0, 0.0, 1.0)),
+        ([S_NOCALL], [0], None, (0.0, 0.0, 0.0)),
+        ([S1, S2, S2], [3, 2, 2], ev_b, (0.0, 0.4 * (2 / 3) + 0.3 * 0.75 + 0.3 * 0.5, 0.5)),
+        ([S_ALLPENALTIES], [3], None, (1.0, 0.4, 0.0)),
     ]
     assert len(rows) >= 12
-    for candidates, layers, evidence, config, (code, traj, cov) in rows:
+    for candidates, layers, evidence, (code, traj, cov) in rows:
         verdicts = [_verdict(n) for n in layers]
         analyzed = [analyze(c, schema) for c in candidates]
-        report = compute_uncertainty(analyzed, verdicts, schema, evidence, config)
+        report = compute_uncertainty(analyzed, verdicts, schema, evidence)
         assert abs(report.code_risk - code) < TOL, (candidates, layers)
         assert abs(report.trajectory_risk - traj) < TOL, (candidates, layers)
         assert abs(report.coverage_risk - cov) < TOL, (candidates, layers)
         expected = 0.4 * code + 0.3 * traj + 0.3 * cov
         assert abs(report.combined - expected) < TOL, (candidates, layers)
-        assert report.filtered == (report.combined > config.threshold)
+        assert report.filtered == (report.combined > uncertainty.THRESHOLD)
 
     # a score sitting exactly on the threshold is delivered, not filtered
-    boundary = compute_uncertainty(
-        [analyze(S2, schema)], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.15)
-    )
+    monkeypatch.setattr(uncertainty, "THRESHOLD", 0.15)
+    boundary = compute_uncertainty([analyze(S2, schema)], [_verdict(0)], schema, ev_b)
     assert boundary.combined == 0.15
     assert not boundary.filtered
-    tightened = compute_uncertainty(
-        [analyze(S2, schema)], [_verdict(0)], schema, ev_b, UncertaintyConfig(threshold=0.1)
-    )
-    assert tightened.filtered
+    monkeypatch.setattr(uncertainty, "THRESHOLD", 0.1)
+    assert compute_uncertainty([analyze(S2, schema)], [_verdict(0)], schema, ev_b).filtered
 
 
 def _obj(nid: str, type_name: str) -> GraphNode:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from structsynth.cli import build_parser, main
+from structsynth.fixtures import fixture_path
 from structsynth.runtime import STEP_BUDGET
 
 CLEAN = (
@@ -197,6 +198,14 @@ _GRAPH = json.dumps({"nodes": [{"id": "d", "kind": "object", "type": "Design"}],
 _SUITE_TASK = {"id": "s1", "prompt": "Print the weight of net clk"}
 
 
+def _toy_snapshot_with(design: dict, **document) -> str:
+    """The packaged snapshot with keys of its design record, or of the document, replaced."""
+    raw = json.loads(fixture_path("toy_snapshot.json").read_text())
+    raw["objects"][0].update(design)
+    raw.update(document)
+    return json.dumps(raw)
+
+
 @pytest.mark.parametrize(
     "files, argv",
     [
@@ -216,10 +225,20 @@ _SUITE_TASK = {"id": "s1", "prompt": "Print the weight of net clk"}
         ({"p.json": "{not json", "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
         ({"p.json": _GRAPH, "t.json": json.dumps({"nodes": []})},
          ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"children": ["b1"]})},
+         ["run", "p.txt", "--snapshot", "s.json"]),
+        ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"fields": "abc"})},
+         ["run", "p.txt", "--snapshot", "s.json"]),
+        ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({}, roots=["d1"])},
+         ["run", "p.txt", "--snapshot", "s.json"]),
+        ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"children": {"getBlock": "b1"}})},
+         ["run", "p.txt", "--snapshot", "s.json"]),
     ],
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
          "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
-         "verify-graph-without-edges", "score-not-json", "score-graph-without-edges"],
+         "verify-graph-without-edges", "score-not-json", "score-graph-without-edges",
+         "snapshot-children-list", "snapshot-fields-string", "snapshot-roots-list",
+         "snapshot-child-ids-string"],
 )
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     paths = {name: write(tmp_path, name, text) for name, text in files.items()}
@@ -227,6 +246,21 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("layers", ["abc", "0", "5", "1,,3", "", "-1", "3.0"])
+def test_bench_layers_must_be_a_comma_list_of_layers(capsys, layers):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--layers", layers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --layers" in err
+    assert "Traceback" not in err
+
+
+def test_bench_layers_defaults_to_the_full_pipeline():
+    assert build_parser().parse_args(["bench"]).layers == [4]
+    assert build_parser().parse_args(["bench", "--layers", "1, 3,4"]).layers == [1, 3, 4]
 
 
 # Recorded with the same arguments: `structsynth bench --json > tests/golden/bench.json`.

@@ -27,6 +27,7 @@ from structsynth.fixtures import toy_schema
 from structsynth.judges import RuleBasedJudge
 from structsynth.qas.analysis import Candidate, analyze
 from structsynth.runtime import min_steps
+from structsynth.uncertainty import THRESHOLD
 from structsynth.verifier import (
     L2_NULL_UNGUARDED,
     L2_USE_BEFORE_DEF,
@@ -165,7 +166,7 @@ def test_loop_guard_fires_at_092():
         candidates=[_bulk_source(a), _bulk_source(b)],
         verdicts=[verdict(2, "A"), verdict(2, "A")],
     )
-    assert loop_guard(t, 0.9)
+    assert loop_guard(t)
 
 
 def test_loop_guard_quiet_at_088():
@@ -175,7 +176,7 @@ def test_loop_guard_quiet_at_088():
         candidates=[_bulk_source(a), _bulk_source(b)],
         verdicts=[verdict(2, "A"), verdict(2, "A")],
     )
-    assert not loop_guard(t, 0.9)
+    assert not loop_guard(t)
 
 
 def test_loop_guard_needs_matching_fingerprint():
@@ -251,7 +252,7 @@ def test_synthesize_clean_task_accepts_immediately(schema, retriever):
     assert result.accepted
     assert result.trajectory.actions == []
     assert len(result.trajectory.candidates) == 1
-    assert result.uncertainty.combined <= result.uncertainty.threshold
+    assert result.uncertainty.combined <= THRESHOLD
 
 
 def test_synthesize_heals_after_one_repair(schema, retriever):

@@ -92,6 +92,19 @@ def test_parse_collects_multiple_errors():
     assert [e.line for e in failure.errors[:2]] == [1, 3]
 
 
+def test_integer_literal_longer_than_4300_digits_is_a_syntax_failure(int_str_limit):
+    longest = "9" * 4300
+    script = parse(f"x = {longest}\n")
+    assert isinstance(script, Script)
+    assert script.statements[0] == Assign("x", IntLit(10**4300 - 1))
+    assert script.to_source() == f"x = {longest}\n"
+    failure = parse("x = " + "1" * 5000 + "\n")
+    assert isinstance(failure, SyntaxFailure)
+    assert [(e.line, e.column, e.message) for e in failure.errors] == [
+        (1, 5, "integer literal has more than 4300 digits")
+    ]
+
+
 def test_parse_else_branch():
     script = parse("if x == 1:\n    y = 1\nelse:\n    y = 2\n")
     assert isinstance(script, Script)
@@ -145,15 +158,15 @@ def test_infer_types_canonical(schema):
     ts = infer_types(parse(CANONICAL), schema)
     assert ts.undefined_uses == ()
     assert ts.imports == ("odb",)
-    sites = {(c.receiver_text, c.method): c for c in ts.call_sites}
-    assert sites[("block", "findNet")].receiver_type == TypeRef("Block")
+    sites = {(c.receiver_type.base, c.method): c for c in ts.call_sites}
+    assert sites[("Block", "findNet")].receiver_type == TypeRef("Block")
     # findNet's nullability is visible where the guard reads the binding...
     guard = next(op for op in ts.operations if op.op == "!=")
     assert guard.operands == (TypeRef("Net", nullable=True), TypeRef("void", nullable=True))
     # ...but discharged inside the None guard.
-    assert not sites[("net", "setWeight")].receiver_type.nullable
-    assert sites[("net", "setWeight")].mutates
-    assert sites[("inst", "setPlacementStatus")].receiver_type == TypeRef("Inst")
+    assert not sites[("Net", "setWeight")].receiver_type.nullable
+    assert sites[("Net", "setWeight")].mutates
+    assert sites[("Inst", "setPlacementStatus")].receiver_type == TypeRef("Inst")
     assert [op.op for op in ts.operations if op.op != "method"] == [
         "!=", "for", "==", "attribute", "attribute", "len", "print"
     ]
@@ -348,6 +361,16 @@ LEX_TABLE = {
          ('INT', '1', 3, 9), ('NEWLINE', '', 3, 10), ('DEDENT', '', 4, 1), ('NAME', 'w', 4, 1),
          ('OP', '=', 4, 3), ('INT', '2', 4, 5), ('NEWLINE', '', 4, 6), ('EOF', '', 5, 1)],
         [(2, 9, 'unterminated string literal')],
+    ),
+    'form_feed': (
+        'x = 1\x0cy = 2\n',
+        [('NEWLINE', '', 1, 12), ('EOF', '', 2, 1)],
+        [(1, 6, "unexpected character '\\x0c'")],
+    ),
+    'line_separator': (
+        'x = 1\u2028y = 2\n',
+        [('NEWLINE', '', 1, 12), ('EOF', '', 2, 1)],
+        [(1, 6, "unexpected character '\\u2028'")],
     ),
     'empty': (
         '',

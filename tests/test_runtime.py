@@ -694,6 +694,18 @@ def test_modulo(snapshot, schema):
     assert (text.error_kind, text.error_message) == ("TypeError", "bad operands for '%'")
 
 
+def test_printing_an_int_of_more_than_4300_digits_aborts(snapshot, schema, int_str_limit):
+    grow = "x = 1\nfor i in range(300):\n    x = x * 1000000000000000\n"
+    result = run(fresh_session(snapshot, schema), grow + "print(x)\n")
+    assert result.status is ExecStatus.RUNTIME_ERROR
+    assert (result.error_kind, result.error_message) == (
+        "TypeError", "cannot print an int of more than 4300 digits"
+    )
+    # 4,000 digits still print, whatever Python's own int-string limit is
+    fits = run(fresh_session(snapshot, schema), grow.replace("300", "266") + "print(x * 1000)\n")
+    assert fits.output == ("1" + "0" * 3993,)
+
+
 def test_tool_calls_increment_on_every_status(snapshot, schema):
     session = fresh_session(snapshot, schema, step_budget=5)
     run(session, "x = 1\n")
@@ -857,6 +869,25 @@ def test_snapshot_field_values_must_fit_declared_scalar_types(schema, fields, lo
     with pytest.raises(SnapshotError) as exc:
         snapshot_from_dict(_toy_with_net_fields(fields), schema)
     assert [v.location for v in exc.value.violations] == [location]
+
+
+def _toy_reshaped(edit) -> dict:
+    raw = json.loads(fixture_path("toy_snapshot.json").read_text())
+    edit(raw, raw["objects"][0])
+    return raw
+
+
+@pytest.mark.parametrize("edit, location, message", [
+    (lambda raw, d1: d1.update(children=["b1"]), "objects[0].children", "needs a JSON object"),
+    (lambda raw, d1: d1.update(fields="abc"), "objects[0].fields", "needs a JSON object"),
+    (lambda raw, d1: raw.update(roots=["d1"]), "roots", "needs a JSON object"),
+    (lambda raw, d1: d1.update(children={"getBlock": "b1"}), "objects[0].children.getBlock",
+     "needs a list of ids"),
+], ids=["children-list", "fields-string", "roots-list", "child-ids-string"])
+def test_snapshot_of_the_wrong_shape_is_a_violation(schema, edit, location, message):
+    with pytest.raises(SnapshotError) as exc:
+        snapshot_from_dict(_toy_reshaped(edit), schema)
+    assert [(v.location, v.message) for v in exc.value.violations] == [(location, message)]
 
 
 def test_snapshot_field_check_leaves_undeclared_fields_and_lists(schema, tags_schema):

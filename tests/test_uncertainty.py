@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsynth import uncertainty
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.uncertainty import (
     CodeSignals,
     CoverageSignals,
-    UncertaintyConfig,
     compute_code_signals,
     compute_coverage,
     compute_trajectory_signals,
@@ -90,17 +90,6 @@ def test_partial_descent_and_flat_step(schema):
     ts = compute_trajectory_signals(sources, verdicts)
     assert abs(ts.convergence - 0.5) < TOL
     assert abs(ts.ineffectiveness - 0.5) < TOL
-
-
-def test_remap_reorders_layer_distances(schema):
-    sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n")]
-    verdicts = [verdict(1), verdict(3)]
-    raw = compute_trajectory_signals(sources, verdicts)
-    remapped = compute_trajectory_signals(
-        sources, verdicts, UncertaintyConfig(remap_layers=True)
-    )
-    assert raw.convergence == 1.0
-    assert abs(remapped.convergence - 0.5) < TOL
 
 
 def test_stagnation_is_mean_consecutive_jaccard(schema):
@@ -210,26 +199,27 @@ def test_combined_crosses_threshold_when_uncovered(schema):
     assert report.filtered
 
 
-def test_at_threshold_is_delivered(schema):
+def test_at_threshold_is_delivered(schema, monkeypatch):
     source = "block = design.getBlock()\nnets = block.getNets()\n"
     ev = evidence_over("Design.getBlock")
     candidates = [analyze(source, schema)]
-    at = compute_uncertainty(
-        candidates, [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.15)
-    )
+    monkeypatch.setattr(uncertainty, "THRESHOLD", 0.15)
+    at = compute_uncertainty(candidates, [verdict(0)], schema, ev)
     assert at.combined == 0.15
     assert not at.filtered
-    below = compute_uncertainty(
-        candidates, [verdict(0)], schema, ev, config=UncertaintyConfig(threshold=0.1)
+    monkeypatch.setattr(uncertainty, "THRESHOLD", 0.1)
+    assert compute_uncertainty(candidates, [verdict(0)], schema, ev).filtered
+
+
+def test_weight_triples_sum_to_one():
+    axes = (uncertainty.CODE_WEIGHT, uncertainty.TRAJECTORY_WEIGHT, uncertainty.COVERAGE_WEIGHT)
+    trajectory = (
+        uncertainty.CONVERGENCE_WEIGHT,
+        uncertainty.STAGNATION_WEIGHT,
+        uncertainty.INEFFECTIVENESS_WEIGHT,
     )
-    assert below.filtered
-
-
-def test_config_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        UncertaintyConfig(code_weight=0.5, trajectory_weight=0.5, coverage_weight=0.5)
-    with pytest.raises(ValueError):
-        UncertaintyConfig(convergence_weight=0.9)
+    assert abs(sum(axes) - 1.0) < TOL
+    assert abs(sum(trajectory) - 1.0) < TOL
 
 
 @settings(max_examples=50, deadline=None)
