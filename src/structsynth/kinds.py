@@ -14,7 +14,7 @@ own fault another check reports, so one fault is reported once.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .schema import UNKNOWN, ApiSchema, TypeRef
 
@@ -142,11 +142,19 @@ def attribute(receiver: TypeRef, name: str, schema: ApiSchema) -> TypeRef | None
 
 def accepts(param: TypeRef, arg_kind: str, arg_base: str, schema: ApiSchema) -> bool:
     """Whether a value of kind ``arg_kind`` and type name ``arg_base`` passes ``param``'s check."""
+    check = argument_check(param, schema)
+    return check is None or check(arg_kind, arg_base)
+
+
+def argument_check(param: TypeRef, schema: ApiSchema) -> Callable[[str, str], bool] | None:
+    """``accepts`` for one parameter, resolved once; None when the parameter is unchecked."""
     pkind = _base_kind(param.base, schema)
     allowed = _ARGUMENTS.get(pkind)  # type: ignore[arg-type]
-    return allowed is None or (
-        arg_kind in allowed and (pkind not in (ENUM, OBJECT) or arg_base == param.base)
-    )
+    if allowed is None:
+        return None
+    if pkind in (ENUM, OBJECT):
+        return lambda arg_kind, arg_base: arg_kind in allowed and arg_base == param.base
+    return lambda arg_kind, arg_base: arg_kind in allowed
 
 
 def join(a: TypeRef, b: TypeRef) -> TypeRef:

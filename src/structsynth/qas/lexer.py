@@ -3,8 +3,9 @@
 Lines end at ``\n`` or ``\r\n`` only; any other line-break character is an
 unexpected character. Indentation uses spaces only; a tab anywhere in a line
 is a lexical error.
-Blank and comment-only lines produce no tokens. Errors are collected per line
-so the parser can report every problem in one pass.
+Lines holding only spaces, or spaces and a comment, produce no tokens; any
+other blank character is unexpected there as anywhere. Errors are collected
+per line so the parser can report every problem in one pass.
 
 Each line is scanned with one alternation regex (the tokenizer recipe from
 the ``re`` documentation): the name of the group that matched decides the
@@ -70,7 +71,7 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
         if "\t" in raw_line:
             issues.append(LexIssue(lineno, raw_line.index("\t") + 1, "tab character not allowed"))
             continue
-        stripped = raw_line.strip()
+        stripped = raw_line.lstrip(" ")  # the only blank the lexer skips
         if not stripped or stripped[0] == "#":
             continue
 

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import kinds
 from .qas import nodes as qn
 from .qas.parser import Script, SyntaxFailure, parse
-from .schema import ApiSchema, MethodSig, ParseError, TypeRef, Violation, valid_import
+from .schema import ApiSchema, ParseError, TypeRef, Violation, valid_import
 
 # Interpreter steps one execution may take; the verifier's L4 bound reads it too.
 STEP_BUDGET = 100_000
@@ -45,11 +46,26 @@ class ObjRecord:
 
 
 @dataclass(frozen=True)
+class ObjRef:
+    id: str
+    type: str
+
+
+@dataclass(frozen=True)
 class Snapshot:
-    """A conformance-checked object graph, shared read-only by every session."""
+    """A conformance-checked object graph, shared read-only by every session.
+
+    ``refs`` holds one interned ``ObjRef`` per record, built here once; a
+    record's type never changes, so every session reads its refs from it.
+    """
 
     objects: dict[str, ObjRecord]
     roots: dict[str, str]
+    refs: dict[str, ObjRef] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        refs = {oid: ObjRef(oid, rec.type) for oid, rec in self.objects.items()}
+        object.__setattr__(self, "refs", refs)
 
 
 def load_snapshot(path: str | Path, schema: ApiSchema) -> Snapshot:
@@ -192,12 +208,6 @@ class ExecutionResult:
 
 
 @dataclass(frozen=True)
-class ObjRef:
-    id: str
-    type: str
-
-
-@dataclass(frozen=True)
 class EnumVal:
     enum: str
     const: str
@@ -283,6 +293,8 @@ class Session:
         self.roots = snapshot.roots
         self._base = snapshot.objects
         self._overlay: dict[str, ObjRecord] = {}
+        self._refs = snapshot.refs
+        self._made: dict[str, ObjRef] = {}  # refs of the records this session materialized
         self.step_budget = step_budget
         self.crash_probability = crash_probability
         self.tool_calls = 0
@@ -297,6 +309,10 @@ class Session:
         other session. Writes go through ``_writable``.
         """
         return self._overlay.get(oid) or self._base[oid]
+
+    def ref(self, oid: str) -> ObjRef:
+        """The interned ref of ``oid``: the snapshot's, or the one made with the record."""
+        return self._made.get(oid) or self._refs[oid]
 
     def _writable(self, oid: str) -> ObjRecord:
         """The session's own copy of ``oid``, made on first write."""
@@ -344,12 +360,12 @@ class Session:
             status, tuple(interp.output), kind, message, interp.steps, interp.mutations
         )
 
-    def materialize(self, type_name: str) -> ObjRecord:
+    def materialize(self, type_name: str) -> ObjRef:
         self._auto_n += 1
         oid = f"auto_{type_name.lower()}_{self._auto_n}"
-        rec = ObjRecord(id=oid, type=type_name)
-        self._overlay[oid] = rec
-        return rec
+        self._overlay[oid] = ObjRecord(id=oid, type=type_name)
+        ref = self._made[oid] = ObjRef(oid, type_name)
+        return ref
 
 
 def _truthy(value) -> bool:
@@ -371,6 +387,8 @@ def _comparable(a, b) -> bool:
 
 
 def _equals(a, b) -> bool:
+    if type(a) is str and type(b) is str:
+        return a == b
     if isinstance(a, ObjRef) and isinstance(b, ObjRef):
         return a.id == b.id
     if isinstance(a, EnumVal) and isinstance(b, EnumVal):
@@ -410,7 +428,7 @@ def _fmt(value) -> str:
     if isinstance(value, EnumNamespace):
         return f"<enum {value.enum}>"
     if isinstance(value, range):
-        return f"range({len(value)})"
+        return f"range({_fmt(_length(value))})"
     if isinstance(value, list):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
@@ -430,7 +448,10 @@ def _operator(op: str, fn):
         if _numeric(a) and _numeric(b):
             if divides and b == 0:
                 raise _Abort("TypeError", "division by zero")
-            return fn(a, b)
+            try:
+                return fn(a, b)
+            except OverflowError:  # an int too large for a float met one, or ``/``
+                raise _Abort("TypeError", f"number out of float range in {op!r}") from None
         raise _Abort("TypeError", f"bad operands for {op!r}")
 
     return apply
@@ -463,10 +484,15 @@ def _subscript(base, idx):
     raise _Abort("TypeError", "value is not indexable")
 
 
+def _length(value: list | str | range) -> int:
+    """A collection's length. A ``range(n)`` holds max(n, 0) ints, even past ``len``'s limit."""
+    return max(value.stop, 0) if isinstance(value, range) else len(value)
+
+
 def _len(args: list):
     if len(args) != 1 or not isinstance(args[0], (list, str, range)):
         raise _Abort("TypeError", "len takes one collection")
-    return len(args[0])
+    return _length(args[0])
 
 
 def _range(args: list):
@@ -528,8 +554,11 @@ class _Interp:
     """One execution: the script is compiled into closures once, then run.
 
     Each node becomes a closure over its children's closures and over every
-    decision that needs no runtime value. A step is one statement, loop
-    iteration or expression node; its closure counts it on entry.
+    decision that needs no runtime value. A method call site resolves the
+    rest on first meeting each receiver type: signature, arity, argument
+    checks and a get, find or set action specialised for the signature.
+    A step is one statement, loop iteration or expression node; its closure
+    counts it on entry.
     ``min_steps`` bounds the same count from below without running.
     """
 
@@ -538,7 +567,7 @@ class _Interp:
     def __init__(self, session: Session):
         self.s = session
         self.env: dict[str, object] = {
-            var: ObjRef(oid, session.object(oid).type) for var, oid in session.roots.items()
+            var: session.ref(oid) for var, oid in session.roots.items()
         }
         self.output: list[str] = []
         self.steps = 0
@@ -738,10 +767,10 @@ class _Interp:
 
     def method_call(self, func: qn.Attribute, arg_nodes: tuple):
         receiver_of, method, budget = self.expr(func.value), func.attr, self.budget
-        arg_fns = tuple(self.expr(a) for a in arg_nodes)
-        session, schema, (rule, key) = self.s, self.s.schema, _dispatch_rule(method)
-        rules = {"get": self.do_get, "find": self.do_find, "set": self.do_set}
-        act = rules.get(rule, self.no_rule)
+        arg_fns, resolve = tuple(self.expr(a) for a in arg_nodes), self.resolve
+        # Receiver type -> its resolved action: an inline cache (Deutsch and
+        # Schiffman, POPL 1984) that lives as long as this execution.
+        actions: dict[str, Callable[[str, list], object]] = {}
 
         def invoke():
             self.steps += 1
@@ -753,66 +782,132 @@ class _Interp:
                 raise _Abort("NullAccess", f"method {method!r} called on None")
             if not isinstance(receiver, ObjRef):
                 raise _Abort("UnknownMethod", f"{_fmt(receiver)} has no methods")
-            sig = schema.method(receiver.type, method)
-            if sig is None:
-                raise _Abort("UnknownMethod", f"{receiver.type} has no method {method!r}")
-            if len(args) != sig.arity:
-                raise _Abort(
-                    "TypeError",
-                    f"{receiver.type}.{method} takes {sig.arity} argument(s), got {len(args)}",
-                )
-            for param, arg in zip(sig.params, args):
-                self.check_arg(receiver.type, method, param.name, param.type, arg)
-            return act(session.object(receiver.id), method, key, sig, args)
+            act = actions.get(receiver.type)
+            if act is None:
+                act = actions[receiver.type] = resolve(receiver.type, method, len(arg_fns))
+            return act(receiver.id, args)
 
         return invoke
 
-    def check_arg(self, tname: str, method: str, pname: str, ref: TypeRef, value) -> None:
-        name = value.type if isinstance(value, ObjRef) else getattr(value, "enum", "")
-        if not kinds.accepts(ref, _VALUE_KINDS.get(type(value), ""), name, self.s.schema):
-            raise _Abort(
-                "TypeError",
-                f"{tname}.{method} argument {pname!r} expects {ref.base}, "
-                f"got {_fmt(value)}",
+    def resolve(self, tname: str, method: str, nargs: int) -> Callable[[str, list], object]:
+        """What calling ``method`` with ``nargs`` arguments on a ``tname`` does, checks first."""
+        sig = self.s.schema.method(tname, method)
+        if sig is None:
+            return _fails("UnknownMethod", f"{tname} has no method {method!r}")
+        if nargs != sig.arity:
+            return _fails(
+                "TypeError", f"{tname}.{method} takes {sig.arity} argument(s), got {nargs}"
             )
+        rule, key = _dispatch_rule(method)
+        if rule == "get":
+            act = self.getter(method, key, sig.returns)
+        elif rule == "find":
+            act = self.finder(tname, sig.returns)
+        elif rule == "set":
+            act = self.setter(key, sig.mutates)
+        else:
+            act = _fails("UnknownMethod", f"no dispatch rule for {method!r}")
+        checks = []  # (position, parameter, its check) for each checked parameter
+        for i, param in enumerate(sig.params):
+            accepts = kinds.argument_check(param.type, self.s.schema)
+            if accepts is not None:
+                checks.append((i, param, accepts))
+        if not checks:
+            return act
 
-    def do_get(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
-        if self.s.schema.is_object_type(sig.returns.base):
-            kids = rec.children.get(method)
-            if sig.returns.many:
-                ids = kids if kids is not None else []
-                return [ObjRef(cid, self.s.object(cid).type) for cid in ids]
-            if kids:
-                return ObjRef(kids[0], self.s.object(kids[0]).type)
-            if sig.returns.nullable:
-                return None
-            child = self.s.materialize(sig.returns.base)
-            self.s._writable(rec.id).children[method] = [child.id]
-            return ObjRef(child.id, child.type)
-        if key in rec.fields:
-            value = rec.fields[key]
-            if sig.returns.base in self.s.schema.enums and isinstance(value, str):
+        def checked(oid: str, args: list):
+            for i, param, accepts in checks:
+                value = args[i]
+                name = value.type if isinstance(value, ObjRef) else getattr(value, "enum", "")
+                if not accepts(_VALUE_KINDS.get(type(value), ""), name):
+                    raise _Abort(
+                        "TypeError",
+                        f"{tname}.{method} argument {param.name!r} expects {param.type.base}, "
+                        f"got {_fmt(value)}",
+                    )
+            return act(oid, args)
+
+        return checked
+
+    def getter(self, method: str, key: str, returns: TypeRef):
+        session, schema = self.s, self.s.schema
+        if schema.is_object_type(returns.base):
+            if returns.many:
+                # Snapshot ids only: conformance checks every child id, and a
+                # session materializes single children only.
+                refs = session._refs
+
+                def get_many(oid: str, args: list):
+                    kids = session.object(oid).children.get(method)
+                    return [refs[cid] for cid in kids] if kids else []
+
+                return get_many
+
+            def get_one(oid: str, args: list):
+                kids = session.object(oid).children.get(method)
+                if kids:
+                    return session.ref(kids[0])
+                if returns.nullable:
+                    return None
+                child = session.materialize(returns.base)
+                session._writable(oid).children[method] = [child.id]
+                return child
+
+            return get_one
+        names_enum = returns.base in schema.enums
+
+        def get_field(oid: str, args: list):
+            fields = session.object(oid).fields
+            if key not in fields:
+                return _unset(returns)
+            value = fields[key]
+            if names_enum and isinstance(value, str):
                 enum, _, const = value.partition(".")
-                if self.s.schema.enum_has(enum, const):
+                if schema.enum_has(enum, const):
                     return EnumVal(enum, const)
             return value
-        return _unset(sig.returns)
 
-    def do_find(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
-        wanted = args[0] if args else ""
-        for child_key in sorted(rec.children):
-            for cid in rec.children[child_key]:
-                child = self.s.object(cid)
-                if child.type == sig.returns.base and child.fields.get("name") == wanted:
-                    return ObjRef(child.id, child.type)
-        if sig.returns.nullable or not self.s.schema.is_object_type(sig.returns.base):
-            return None
-        raise _Abort("TypeError", f"nothing named {wanted!r} found")
+        return get_field
 
-    def do_set(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
-        self.s._writable(rec.id).fields[key] = args[0] if args else None
-        if sig.mutates:
-            self.mutations += 1
+    def finder(self, tname: str, returns: TypeRef):
+        session, base = self.s, returns.base
+        # Conformance types each child list by its method's return, so only
+        # the lists of methods returning ``base`` can hold a match.
+        decl = session.schema.type_decl(tname)
+        keys = {m for m, sig in decl.methods.items() if sig.returns.base == base}
+        miss_is_none = returns.nullable or not session.schema.is_object_type(base)
 
-    def no_rule(self, rec: ObjRecord, method: str, key: str, sig: MethodSig, args: list):
-        raise _Abort("UnknownMethod", f"no dispatch rule for {method!r}")
+        def find(oid: str, args: list):
+            wanted = args[0] if args else ""
+            children = session.object(oid).children
+            for child_key in sorted(children):
+                if child_key not in keys:
+                    continue
+                for cid in children[child_key]:
+                    child = session.object(cid)
+                    if child.type == base and child.fields.get("name") == wanted:
+                        return session.ref(cid)
+            if miss_is_none:
+                return None
+            raise _Abort("TypeError", f"nothing named {wanted!r} found")
+
+        return find
+
+    def setter(self, key: str, mutates: bool):
+        session = self.s
+
+        def set_field(oid: str, args: list):
+            session._writable(oid).fields[key] = args[0] if args else None
+            if mutates:
+                self.mutations += 1
+
+        return set_field
+
+
+def _fails(kind: str, message: str):
+    """An action that aborts with ``kind`` and ``message`` whatever it is called on."""
+
+    def fail(oid: str, args: list):
+        raise _Abort(kind, message)
+
+    return fail

@@ -316,8 +316,15 @@ LEX_TABLE = {
     ),
     'unicode_space': (
         '\xa0# c\nx = 1\xa0\n',
-        [('NEWLINE', '', 2, 7), ('EOF', '', 3, 1)],
-        [(2, 6, "unexpected character '\\xa0'")],
+        [('NEWLINE', '', 1, 5), ('NEWLINE', '', 2, 7), ('EOF', '', 3, 1)],
+        [(1, 1, "unexpected character '\\xa0'"), (2, 6, "unexpected character '\\xa0'")],
+    ),
+    'form_feed_line': (
+        'x = 1\n\x0c\ny = 2\n',
+        [('NAME', 'x', 1, 1), ('OP', '=', 1, 3), ('INT', '1', 1, 5), ('NEWLINE', '', 1, 6),
+         ('NEWLINE', '', 2, 2), ('NAME', 'y', 3, 1), ('OP', '=', 3, 3), ('INT', '2', 3, 5),
+         ('NEWLINE', '', 3, 6), ('EOF', '', 4, 1)],
+        [(2, 1, "unexpected character '\\x0c'")],
     ),
     'crlf': (
         'x = 1\r\nif x:\r\n    y = 2\r\n',

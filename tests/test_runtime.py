@@ -13,6 +13,7 @@ from structsynth.qas.analysis import analyze
 from structsynth.qas.parser import SyntaxFailure, parse
 from structsynth.runtime import (
     ExecStatus,
+    ExecutionResult,
     Session,
     Snapshot,
     SnapshotError,
@@ -108,6 +109,27 @@ def test_root_with_wrong_type_is_a_violation(schema):
     with pytest.raises(SnapshotError) as exc:
         snapshot_from_dict(raw, schema)
     assert any("want Design" in v.message for v in exc.value.violations)
+
+
+def test_snapshot_interns_one_ref_per_record_outside_equality_and_repr(schema):
+    raw = json.loads(fixture_path("toy_snapshot.json").read_text())
+    first, second = snapshot_from_dict(raw, schema), snapshot_from_dict(raw, schema)
+    assert first == second and repr(first) == repr(second)
+    assert first.refs is not second.refs
+    assert {oid: (r.id, r.type) for oid, r in first.refs.items()} == {
+        oid: (oid, rec.type) for oid, rec in first.objects.items()
+    }
+    assert "refs" not in repr(first) and "ObjRef" not in repr(first)
+    unequal_refs = Snapshot(first.objects, first.roots)
+    object.__setattr__(unequal_refs, "refs", {})
+    assert unequal_refs == first
+
+
+def test_session_reads_interned_refs(snapshot, schema):
+    session = fresh_session(snapshot, schema)
+    assert session.ref("n1") is snapshot.refs["n1"]
+    made = session.materialize("Block")
+    assert session.ref(made.id) is made and made.id not in snapshot.refs
 
 
 def test_canonical_trace(snapshot, schema):
@@ -283,6 +305,10 @@ def test_arithmetic_and_comparisons(snapshot, schema):
     assert result.output == ("14", "True", "-5", "2.5")
     assert run(session, "x = 1 / 0\n").error_kind == "TypeError"
 
+
+# An int past float range (10**450), and one past the range of ``len`` (10**26).
+_GROW = "x = 1\nfor i in range(30):\n    x = x * 1000000000000000\n"
+_HUGE = "x = 100000000000000000000000000\n"
 
 # Every statement and expression kind and every runtime error path, pinned to
 # exact results: (status, output, error kind, error message, steps, mutations).
@@ -624,7 +650,40 @@ INTERPRETER_CASES = [
         ("timeout", (), None, "step budget of 100000 exceeded", 100001, 0),
         id="timeout",
     ),
+    pytest.param(
+        _GROW + "print(x / 2)\n",
+        ("runtime_error", (), "TypeError", "number out of float range in '/'", 160, 0),
+        id="overflow-divide",
+    ),
+    pytest.param(
+        _GROW + "print(x + 0.5)\n",
+        ("runtime_error", (), "TypeError", "number out of float range in '+'", 160, 0),
+        id="overflow-mixed-add",
+    ),
+    pytest.param(
+        _GROW + "print(1.5 % x)\n",
+        ("runtime_error", (), "TypeError", "number out of float range in '%'", 160, 0),
+        id="overflow-modulo",
+    ),
+    pytest.param(
+        _GROW + "y = x * 2.0\n",
+        ("runtime_error", (), "TypeError", "number out of float range in '*'", 159, 0),
+        id="overflow-mixed-multiply",
+    ),
+    pytest.param(
+        _HUGE + "print(len(range(x)))\n",
+        ("ok", ("100000000000000000000000000",), None, "", 7, 0),
+        id="huge-range-len",
+    ),
+    pytest.param(
+        _HUGE + "print(range(x))\n",
+        ("ok", ("range(100000000000000000000000000)",), None, "", 6, 0),
+        id="huge-range-print",
+    ),
 ]
+
+# Programs that once let Python's OverflowError out of ``Session.execute``.
+_OVERFLOW_CASES = [case for case in INTERPRETER_CASES if case.id.startswith(("overflow", "huge"))]
 
 
 @pytest.mark.parametrize("source, expected", INTERPRETER_CASES)
@@ -660,6 +719,76 @@ def test_min_steps_bounds_the_pinned_steps(source, expected):
     assert min_steps(statements) <= steps
     if not any(isinstance(s, (qn.IfStmt, qn.ForStmt)) for s in statements):
         assert min_steps(statements) == steps  # straight-line: the bound is exact
+
+
+@pytest.mark.parametrize("source", [pytest.param(c.values[0], id=c.id) for c in _OVERFLOW_CASES])
+def test_numbers_beyond_float_or_len_range_abort_or_print(snapshot, schema, source):
+    assert verify_all(analyze(source, schema), None, schema, max_layer=3).passed
+    assert isinstance(fresh_session(snapshot, schema).execute(source), ExecutionResult)
+
+
+@pytest.fixture(scope="module")
+def driver_schema():
+    """The toy schema plus ``Net.getDriver() -> Inst``, a single child no snapshot sets."""
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    raw["types"]["Net"]["methods"]["getDriver"] = {"returns": {"base": "Inst"}}
+    return schema_from_dict(raw)
+
+
+@pytest.fixture(scope="module")
+def scaled_snapshot(driver_schema):
+    return make_scaled_snapshot(driver_schema)
+
+
+# The interpreter on the 1,261-object design, pinned like INTERPRETER_CASES.
+SCALED_CASES = [
+    pytest.param(
+        "count = 0\nfor n in design.getBlock().getNets():\n    count = count + 1\nprint(count)\n",
+        ("ok", ("581",), None, "", 2914, 0),
+        id="count-nets",
+    ),
+    pytest.param(
+        "import odb\nblock = design.getBlock()\nfor inst in block.getInsts():\n"
+        "    inst.setPlacementStatus(odb.PlacementStatus.PLACED)\nprint(len(block.getInsts()))\n",
+        ("ok", ("624",), None, "", 4380, 624),
+        id="place-insts",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("net_9999")\nif net != None:\n'
+        '    print(net.name)\nelse:\n    print("missing")\n',
+        ("ok", ("missing",), None, "", 14, 0),
+        id="find-miss",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nlast = block.findNet("net_0581")\nnets = block.getNets()\n'
+        "print(nets[580] == last)\nprint(nets[579] == last)\nprint(last)\nlast.setWeight(5)\n"
+        "print(nets[580].weight)\n",
+        ("ok", ("True", "False", "<Net n581>", "5"), None, "", 37, 1),
+        id="ref-equals-find",
+    ),
+    pytest.param(
+        'net = design.getBlock().findNet("clk")\nfirst = net.getDriver()\n'
+        "second = net.getDriver()\nprint(first == second)\nprint(first)\nprint(second.name)\n",
+        ("ok", ("True", "<Inst auto_inst_1>", ""), None, "", 23, 0),
+        id="materialized-child",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nx = block.findNet("clk")\nfor i in range(3):\n'
+        "    print(x.getName())\n    if i == 0:\n        x = block.getInsts()[0]\n"
+        "    else:\n        x = block\n",
+        ("runtime_error", ("clk", "u1"), "UnknownMethod", "Block has no method 'getName'", 40, 0),
+        id="receiver-changes-type",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, expected", SCALED_CASES)
+def test_interpreter_results_at_design_scale_are_pinned(
+    scaled_snapshot, driver_schema, source, expected
+):
+    r = run(fresh_session(scaled_snapshot, driver_schema), source)
+    got = (r.status.value, r.output, r.error_kind, r.error_message, r.steps, r.mutations)
+    assert got == expected
 
 
 def test_min_steps_counts_literal_loops_and_the_cheaper_branch(snapshot, schema):
