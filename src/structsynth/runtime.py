@@ -299,7 +299,8 @@ class Session:
         self.crash_probability = crash_probability
         self.tool_calls = 0
         self.mutations = 0
-        self._rng = random.Random(seed)
+        # Only crash injection draws from it, so a session without it seeds none.
+        self._rng = random.Random(seed) if crash_probability > 0 else None
         self._auto_n = 0
 
     def object(self, oid: str) -> ObjRecord:
@@ -402,18 +403,22 @@ def _equals(a, b) -> bool:
     return a == b
 
 
+def _differs(a, b) -> bool:
+    return not _equals(a, b)
+
+
 _UNPRINTABLE = 10**qn.MAX_INT_DIGITS
 
 
 def _fmt(value) -> str:
+    if type(value) is str:
+        return value
     if value is None:
         return "None"
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, int):
         if not -_UNPRINTABLE < value < _UNPRINTABLE:
             raise _Abort("TypeError",
@@ -439,6 +444,8 @@ def _operator(op: str, fn):
     orders, concat, divides = op in qn.COMPARE_OPS, op == "+", op in ("/", "%")
 
     def apply(a, b):
+        if type(a) is int and type(b) is int and not divides:
+            return fn(a, b)  # of int operations only ``/`` and ``%`` can fail
         if orders:
             if not _comparable(a, b):
                 raise _Abort("TypeError", f"cannot order {_fmt(a)} and {_fmt(b)}")
@@ -460,7 +467,7 @@ def _operator(op: str, fn):
 # Every binary operator the parser produces.
 _BINOPS = {
     "==": _equals,
-    "!=": lambda a, b: not _equals(a, b),
+    "!=": _differs,
     "<": _operator("<", operator.lt),
     "<=": _operator("<=", operator.le),
     ">": _operator(">", operator.gt),
@@ -501,65 +508,69 @@ def _range(args: list):
     return range(args[0])
 
 
+def _not_defined(name: str) -> _Abort:
+    return _Abort("NameError", f"name {name!r} is not defined")
+
+
 def _undefined(name: str, args: list):
-    raise _Abort("NameError", f"name {name!r} is not defined")
+    raise _not_defined(name)
 
 
 def _not_callable(args: list):
     raise _Abort("TypeError", "value is not callable")
 
 
+def _bad_print(args: list):
+    raise _Abort("TypeError", "print takes 1 argument")
+
+
+_LITERALS = (qn.StringLit, qn.IntLit, qn.FloatLit, qn.BoolLit, qn.NoneLit)
+
+
+def _literal_value(e):
+    """The value of a literal node (``None`` for ``NoneLit``)."""
+    return getattr(e, "value", None)
+
+
 def min_steps(statements: tuple) -> int:
     """A lower bound on the steps ``_Interp`` takes to run ``statements`` to the end.
 
-    Each node counts what its closure counts. An ``if`` counts the cheaper of
-    its branches; a ``for`` counts N iterations over ``range(<int literal>)``
-    and none over anything else. A static cost bound in the spirit of SPEED
-    (Gulwani, Mehra and Chilimbi, POPL 2009), kept to literal loop bounds.
+    Each statement counts one step, whatever its expressions hold. An ``if``
+    adds the cheaper of its branches; a ``for`` adds N iterations of one
+    step plus its body over ``range(<int literal>)``, and none over anything
+    else. A static cost bound in the spirit of SPEED (Gulwani, Mehra and
+    Chilimbi, POPL 2009), kept to literal loop bounds.
     """
     return sum(1 + _stmt_steps(st) for st in statements)
 
 
 def _stmt_steps(st) -> int:
-    if isinstance(st, (qn.Assign, qn.ExprStmt)):
-        return _expr_steps(st.value)
     if isinstance(st, qn.IfStmt):
-        return _expr_steps(st.test) + min(min_steps(st.body), min_steps(st.orelse))
+        return min(min_steps(st.body), min_steps(st.orelse))
     if isinstance(st, qn.ForStmt):
         it = st.iterable
         literal = (isinstance(it, qn.Call) and isinstance(it.func, qn.Name)
                    and it.func.id == "range" and len(it.args) == 1
                    and isinstance(it.args[0], qn.IntLit))
-        trips = it.args[0].value if literal else 0
-        return _expr_steps(it) + trips * (1 + min_steps(st.body))
+        return it.args[0].value * (1 + min_steps(st.body)) if literal else 0
     return 0
-
-
-def _expr_steps(e) -> int:
-    if isinstance(e, qn.Call):
-        if isinstance(e.func, qn.Attribute):
-            return 1 + _expr_steps(e.func.value) + sum(map(_expr_steps, e.args))
-        return 1 + (sum(map(_expr_steps, e.args)) if isinstance(e.func, qn.Name) else 0)
-    if isinstance(e, qn.Attribute):
-        return 1 + _expr_steps(e.value)
-    if isinstance(e, (qn.BinOp, qn.Index)):
-        left, right = (e.left, e.right) if isinstance(e, qn.BinOp) else (e.value, e.index)
-        return 1 + _expr_steps(left) + _expr_steps(right)
-    if isinstance(e, qn.UnaryOp):
-        return 1 + _expr_steps(e.operand)
-    return 1
 
 
 class _Interp:
     """One execution: the script is compiled into closures once, then run.
 
+    A step is one statement or one loop iteration: ``block`` and ``loop``
+    count it and test the budget before running it, so the budget bounds
+    what a reader can count in the text, and ``min_steps`` bounds the same
+    count from below without running. Expressions count nothing, so a leaf
+    operand (a variable or a literal) is read inline by the node above it
+    rather than through a closure of its own, as with the superinstructions
+    of Ertl and Gregg (PLDI 2003).
+
     Each node becomes a closure over its children's closures and over every
     decision that needs no runtime value. A method call site resolves the
     rest on first meeting each receiver type: signature, arity, argument
     checks and a get, find or set action specialised for the signature.
-    A step is one statement, loop iteration or expression node; its closure
-    counts it on entry.
-    ``min_steps`` bounds the same count from below without running.
     """
 
     __slots__ = ("s", "env", "output", "steps", "mutations", "budget")
@@ -577,7 +588,7 @@ class _Interp:
     def run(self, statements: tuple) -> None:
         self.block(statements)()
 
-    # ---- statements ----
+    # ---- statements: each counts one step ----
 
     def block(self, statements: tuple):
         compiled, budget = [self.stmt(st) for st in statements], self.budget
@@ -606,6 +617,12 @@ class _Interp:
             return self.loop(st)
         if isinstance(st, qn.IfStmt):
             test, body, orelse = self.expr(st.test), self.block(st.body), self.block(st.orelse)
+            if isinstance(st.test, qn.BinOp) and st.test.op in qn.COMPARE_OPS:
+
+                def branch_on_bool():  # a comparison gives a bool: no _truthy
+                    (body if test() else orelse)()
+
+                return branch_on_bool
 
             def branch():
                 (body if _truthy(test()) else orelse)()
@@ -628,8 +645,9 @@ class _Interp:
         raise TypeError(f"not a statement node: {st!r}")
 
     def loop(self, st: qn.ForStmt):
+        """Each iteration counts one step; its body's statements run here, one step each."""
         env, var, budget = self.env, st.var, self.budget
-        iterable, body = self.expr(st.iterable), self.block(st.body)
+        iterable, body = self.expr(st.iterable), [self.stmt(s) for s in st.body]
 
         def run_loop():
             seq = iterable()
@@ -640,11 +658,15 @@ class _Interp:
                 if self.steps > budget:
                     raise _OverBudget()
                 env[var] = item
-                body()
+                for step in body:
+                    self.steps += 1
+                    if self.steps > budget:
+                        raise _OverBudget()
+                    step()
 
         return run_loop
 
-    # ---- expressions ----
+    # ---- expressions: no steps ----
 
     def expr(self, e):
         if isinstance(e, qn.Name):
@@ -653,11 +675,14 @@ class _Interp:
             if isinstance(e.func, qn.Attribute):
                 return self.method_call(e.func, e.args)
             if isinstance(e.func, qn.Name):
-                impl = {"print": self.emit, "len": _len, "range": _range}.get(e.func.id)
+                if e.func.id == "print" and len(e.args) == 1:
+                    return self.emit(e.args[0])
+                impl = {"print": _bad_print, "len": _len, "range": _range}.get(e.func.id)
                 return self.builtin(impl or partial(_undefined, e.func.id), e.args)
             return self.builtin(_not_callable, ())
-        if isinstance(e, (qn.StringLit, qn.IntLit, qn.FloatLit, qn.BoolLit, qn.NoneLit)):
-            return self.constant(getattr(e, "value", None))
+        if isinstance(e, _LITERALS):
+            value = _literal_value(e)
+            return lambda: value
         if isinstance(e, qn.Attribute):
             return self.attribute(e)
         if isinstance(e, qn.BinOp):
@@ -668,49 +693,40 @@ class _Interp:
             return self.negate(e.operand)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def constant(self, value):
-        budget = self.budget
-
-        def const():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
-            return value
-
-        return const
-
     def name(self, name: str):
-        env, budget = self.env, self.budget
+        env = self.env
 
         def load():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
             try:
                 return env[name]
             except KeyError:
-                raise _Abort("NameError", f"name {name!r} is not defined") from None
+                raise _not_defined(name) from None
 
         return load
 
     def attribute(self, e: qn.Attribute):
-        value, attr, budget = self.expr(e.value), e.attr, self.budget
-        session, schema = self.s, self.s.schema
+        var = e.value.id if isinstance(e.value, qn.Name) else None
+        value, attr = None if var is not None else self.expr(e.value), e.attr
+        env, schema = self.env, self.s.schema
+        overlay, objects = self.s._overlay, self.s._base
         names_enum = attr in schema.enums
 
         def read():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
-            base = value()
-            if base is None:
-                raise _Abort("NullAccess", f"attribute {attr!r} read on None")
-            if isinstance(base, ObjRef):
+            if var is None:
+                base = value()
+            else:
+                try:
+                    base = env[var]
+                except KeyError:
+                    raise _not_defined(var) from None
+            if type(base) is ObjRef:
                 declared = schema.attribute(base.type, attr)
                 if declared is None:
                     raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
-                fields = session.object(base.id).fields
+                fields = (overlay.get(base.id) or objects[base.id]).fields
                 return fields[attr] if attr in fields else _unset(declared)
+            if base is None:
+                raise _Abort("NullAccess", f"attribute {attr!r} read on None")
             if isinstance(base, ModuleVal):
                 if names_enum:
                     return EnumNamespace(base.name, attr)
@@ -725,23 +741,31 @@ class _Interp:
 
     def pair(self, apply, left_node, right_node):
         """Evaluate both operands, left first, and ``apply`` to their values."""
-        left, right, budget = self.expr(left_node), self.expr(right_node), self.budget
+        left = self.expr(left_node)
+        if not isinstance(right_node, _LITERALS):
+            right = self.expr(right_node)
+            return lambda: apply(left(), right())
+        fixed = _literal_value(right_node)
+        if type(fixed) is str and apply is _equals:
 
-        def run_pair():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
-            return apply(left(), right())
+            def equals_text():
+                a = left()
+                return a == fixed if type(a) is str else _equals(a, fixed)
 
-        return run_pair
+            return equals_text
+        if type(fixed) is str and apply is _differs:
+
+            def differs_from_text():
+                a = left()
+                return a != fixed if type(a) is str else not _equals(a, fixed)
+
+            return differs_from_text
+        return lambda: apply(left(), fixed)
 
     def negate(self, operand_node):
-        operand, budget = self.expr(operand_node), self.budget
+        operand = self.expr(operand_node)
 
         def run_negate():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
             value = operand()
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise _Abort("TypeError", "unary minus needs a number")
@@ -750,41 +774,43 @@ class _Interp:
         return run_negate
 
     def builtin(self, impl, arg_nodes: tuple):
-        arg_fns, budget = tuple(self.expr(a) for a in arg_nodes), self.budget
+        arg_fns = tuple(self.expr(a) for a in arg_nodes)
+        return lambda: impl([f() for f in arg_fns])
 
-        def call():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
-            return impl([f() for f in arg_fns])
-
-        return call
-
-    def emit(self, args: list) -> None:
-        if len(args) != 1:
-            raise _Abort("TypeError", "print takes 1 argument")
-        self.output.append(_fmt(args[0]))
+    def emit(self, arg_node):
+        """``print`` of one argument: format it onto the output."""
+        arg, append = self.expr(arg_node), self.output.append
+        return lambda: append(_fmt(arg()))
 
     def method_call(self, func: qn.Attribute, arg_nodes: tuple):
-        receiver_of, method, budget = self.expr(func.value), func.attr, self.budget
-        arg_fns, resolve = tuple(self.expr(a) for a in arg_nodes), self.resolve
+        var = func.value.id if isinstance(func.value, qn.Name) else None
+        receiver_of = None if var is not None else self.expr(func.value)
+        method, resolve = func.attr, self.resolve
+        env, nargs = self.env, len(arg_nodes)
+        if all(isinstance(a, _LITERALS) for a in arg_nodes):
+            fixed, arg_fns = [_literal_value(a) for a in arg_nodes], None  # built once
+        else:
+            fixed, arg_fns = None, tuple(self.expr(a) for a in arg_nodes)
         # Receiver type -> its resolved action: an inline cache (Deutsch and
         # Schiffman, POPL 1984) that lives as long as this execution.
         actions: dict[str, Callable[[str, list], object]] = {}
 
         def invoke():
-            self.steps += 1
-            if self.steps > budget:
-                raise _OverBudget()
-            receiver = receiver_of()
-            args = [f() for f in arg_fns] if arg_fns else []
-            if receiver is None:
-                raise _Abort("NullAccess", f"method {method!r} called on None")
-            if not isinstance(receiver, ObjRef):
+            if var is None:
+                receiver = receiver_of()
+            else:
+                try:
+                    receiver = env[var]
+                except KeyError:
+                    raise _not_defined(var) from None
+            args = fixed if arg_fns is None else [f() for f in arg_fns]
+            if type(receiver) is not ObjRef:
+                if receiver is None:
+                    raise _Abort("NullAccess", f"method {method!r} called on None")
                 raise _Abort("UnknownMethod", f"{_fmt(receiver)} has no methods")
             act = actions.get(receiver.type)
             if act is None:
-                act = actions[receiver.type] = resolve(receiver.type, method, len(arg_fns))
+                act = actions[receiver.type] = resolve(receiver.type, method, nargs)
             return act(receiver.id, args)
 
         return invoke
@@ -831,6 +857,7 @@ class _Interp:
 
     def getter(self, method: str, key: str, returns: TypeRef):
         session, schema = self.s, self.s.schema
+        overlay, objects = session._overlay, session._base
         if schema.is_object_type(returns.base):
             if returns.many:
                 # Snapshot ids only: conformance checks every child id, and a
@@ -838,13 +865,13 @@ class _Interp:
                 refs = session._refs
 
                 def get_many(oid: str, args: list):
-                    kids = session.object(oid).children.get(method)
+                    kids = (overlay.get(oid) or objects[oid]).children.get(method)
                     return [refs[cid] for cid in kids] if kids else []
 
                 return get_many
 
             def get_one(oid: str, args: list):
-                kids = session.object(oid).children.get(method)
+                kids = (overlay.get(oid) or objects[oid]).children.get(method)
                 if kids:
                     return session.ref(kids[0])
                 if returns.nullable:
@@ -857,7 +884,7 @@ class _Interp:
         names_enum = returns.base in schema.enums
 
         def get_field(oid: str, args: list):
-            fields = session.object(oid).fields
+            fields = (overlay.get(oid) or objects[oid]).fields
             if key not in fields:
                 return _unset(returns)
             value = fields[key]
@@ -871,6 +898,7 @@ class _Interp:
 
     def finder(self, tname: str, returns: TypeRef):
         session, base = self.s, returns.base
+        overlay, objects = session._overlay, session._base
         # Conformance types each child list by its method's return, so only
         # the lists of methods returning ``base`` can hold a match.
         decl = session.schema.type_decl(tname)
@@ -879,12 +907,12 @@ class _Interp:
 
         def find(oid: str, args: list):
             wanted = args[0] if args else ""
-            children = session.object(oid).children
+            children = (overlay.get(oid) or objects[oid]).children
             for child_key in sorted(children):
                 if child_key not in keys:
                     continue
                 for cid in children[child_key]:
-                    child = session.object(cid)
+                    child = overlay.get(cid) or objects[cid]
                     if child.type == base and child.fields.get("name") == wanted:
                         return session.ref(cid)
             if miss_is_none:

@@ -10,6 +10,7 @@ import random
 import time
 
 from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
+from programs import random_conformant_program
 from structsynth.bench import (
     Labeled,
     TaskSpec,
@@ -28,11 +29,7 @@ from structsynth.depgraph import (
     graph_metrics,
 )
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import (
-    make_scaled_snapshot,
-    random_conformant_program,
-    singles_suite,
-)
+from structsynth.fixtures import make_scaled_snapshot, singles_suite
 from structsynth.generators import (
     DEFECT_LAYER,
     DefectKind,

@@ -280,11 +280,15 @@ def test_bench_output_matches_golden_file(capsys, argv, golden):
 def test_step_budget_flag_sets_the_verifier_bound_too(tmp_path, capsys):
     for argv in (["run", "-"], ["multistep", "--prompt", "x"], ["bench"]):
         assert build_parser().parse_args(argv).step_budget == STEP_BUDGET
-    # "List all nets" needs at least 6 steps, so a budget of 5 rejects it at L4
-    assert main(["multistep", "--prompt", "List all nets", "--step-budget", "5"]) == 1
+    # "List all nets" needs at least 2 steps (the assignment and the loop
+    # statement), so a budget of 1 rejects it at L4 and a budget of 2 does not
+    assert main(["multistep", "--prompt", "List all nets", "--step-budget", "1"]) == 1
     assert "failed at layer 4" in capsys.readouterr().out
+    main(["multistep", "--prompt", "List all nets", "--step-budget", "2"])
+    assert "failed at layer 4" not in capsys.readouterr().out
     suite = {"tasks": [{"id": "s1", "prompt": "List all nets", "kind": "query"}]}
     path = write(tmp_path, "suite.json", json.dumps(suite))
-    main(["bench", "--suite", path, "--no-multis", "--json", "--step-budget", "5"])
-    record = json.loads(capsys.readouterr().out)["records"][0]
-    assert (record["accepted"], record["final_layer"]) == (False, 4)
+    for budget, accepted, final_layer in (("1", False, 4), ("2", True, 0)):
+        main(["bench", "--suite", path, "--no-multis", "--json", "--step-budget", budget])
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert (record["accepted"], record["final_layer"]) == (accepted, final_layer)

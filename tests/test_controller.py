@@ -294,17 +294,19 @@ def test_synthesize_budget_zero_never_repairs(schema, retriever):
     assert result.verdict.failure_layer == 3
 
 
-# Lists the nets, then spins 17 times: a static bound of 60 steps.
+# Lists the nets, then spins 19 times: a static bound of 1 + 1 + (1 + 19 * 3) = 60 steps.
 SIXTY_STEPS = (
     "block = design.getBlock()\n"
     "for net in block.getNets():\n"
     "    print(net.getName())\n"
-    "for i in range(17):\n"
+    "for i in range(19):\n"
     "    x = i\n"
+    "    y = x\n"
 )
 
 
-@pytest.mark.parametrize("step_budget, accepted", [(50, False), (60, True), (None, True)])
+@pytest.mark.parametrize("step_budget, accepted",
+                         [(50, False), (59, False), (60, True), (None, True)])
 def test_synthesize_rejects_a_program_over_the_step_budget_at_layer_four(
     schema, retriever, step_budget, accepted
 ):

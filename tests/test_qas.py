@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from programs import random_conformant_program
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import multis_suite, random_conformant_program, singles_suite
+from structsynth.fixtures import multis_suite, singles_suite
 from structsynth.generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
 from structsynth.qas.analysis import infer_types, normalize_statements
 from structsynth.qas.lexer import tokenize

@@ -7,7 +7,8 @@ are random conformant programs, their planted defects and the programs in
 to 3 accept runs once. A runtime error fails the test unless it is a value
 fault, which no static kind rule can see: division by zero, an index out of
 range, a ``find*`` miss, or the step budget running out. Every mutant that
-runs to the end takes at least the steps that L4's static bound predicts.
+runs to the end takes at least the steps that L4's static bound predicts,
+and exactly that many, one per statement, when it has no branch or loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import fields, is_dataclass, replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from structsynth.fixtures import random_conformant_program
+from programs import random_conformant_program
 from structsynth.generators import DefectKind, apply_defect
 from structsynth.qas import nodes as qn
 from structsynth.qas.analysis import analyze
@@ -168,7 +169,10 @@ def test_programs_passing_layers_one_to_three_raise_no_api_fault(peer_schema, pe
             f"passed L1-L3, then {result.error_kind}: {result.error_message}\n{source}"
         )
     if result.status is ExecStatus.OK:
-        assert min_steps(candidate.script.statements) <= result.steps, source
+        statements = candidate.script.statements
+        assert min_steps(statements) <= result.steps, source
+        if not any(isinstance(s, (qn.IfStmt, qn.ForStmt)) for s in statements):
+            assert min_steps(statements) == result.steps == len(statements), source
 
 
 def test_value_faults_are_told_apart_by_message(schema, snapshot):

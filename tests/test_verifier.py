@@ -299,13 +299,13 @@ def test_judge_rejection_fails_layer_four(schema):
 
 def test_step_bound_runs_before_a_plugged_in_judge(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=True)])
-    spinning = CLEAN + "for i in range(30):\n    x = i\n"  # 11 + 3 + 30 * 3 = 104 steps
-    verdict = verify_all(analyze(spinning, schema), spine(), schema, judge=judge, step_budget=103)
+    spinning = CLEAN + "for i in range(30):\n    x = i\n"  # 3 + 1 + 30 * 2 = 64 steps
+    verdict = verify_all(analyze(spinning, schema), spine(), schema, judge=judge, step_budget=63)
     assert (verdict.failure_layer, verdict.codes()) == (4, (L4_STEP_BOUND,))
     assert verdict.layers_run == (1, 2, 3, 4)
     assert judge._cursor == 0  # the judge never ran
     assert verify_all(analyze(spinning, schema), spine(), schema, judge=judge,
-                      step_budget=104).passed
+                      step_budget=64).passed
     assert judge._cursor == 1
     # L4 needs a judge and a graph; without them the bound is not checked either
     assert verify_all(analyze(spinning, schema), None, schema, step_budget=1).passed
