@@ -403,22 +403,18 @@ def _equals(a, b) -> bool:
     return a == b
 
 
-def _differs(a, b) -> bool:
-    return not _equals(a, b)
-
-
 _UNPRINTABLE = 10**qn.MAX_INT_DIGITS
 
 
 def _fmt(value) -> str:
-    if type(value) is str:
-        return value
     if value is None:
         return "None"
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, int):
         if not -_UNPRINTABLE < value < _UNPRINTABLE:
             raise _Abort("TypeError",
@@ -467,7 +463,7 @@ def _operator(op: str, fn):
 # Every binary operator the parser produces.
 _BINOPS = {
     "==": _equals,
-    "!=": _differs,
+    "!=": lambda a, b: not _equals(a, b),
     "<": _operator("<", operator.lt),
     "<=": _operator("<=", operator.le),
     ">": _operator(">", operator.gt),
@@ -508,12 +504,8 @@ def _range(args: list):
     return range(args[0])
 
 
-def _not_defined(name: str) -> _Abort:
-    return _Abort("NameError", f"name {name!r} is not defined")
-
-
 def _undefined(name: str, args: list):
-    raise _not_defined(name)
+    raise _Abort("NameError", f"name {name!r} is not defined")
 
 
 def _not_callable(args: list):
@@ -562,10 +554,10 @@ class _Interp:
     A step is one statement or one loop iteration: ``block`` and ``loop``
     count it and test the budget before running it, so the budget bounds
     what a reader can count in the text, and ``min_steps`` bounds the same
-    count from below without running. Expressions count nothing, so a leaf
-    operand (a variable or a literal) is read inline by the node above it
-    rather than through a closure of its own, as with the superinstructions
-    of Ertl and Gregg (PLDI 2003).
+    count from below without running. Expressions count nothing, so a node
+    may fold a literal child into itself, as with the superinstructions of
+    Ertl and Gregg (PLDI 2003): all-literal method arguments are built once
+    and a literal right operand is held as a value.
 
     Each node becomes a closure over its children's closures and over every
     decision that needs no runtime value. A method call site resolves the
@@ -700,33 +692,25 @@ class _Interp:
             try:
                 return env[name]
             except KeyError:
-                raise _not_defined(name) from None
+                raise _Abort("NameError", f"name {name!r} is not defined") from None
 
         return load
 
     def attribute(self, e: qn.Attribute):
-        var = e.value.id if isinstance(e.value, qn.Name) else None
-        value, attr = None if var is not None else self.expr(e.value), e.attr
-        env, schema = self.env, self.s.schema
-        overlay, objects = self.s._overlay, self.s._base
+        value, attr = self.expr(e.value), e.attr
+        session, schema = self.s, self.s.schema
         names_enum = attr in schema.enums
 
         def read():
-            if var is None:
-                base = value()
-            else:
-                try:
-                    base = env[var]
-                except KeyError:
-                    raise _not_defined(var) from None
-            if type(base) is ObjRef:
+            base = value()
+            if base is None:
+                raise _Abort("NullAccess", f"attribute {attr!r} read on None")
+            if isinstance(base, ObjRef):
                 declared = schema.attribute(base.type, attr)
                 if declared is None:
                     raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
-                fields = (overlay.get(base.id) or objects[base.id]).fields
+                fields = session.object(base.id).fields
                 return fields[attr] if attr in fields else _unset(declared)
-            if base is None:
-                raise _Abort("NullAccess", f"attribute {attr!r} read on None")
             if isinstance(base, ModuleVal):
                 if names_enum:
                     return EnumNamespace(base.name, attr)
@@ -746,20 +730,6 @@ class _Interp:
             right = self.expr(right_node)
             return lambda: apply(left(), right())
         fixed = _literal_value(right_node)
-        if type(fixed) is str and apply is _equals:
-
-            def equals_text():
-                a = left()
-                return a == fixed if type(a) is str else _equals(a, fixed)
-
-            return equals_text
-        if type(fixed) is str and apply is _differs:
-
-            def differs_from_text():
-                a = left()
-                return a != fixed if type(a) is str else not _equals(a, fixed)
-
-            return differs_from_text
         return lambda: apply(left(), fixed)
 
     def negate(self, operand_node):
@@ -783,10 +753,8 @@ class _Interp:
         return lambda: append(_fmt(arg()))
 
     def method_call(self, func: qn.Attribute, arg_nodes: tuple):
-        var = func.value.id if isinstance(func.value, qn.Name) else None
-        receiver_of = None if var is not None else self.expr(func.value)
-        method, resolve = func.attr, self.resolve
-        env, nargs = self.env, len(arg_nodes)
+        receiver_of, method, resolve = self.expr(func.value), func.attr, self.resolve
+        nargs = len(arg_nodes)
         if all(isinstance(a, _LITERALS) for a in arg_nodes):
             fixed, arg_fns = [_literal_value(a) for a in arg_nodes], None  # built once
         else:
@@ -796,17 +764,11 @@ class _Interp:
         actions: dict[str, Callable[[str, list], object]] = {}
 
         def invoke():
-            if var is None:
-                receiver = receiver_of()
-            else:
-                try:
-                    receiver = env[var]
-                except KeyError:
-                    raise _not_defined(var) from None
+            receiver = receiver_of()
             args = fixed if arg_fns is None else [f() for f in arg_fns]
-            if type(receiver) is not ObjRef:
-                if receiver is None:
-                    raise _Abort("NullAccess", f"method {method!r} called on None")
+            if receiver is None:
+                raise _Abort("NullAccess", f"method {method!r} called on None")
+            if not isinstance(receiver, ObjRef):
                 raise _Abort("UnknownMethod", f"{_fmt(receiver)} has no methods")
             act = actions.get(receiver.type)
             if act is None:
@@ -857,7 +819,6 @@ class _Interp:
 
     def getter(self, method: str, key: str, returns: TypeRef):
         session, schema = self.s, self.s.schema
-        overlay, objects = session._overlay, session._base
         if schema.is_object_type(returns.base):
             if returns.many:
                 # Snapshot ids only: conformance checks every child id, and a
@@ -865,13 +826,13 @@ class _Interp:
                 refs = session._refs
 
                 def get_many(oid: str, args: list):
-                    kids = (overlay.get(oid) or objects[oid]).children.get(method)
+                    kids = session.object(oid).children.get(method)
                     return [refs[cid] for cid in kids] if kids else []
 
                 return get_many
 
             def get_one(oid: str, args: list):
-                kids = (overlay.get(oid) or objects[oid]).children.get(method)
+                kids = session.object(oid).children.get(method)
                 if kids:
                     return session.ref(kids[0])
                 if returns.nullable:
@@ -884,7 +845,7 @@ class _Interp:
         names_enum = returns.base in schema.enums
 
         def get_field(oid: str, args: list):
-            fields = (overlay.get(oid) or objects[oid]).fields
+            fields = session.object(oid).fields
             if key not in fields:
                 return _unset(returns)
             value = fields[key]
@@ -898,7 +859,6 @@ class _Interp:
 
     def finder(self, tname: str, returns: TypeRef):
         session, base = self.s, returns.base
-        overlay, objects = session._overlay, session._base
         # Conformance types each child list by its method's return, so only
         # the lists of methods returning ``base`` can hold a match.
         decl = session.schema.type_decl(tname)
@@ -907,12 +867,12 @@ class _Interp:
 
         def find(oid: str, args: list):
             wanted = args[0] if args else ""
-            children = (overlay.get(oid) or objects[oid]).children
+            children = session.object(oid).children
             for child_key in sorted(children):
                 if child_key not in keys:
                     continue
                 for cid in children[child_key]:
-                    child = overlay.get(cid) or objects[cid]
+                    child = session.object(cid)
                     if child.type == base and child.fields.get("name") == wanted:
                         return session.ref(cid)
             if miss_is_none:
