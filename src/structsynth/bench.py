@@ -12,27 +12,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .controller import SynthesisConfig, synthesize
-from .depgraph import (
-    DepGraph,
-    ExtractorFailure,
-    GraphExtractor,
-    GraphMetrics,
-    graph_metrics,
-)
-from .generators import (
-    DefectKind,
-    GenerationRequest,
-    GeneratorFailure,
-    TemplateGenerator,
-    apply_defect,
-)
+from .controller import SynthesisConfig
+from .depgraph import DepGraph, GraphExtractor, GraphMetrics, graph_metrics
+from .generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
 from .judges import RuleBasedJudge
-from .orchestrator import run_with_reflection
+from .orchestrator import run_episode, run_with_reflection
 from .qas.analysis import analyze
 from .retrieval import Retriever
 from .runtime import ExecStatus, Session, Snapshot
-from .schema import ApiSchema, ParseError
+from .schema import ApiSchema, ParseError, _strings
 from .verifier import verify_all
 
 BUCKETS = ("<8", "<15", "<25", ">=25")
@@ -79,10 +67,12 @@ def load_suite(path: str | Path) -> list[TaskSpec]:
 
 
 def load_multi_suite(path: str | Path) -> list[MultiTaskSpec]:
-    return [
-        MultiTaskSpec(task_id=str(item["id"]), steps=tuple(str(s) for s in item["steps"]))
-        for item in _read_tasks(path, "steps")
-    ]
+    tasks = []
+    for i, item in enumerate(_read_tasks(path, "steps")):
+        if not _strings(item["steps"]):
+            raise ParseError(f"suite {path}: task {i} needs 'steps' as a list of strings")
+        tasks.append(MultiTaskSpec(task_id=str(item["id"]), steps=tuple(item["steps"])))
+    return tasks
 
 
 def _read_tasks(path: str | Path, field: str) -> list[dict]:
@@ -245,37 +235,23 @@ def run_task(
     config: SynthesisConfig = SynthesisConfig(),
     force_exec: bool = False,
 ) -> TaskRecord:
-    """Synthesize one task and execute its program in a fresh session."""
+    """Run one task as a one-step episode in a fresh session.
+
+    With force_exec, a rejected program executes too, for verifier quality.
+    """
     bucket = bucket_of(task.prompt)
     session = session_factory()
-    try:
-        result = synthesize(
-            task.prompt, schema, retriever, extractor, generator, judge, config
-        )
-    except (GeneratorFailure, ExtractorFailure) as exc:
-        return TaskRecord(
-            task_id=task.task_id,
-            kind=task.kind,
-            bucket=bucket,
-            accepted=False,
-            verifier_pass=False,
-            final_layer=-1,
-            layers_run=(),
-            tool_calls=session.tool_calls,
-            exec_status=None,
-            exec_forced=False,
-            uncertainty=1.0,
-            filtered=True,
-            graph=None,
-            repairs=0,
-            error=str(exc),
-        )
-    exec_status: str | None = None
-    forced = False
-    if result.accepted or force_exec:
-        forced = not result.accepted
+    step = run_episode(task.task_id, (task.prompt,), schema, retriever, extractor,
+                       generator, judge, session, config).steps[0]
+    result, execution = step.synthesis, step.execution
+    if result is None:
+        return TaskRecord(task.task_id, task.kind, bucket, accepted=False, verifier_pass=False,
+                          final_layer=-1, layers_run=(), tool_calls=session.tool_calls,
+                          exec_status=None, exec_forced=False, uncertainty=1.0, filtered=True,
+                          graph=None, repairs=0, error=step.detail)
+    forced = execution is None and force_exec
+    if forced:
         execution = session.execute(result.candidate.script)
-        exec_status = execution.status.value
     metrics = (
         graph_metrics(result.graph, task.truth_graph)
         if task.truth_graph is not None
@@ -290,7 +266,7 @@ def run_task(
         final_layer=result.verdict.failure_layer,
         layers_run=result.verdict.layers_run,
         tool_calls=session.tool_calls,
-        exec_status=exec_status,
+        exec_status=None if execution is None else execution.status.value,
         exec_forced=forced,
         uncertainty=result.uncertainty.combined,
         filtered=result.uncertainty.filtered,

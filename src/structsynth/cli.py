@@ -93,7 +93,7 @@ def _cmd_extract_graph(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     extractor = PatternTableExtractor(schema)
     try:
-        result = extract_graph(args.prompt, extractor, schema, max_rounds=args.rounds)
+        result = extract_graph(args.prompt, extractor, schema)
     except ExtractorFailure as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return 1
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-graph", help="extract a dependency graph from a prompt")
     p.add_argument("--prompt", required=True)
     p.add_argument("--schema")
-    p.add_argument("--rounds", type=int, default=3)
     p.set_defaults(func=_cmd_extract_graph)
 
     p = sub.add_parser("synth", help="synthesize a program for a prompt")

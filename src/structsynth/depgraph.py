@@ -381,6 +381,10 @@ class GraphExtractor(Protocol):
     ) -> DepGraph: ...
 
 
+# Extraction rounds before the last hypothesis is returned unvalidated.
+MAX_ROUNDS = 3
+
+
 @dataclass
 class ExtractionResult:
     graph: DepGraph
@@ -393,7 +397,6 @@ def extract_graph(
     prompt: str,
     extractor: GraphExtractor,
     schema: ApiSchema,
-    max_rounds: int = 3,
     seed_feedback: tuple[Feedback, ...] = (),
 ) -> ExtractionResult:
     """Iteratively extract a graph until it validates or rounds run out.
@@ -406,9 +409,7 @@ def extract_graph(
     previous: DepGraph | None = None
     last_report: GraphReport | None = None
     unparseable_streak = 0
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
+    for rounds in range(1, MAX_ROUNDS + 1):
         try:
             hypothesis = extractor.extract(prompt, previous, feedback)
             unparseable_streak = 0
@@ -431,7 +432,7 @@ def extract_graph(
         feedback = report.feedback
     if previous is None:
         raise ExtractorFailure("extractor produced no usable graph")
-    return ExtractionResult(previous, last_report, rounds, validated=False)
+    return ExtractionResult(previous, last_report, MAX_ROUNDS, validated=False)
 
 
 def ground_truth_graph(ts: TypedScript, schema: ApiSchema) -> tuple[DepGraph, int]:

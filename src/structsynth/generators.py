@@ -265,19 +265,35 @@ def _first_root_var(schema: ApiSchema) -> str:
     return min(schema.roots)
 
 
-def _strip_guards(statements: tuple, schema: ApiSchema) -> tuple:
+# What a dropped statement becomes: a harmless assignment.
+_NOOP = (qn.Assign("noop", qn.IntLit(0)),)
+
+
+def _rewrite(statements: tuple, replace) -> tuple:
+    """The statements, each one that ``replace`` maps to a tuple swapped for it.
+
+    ``replace`` returns None to keep a statement; a kept loop or branch has
+    its bodies rewritten the same way.
+    """
     out = []
     for s in statements:
-        if isinstance(s, qn.IfStmt) and _is_null_test(s.test):
-            out.extend(_strip_guards(s.body, schema))
+        new = replace(s)
+        if new is not None:
+            out.extend(new)
             continue
         if isinstance(s, qn.ForStmt):
-            s = qn.ForStmt(s.var, s.iterable, _strip_guards(s.body, schema))
+            s = qn.ForStmt(s.var, s.iterable, _rewrite(s.body, replace))
         elif isinstance(s, qn.IfStmt):
-            s = qn.IfStmt(s.test, _strip_guards(s.body, schema),
-                          _strip_guards(s.orelse, schema))
+            s = qn.IfStmt(s.test, _rewrite(s.body, replace), _rewrite(s.orelse, replace))
         out.append(s)
     return tuple(out)
+
+
+def _unguarded(s) -> tuple | None:
+    """A test against None gives way to its body, itself unguarded."""
+    if isinstance(s, qn.IfStmt) and _is_null_test(s.test):
+        return _rewrite(s.body, _unguarded)
+    return None
 
 
 def _is_null_test(test) -> bool:
@@ -288,29 +304,16 @@ def _is_null_test(test) -> bool:
     )
 
 
-def _replace_statements(statements: tuple, drop) -> tuple:
-    """Replace statements matched by drop() with a harmless assignment."""
-    out = []
-    for s in statements:
-        if drop(s):
-            out.append(qn.Assign("noop", qn.IntLit(0)))
-            continue
-        if isinstance(s, qn.ForStmt):
-            s = qn.ForStmt(s.var, s.iterable, _replace_statements(s.body, drop))
-        elif isinstance(s, qn.IfStmt):
-            s = qn.IfStmt(s.test, _replace_statements(s.body, drop),
-                          _replace_statements(s.orelse, drop))
-        out.append(s)
-    return tuple(out)
-
-
-def _is_print(s) -> bool:
-    return (
+def _unprinted(s) -> tuple | None:
+    """A call of ``print`` is dropped."""
+    if (
         isinstance(s, qn.ExprStmt)
         and isinstance(s.value, qn.Call)
         and isinstance(s.value.func, qn.Name)
         and s.value.func.id == "print"
-    )
+    ):
+        return _NOOP
+    return None
 
 
 def apply_defect(source: str, kind: DefectKind, schema: ApiSchema) -> str:
@@ -343,23 +346,24 @@ def apply_defect(source: str, kind: DefectKind, schema: ApiSchema) -> str:
                 break
         return qn.module_to_source(tuple(stmts))
     if kind is DefectKind.NULL_UNGUARDED:
-        return qn.module_to_source(_strip_guards(parsed.statements, schema))
+        return qn.module_to_source(_rewrite(parsed.statements, _unguarded))
     if kind is DefectKind.MISSING_OUTPUT:
-        return qn.module_to_source(_replace_statements(parsed.statements, _is_print))
+        return qn.module_to_source(_rewrite(parsed.statements, _unprinted))
     if kind is DefectKind.MISSING_ACTION:
         ts = infer_types(parsed, schema)
         mutating_locs = {cs.location for cs in ts.call_sites if cs.mutates}
 
-        def drop(s) -> bool:
-            return (
+        def unacted(s) -> tuple | None:
+            mutates = (
                 isinstance(s, qn.ExprStmt)
                 and isinstance(s.value, qn.Call)
                 and s.value.location in mutating_locs
             )
+            return _NOOP if mutates else None
 
-        return qn.module_to_source(_replace_statements(parsed.statements, drop))
+        return qn.module_to_source(_rewrite(parsed.statements, unacted))
     if kind is DefectKind.TIMEOUT_LOOP:
-        stripped = qn.module_to_source(_replace_statements(parsed.statements, _is_print))
+        stripped = qn.module_to_source(_rewrite(parsed.statements, _unprinted))
         return stripped + "for spin in range(2000000):\n    noop = spin + 1\n"
     raise ValueError(f"unhandled defect kind: {kind}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .schema import ParseError
+from .schema import ParseError, _strings
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -69,13 +69,15 @@ def load_corpus(path: str | Path) -> tuple[ApiDoc, ...]:
         raise ParseError("corpus document needs a 'docs' list")
     docs = []
     for item in items:
+        if isinstance(item, dict) and not _strings(item.get("tags", [])):
+            raise ParseError(f"bad corpus entry {item.get('id')!r}: 'tags' needs a list of strings")
         try:
             docs.append(
                 ApiDoc(
                     doc_id=str(item["id"]),
                     api_path=str(item["api_path"]),
                     text=str(item["text"]),
-                    tags=tuple(str(t) for t in item.get("tags", [])),
+                    tags=tuple(item.get("tags", [])),
                     snippet=str(item.get("snippet", "")),
                 )
             )

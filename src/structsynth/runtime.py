@@ -22,7 +22,7 @@ from typing import Callable
 from . import kinds
 from .qas import nodes as qn
 from .qas.parser import Script, SyntaxFailure, parse
-from .schema import ApiSchema, ParseError, TypeRef, Violation, valid_import
+from .schema import ApiSchema, ParseError, TypeRef, Violation, _shaped, valid_import
 
 # Interpreter steps one execution may take; the verifier's L4 bound reads it too.
 STEP_BUDGET = 100_000
@@ -74,14 +74,6 @@ def load_snapshot(path: str | Path, schema: ApiSchema) -> Snapshot:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read snapshot {path}: {exc}") from exc
     return snapshot_from_dict(raw, schema)
-
-
-def _shaped(value, location: str, violations: list[Violation]) -> dict:
-    """``value`` if it is a JSON object; otherwise records a violation and reads as empty."""
-    if isinstance(value, dict):
-        return value
-    violations.append(Violation(location, "needs a JSON object"))
-    return {}
 
 
 def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:

@@ -180,6 +180,19 @@ def load_schema(path: str | Path) -> ApiSchema:
     return schema_from_dict(raw)
 
 
+def _shaped(value, location: str, violations: list[Violation]) -> dict:
+    """``value`` if it is a JSON object; otherwise records a violation and reads as empty."""
+    if isinstance(value, dict):
+        return value
+    violations.append(Violation(location, "needs a JSON object"))
+    return {}
+
+
+def _strings(value) -> bool:
+    """True when ``value`` is a JSON array of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def schema_from_dict(raw: object) -> ApiSchema:
     """Build an ApiSchema from decoded JSON, collecting violations exhaustively."""
     if not isinstance(raw, dict):
@@ -197,7 +210,7 @@ def schema_from_dict(raw: object) -> ApiSchema:
 
     enums: dict[str, tuple[str, ...]] = {}
     for ename, consts in raw.get("enums", {}).items():
-        if not isinstance(consts, list) or not all(isinstance(c, str) for c in consts):
+        if not _strings(consts):
             violations.append(Violation(f"enums.{ename}", "constants must be a list of strings"))
             continue
         if len(set(consts)) != len(consts):
@@ -210,19 +223,33 @@ def schema_from_dict(raw: object) -> ApiSchema:
     for tname in sorted(set(raw_types) & set(enums)):
         violations.append(Violation(f"types.{tname}", "name collides with an enum"))
 
+    def type_ref(raw_ref: object, location: str) -> TypeRef:
+        if not isinstance(raw_ref, dict) or "base" not in raw_ref:
+            violations.append(Violation(location, "needs a type object with a 'base'"))
+            return UNKNOWN
+        ref = TypeRef.from_dict(raw_ref)
+        if ref.base not in valid_bases:
+            violations.append(Violation(location, f"unresolvable type {ref.base!r}"))
+        return ref
+
     for tname, tdecl in raw_types.items():
         if not isinstance(tdecl, dict):
             violations.append(Violation(f"types.{tname}", "type declaration must be an object"))
             continue
         methods: dict[str, MethodSig] = {}
-        for mname, mdecl in tdecl.get("methods", {}).items():
+        for mname, mdecl in _shaped(tdecl.get("methods", {}), f"types.{tname}.methods",
+                                    violations).items():
             loc = f"types.{tname}.methods.{mname}"
             if not isinstance(mdecl, dict):
                 violations.append(Violation(loc, "method declaration must be an object"))
                 continue
+            raw_params = mdecl.get("params", [])
+            if not isinstance(raw_params, list):
+                violations.append(Violation(f"{loc}.params", "needs a JSON array"))
+                raw_params = []
             params: list[Param] = []
             seen_params: set[str] = set()
-            for i, p in enumerate(mdecl.get("params", [])):
+            for i, p in enumerate(raw_params):
                 if not isinstance(p, dict) or "name" not in p or "type" not in p:
                     violations.append(Violation(f"{loc}.params[{i}]", "param needs name and type"))
                     continue
@@ -230,34 +257,23 @@ def schema_from_dict(raw: object) -> ApiSchema:
                 if pname in seen_params:
                     violations.append(Violation(f"{loc}.params[{i}]", f"duplicate param {pname!r}"))
                 seen_params.add(pname)
-                ptype = TypeRef.from_dict(p["type"])
-                if ptype.base not in valid_bases:
-                    violations.append(
-                        Violation(f"{loc}.params[{i}]", f"unresolvable type {ptype.base!r}")
-                    )
-                params.append(Param(pname, ptype))
-            returns = TypeRef.from_dict(mdecl.get("returns", {"base": "void"}))
-            if returns.base not in valid_bases:
-                violations.append(Violation(f"{loc}.returns", f"unresolvable type {returns.base!r}"))
+                params.append(Param(pname, type_ref(p["type"], f"{loc}.params[{i}]")))
             methods[mname] = MethodSig(
                 name=mname,
                 params=tuple(params),
-                returns=returns,
+                returns=type_ref(mdecl.get("returns", {"base": "void"}), f"{loc}.returns"),
                 mutates=bool(mdecl.get("mutates", False)),
             )
-        attributes: dict[str, TypeRef] = {}
-        for aname, adecl in tdecl.get("attributes", {}).items():
-            atype = TypeRef.from_dict(adecl)
-            if atype.base not in valid_bases:
-                violations.append(
-                    Violation(f"types.{tname}.attributes.{aname}", f"unresolvable type {atype.base!r}")
-                )
-            attributes[aname] = atype
+        attributes = {
+            aname: type_ref(adecl, f"types.{tname}.attributes.{aname}")
+            for aname, adecl in _shaped(tdecl.get("attributes", {}),
+                                        f"types.{tname}.attributes", violations).items()
+        }
         types[tname] = TypeDecl(name=tname, methods=methods, attributes=attributes)
 
     roots: dict[str, str] = {}
     for rname, rtype in raw.get("roots", {}).items():
-        if rtype not in raw_types:
+        if not isinstance(rtype, str) or rtype not in raw_types:
             violations.append(Violation(f"roots.{rname}", f"root type {rtype!r} not declared"))
         roots[rname] = str(rtype)
     if not roots:

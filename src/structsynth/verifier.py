@@ -9,7 +9,6 @@ documentation is a retrieval problem, not proof the call is wrong.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,7 +65,6 @@ class VerdictReport:
     failure_layer: int
     issues: tuple[Issue, ...]
     layers_run: tuple[int, ...] = field(compare=False, default=())
-    timings: dict[str, float] = field(compare=False, default_factory=dict)
 
     def errors(self) -> tuple[Issue, ...]:
         return tuple(i for i in self.issues if i.severity is Severity.ERROR)
@@ -295,54 +293,28 @@ def verify_all(
     max_layer: int = 4,
     step_budget: int = STEP_BUDGET,
 ) -> VerdictReport:
-    """Run the staged pipeline up to max_layer and report the outcome."""
-    issues: list[Issue] = []
-    layers_run: list[int] = []
-    timings: dict[str, float] = {}
+    """Run the staged pipeline up to max_layer and report the outcome.
 
-    def timed(layer: int, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timings[f"L{layer}"] = time.perf_counter() - t0
-        layers_run.append(layer)
-        return out
-
-    def report(failed_at: int) -> VerdictReport:
-        return VerdictReport(
-            passed=failed_at == 0,
-            failure_layer=failed_at,
-            issues=tuple(issues),
-            layers_run=tuple(layers_run),
-            timings=timings,
-        )
-
-    issues.extend(timed(1, lambda: verify_syntax(candidate.script)))
+    L1 always runs; L2 and L3 need a typed program, and L4 also needs a judge
+    and a graph. The layers run in order and stop at the first one with an
+    error-severity issue, or after max_layer.
+    """
     ts = candidate.typed
-    if ts is None:
-        return report(1)
-    if max_layer < 2:
-        return report(0)
-
-    causal_issues = timed(2, lambda: verify_causal(ts, graph, schema))
-    issues.extend(causal_issues)
-    if any(i.severity is Severity.ERROR for i in causal_issues):
-        return report(2)
-    if max_layer < 3:
-        return report(0)
-
-    api_issues = timed(3, lambda: verify_api_alignment(ts, schema, evidence, graph))
-    issues.extend(api_issues)
-    if any(i.severity is Severity.ERROR for i in api_issues):
-        return report(3)
-    if max_layer < 4 or judge is None or graph is None:
-        return report(0)
-
-    sem_issues = timed(
-        4,
-        lambda: verify_step_bound(candidate.script, step_budget)
-        or verify_semantic(ts, graph, schema, judge, prompt, candidate.source),
-    )
-    issues.extend(sem_issues)
-    if any(i.severity is Severity.ERROR for i in sem_issues):
-        return report(4)
-    return report(0)
+    checks = [lambda: verify_syntax(candidate.script)]
+    if ts is not None:
+        checks.append(lambda: verify_causal(ts, graph, schema))
+        checks.append(lambda: verify_api_alignment(ts, schema, evidence, graph))
+        if judge is not None and graph is not None:
+            checks.append(
+                lambda: verify_step_bound(candidate.script, step_budget)
+                or verify_semantic(ts, graph, schema, judge, prompt, candidate.source)
+            )
+    issues: list[Issue] = []
+    for layer, check in enumerate(checks, 1):
+        found = check()
+        issues.extend(found)
+        if any(i.severity is Severity.ERROR for i in found):
+            return VerdictReport(False, layer, tuple(issues), tuple(range(1, layer + 1)))
+        if layer >= max_layer:
+            break
+    return VerdictReport(True, 0, tuple(issues), tuple(range(1, layer + 1)))

@@ -167,6 +167,24 @@ def test_run_task_force_exec_flags_record(schema, retriever, snapshot):
     assert rec.exec_status == "runtime_error"
 
 
+def test_run_task_records_an_execution_failure_of_an_accepted_program(
+    schema, retriever, snapshot
+):
+    task = TaskSpec("t", "Set the weight of net clk to 3", "action")
+    rec = run_task(
+        task,
+        schema,
+        retriever,
+        PatternTableExtractor(schema),
+        TemplateGenerator(schema),
+        RuleBasedJudge(),
+        lambda: Session(snapshot, schema, crash_probability=1.0),
+    )
+    assert rec.accepted and not rec.exec_forced
+    assert rec.exec_status == "runtime_error"
+    assert rec.tool_calls == 1
+
+
 def test_run_task_generator_collapse_is_error_record(schema, retriever, snapshot):
     task = TaskSpec("t", "Set the weight of net clk to 3", "action")
     rec = run_task(

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from structsynth.bench import load_multi_suite
 from structsynth.cli import build_parser, main
 from structsynth.fixtures import fixture_path
+from structsynth.retrieval import load_corpus
 from structsynth.runtime import STEP_BUDGET
+from structsynth.schema import ParseError, SchemaError, load_schema
 
 CLEAN = (
     "block = design.getBlock()\n"
@@ -243,6 +246,62 @@ def _toy_snapshot_with(design: dict, **document) -> str:
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     paths = {name: write(tmp_path, name, text) for name, text in files.items()}
     assert main([paths.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _fixture_with(name: str, edit) -> str:
+    """A packaged fixture document after ``edit`` changed it in place."""
+    raw = json.loads(fixture_path(name).read_text())
+    edit(raw)
+    return json.dumps(raw)
+
+
+def _net_type(change):
+    return lambda raw: change(raw["types"]["Net"])
+
+
+_SYNTH = ["synth", "--prompt", "Print the weight of net clk"]
+
+
+@pytest.mark.parametrize(
+    "name, text, load, argv",
+    [
+        ("s.json", _fixture_with("toy_schema.json", _net_type(lambda t: t.update(methods=[]))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(lambda t: t.update(attributes=[]))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(
+            lambda t: t["methods"]["getName"].update(returns="string"))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(
+            lambda t: t["methods"]["setWeight"]["params"][0].update(type="int"))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(
+            lambda t: t["methods"]["setWeight"].update(params=5))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(
+            lambda t: t["attributes"].update(weight="int"))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", lambda raw: raw.update(roots={"design": []})),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("m.json", json.dumps({"tasks": [{"id": "m1", "steps": 5}]}),
+         load_multi_suite, ["bench", "--multis", "m.json"]),
+        ("m.json", json.dumps({"tasks": [{"id": "m1", "steps": "abc"}]}),
+         load_multi_suite, ["bench", "--multis", "m.json"]),
+        ("c.json", _fixture_with("toy_corpus.json", lambda raw: raw["docs"][0].update(tags="abc")),
+         load_corpus, _SYNTH + ["--corpus", "c.json"]),
+    ],
+    ids=["schema-methods-list", "schema-attributes-list", "schema-returns-string",
+         "schema-param-type-string", "schema-params-int", "schema-attribute-string",
+         "schema-root-type-list", "multi-steps-int", "multi-steps-string", "corpus-tags-string"],
+)
+def test_wrongly_shaped_member_is_reported_not_raised(tmp_path, capsys, name, text, load, argv):
+    path = write(tmp_path, name, text)
+    with pytest.raises((ParseError, SchemaError)):
+        load(path)
+    assert main([path if arg == name else arg for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err

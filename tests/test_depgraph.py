@@ -16,6 +16,7 @@ from structsynth.depgraph import (
     GraphEdge,
     GraphInvariantError,
     GraphNode,
+    MAX_ROUNDS,
     NodeClass,
     NodeKind,
     extract_graph,
@@ -239,9 +240,10 @@ def test_extract_graph_unparseable_streak_resets(schema):
 
 def test_extract_graph_returns_last_when_rounds_exhausted(schema):
     bad = DepGraph(nodes=(obj("d", "Design"), obj("w", "Widget")), edges=(acq("d", "w"),))
-    result = extract_graph("p", ScriptedExtractor([bad]), schema, max_rounds=2)
+    ex = ScriptedExtractor([bad])
+    result = extract_graph("p", ex, schema)
     assert not result.validated
-    assert result.rounds_used == 2
+    assert result.rounds_used == len(ex.calls) == MAX_ROUNDS
     assert result.graph == bad
 
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from doubles import ScriptedJudge
+from structsynth.bench import plant_cases
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
+from structsynth.extractors import PatternTableExtractor
+from structsynth.generators import DefectKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge
 from structsynth.qas.analysis import analyze
-from structsynth.fixtures import fixture_path
+from structsynth.fixtures import fixture_path, singles_suite
 from structsynth.runtime import ExecStatus, Session
 from structsynth.schema import schema_from_dict
 from structsynth.verifier import (
@@ -61,7 +65,6 @@ def test_clean_program_passes_all_layers(schema):
     assert verdict.failure_layer == 0
     assert verdict.layers_run == (1, 2, 3, 4)
     assert verdict.errors() == ()
-    assert set(verdict.timings) == {"L1", "L2", "L3", "L4"}
 
 
 def test_syntax_error_stops_at_layer_one(schema):
@@ -403,3 +406,47 @@ def test_warnings_never_set_failure_layer(schema, retriever):
     assert verdict.passed
     assert verdict.failure_layer == 0
     assert len(verdict.warnings()) >= 1
+
+
+# Rows of the verdict table below, as (passed, failure_layer, layers_run, codes()).
+VERDICT_SAMPLE = {
+    "set-weight-01/clean/L4/full": (True, 0, (1, 2, 3, 4), ()),
+    "set-weight-01/clean/L4/no-graph": (True, 0, (1, 2, 3), ()),
+    "set-weight-01/clean/L4/no-judge": (True, 0, (1, 2, 3), ()),
+    "set-weight-01/clean/L2/full": (True, 0, (1, 2), ()),
+    "set-weight-01/syntax/L4/full": (False, 1, (1,), ("L1_SYNTAX",)),
+    "set-weight-01/null_unguarded/L1/full": (True, 0, (1,), ()),
+    "set-weight-01/null_unguarded/L4/full": (False, 2, (1, 2), ("L2_NULL_UNGUARDED",)),
+    "set-weight-01/missing_acquisition/L4/no-graph": (False, 2, (1, 2), ("L2_USE_BEFORE_DEF",)),
+    "set-weight-01/missing_acquisition/L4/full": (
+        False, 2, (1, 2), ("L2_EDGE_UNREALIZED", "L2_EDGE_UNREALIZED", "L2_USE_BEFORE_DEF")),
+    "set-weight-01/unknown_method/L2/no-graph": (True, 0, (1, 2), ()),
+    "set-weight-01/unknown_method/L4/full": (False, 3, (1, 2, 3), ("L3_UNKNOWN_METHOD",)),
+    "set-weight-01/missing_action/L4/full": (False, 4, (1, 2, 3, 4), ("L4_INCOMPLETE",)),
+    "set-weight-01/missing_action/L4/no-graph": (True, 0, (1, 2, 3), ()),
+    "set-weight-01/timeout_loop/L4/no-judge": (True, 0, (1, 2, 3), ()),
+    "set-weight-01/timeout_loop/L4/full": (False, 4, (1, 2, 3, 4), ("L4_STEP_BOUND",)),
+}
+
+
+def test_verdict_table_of_planted_suite_programs_is_pinned(schema):
+    """Every suite prompt, clean and with each defect, at every depth with and without
+    a judge or a graph, gets the verdict recorded before the layers ran in one loop."""
+    plan = [(t, d) for t in singles_suite() for d in (None, *DefectKind)]
+    judge = RuleBasedJudge()
+    rows = {}
+    for case in plant_cases(plan, schema, PatternTableExtractor(schema)):
+        candidate = analyze(case.source, schema)
+        defect = case.defect.value if case.defect else "clean"
+        for max_layer in (1, 2, 3, 4):
+            for variant, graph, j in (("full", case.graph, judge),
+                                      ("no-judge", case.graph, None),
+                                      ("no-graph", None, judge)):
+                v = verify_all(candidate, graph, schema, None, j, case.task.prompt,
+                               max_layer=max_layer)
+                key = f"{case.task.task_id}/{defect}/L{max_layer}/{variant}"
+                rows[key] = (v.passed, v.failure_layer, v.layers_run, v.codes())
+    assert len(rows) == 6072
+    assert {k: rows[k] for k in VERDICT_SAMPLE} == VERDICT_SAMPLE
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "cc7fd879022aa286766770668d30b989f44689f2f679eebef4bb6326a6c76c0d"
