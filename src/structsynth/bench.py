@@ -53,13 +53,16 @@ class MultiTaskSpec:
 
 def load_suite(path: str | Path) -> list[TaskSpec]:
     tasks = []
-    for item in _read_tasks(path, "prompt"):
+    for i, item in enumerate(_read_tasks(path, "prompt")):
+        for key in ("prompt", "kind"):
+            if not isinstance(item.get(key, ""), str):
+                raise ParseError(f"suite {path}: task {i} needs {key!r} as a string")
         truth = item.get("truth_graph")
         tasks.append(
             TaskSpec(
                 task_id=str(item["id"]),
-                prompt=str(item["prompt"]),
-                kind=str(item.get("kind", "query")),
+                prompt=item["prompt"],
+                kind=item.get("kind", "query"),
                 truth_graph=DepGraph.from_dict(truth) if truth else None,
             )
         )

@@ -46,7 +46,12 @@ class Action:
 
 @dataclass
 class Trajectory:
-    """Everything the loop produced, in order; each candidate is analyzed once."""
+    """Everything the loop produced, in order.
+
+    Each distinct program text is analyzed once per synthesis: a re-emitted
+    program appears again as the same ``Candidate`` object, with a verdict of
+    its own.
+    """
 
     candidates: list[Candidate] = field(default_factory=list)
     verdicts: list[VerdictReport] = field(default_factory=list)
@@ -194,6 +199,10 @@ def synthesize(
     base_hints = (reflection_hint,) if reflection_hint else ()
 
     trajectory = Trajectory()
+    # ``analyze`` depends only on the source and the schema, which is fixed for
+    # this call, so a re-emitted program reuses its earlier analysis. It is
+    # still verified again: the graph or the evidence may have changed since.
+    analyzed: dict[str, Candidate] = {}
 
     def generate(action_hints: tuple[str, ...], feedback: tuple[str, ...]) -> str:
         previous = trajectory.candidates[-1].source if trajectory.candidates else None
@@ -212,7 +221,9 @@ def synthesize(
         raise GeneratorFailure("generator returned empty output twice")
 
     def attempt(source: str) -> None:
-        candidate = analyze(source, schema)
+        candidate = analyzed.get(source)
+        if candidate is None:
+            candidate = analyzed[source] = analyze(source, schema)
         trajectory.candidates.append(candidate)
         trajectory.verdicts.append(
             verify_all(candidate, g, schema, evidence, judge, prompt,

@@ -9,7 +9,8 @@ per line so the parser can report every problem in one pass.
 
 Each line is scanned with one alternation regex (the tokenizer recipe from
 the ``re`` documentation): the name of the group that matched decides the
-token's kind.
+token's kind. Each match also absorbs the blanks before its token, so blanks
+cost no match of their own.
 """
 
 from __future__ import annotations
@@ -25,18 +26,21 @@ _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 # Alternatives are tried in order: FLOAT before INT, and a well-formed STRING
 # before BADSTR, which catches any quote that does not open one. Digits use
 # \d (any Unicode decimal digit); names are ASCII only. Longest operators come
-# first so '==' wins over '='.
+# first so '==' wins over '='. The lexer stops each line's scan before its
+# trailing blanks, which could otherwise only match as MISMATCH.
 _TOKEN_RE = re.compile(r"""
-    (?P<SKIP>\ +)
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP>==|!=|<=|>=|[=<>+\-*/%()\[\],.:])
-  | (?P<FLOAT>\d+\.\d+)
-  | (?P<INT>\d+)
-  | (?P<STRING>'(?:[^'\\]|\\[\\'"nt])*'|"(?:[^"\\]|\\[\\'"nt])*")
-  | (?P<BADSTR>['"])
-  | (?P<COMMENT>\#)
-  | (?P<MISMATCH>.)
+    \ *(?:
+      (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<OP>==|!=|<=|>=|[=<>+\-*/%()\[\],.:])
+    | (?P<FLOAT>\d+\.\d+)
+    | (?P<INT>\d+)
+    | (?P<STRING>'(?:[^'\\]|\\[\\'"nt])*'|"(?:[^"\\]|\\[\\'"nt])*")
+    | (?P<BADSTR>['"])
+    | (?P<COMMENT>\#)
+    | (?P<MISMATCH>[^\ ])
+    )
 """, re.VERBOSE)
+_PLAIN = frozenset({"OP", "INT", "FLOAT"})  # kinds whose token text is the match
 
 _ESCAPE_RE = re.compile(r"\\(.)")
 
@@ -46,6 +50,9 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
+
+
+_new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,14 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
         if not stripped or stripped[0] == "#":
             continue
 
-        width = len(raw_line) - len(raw_line.lstrip(" "))
+        width = len(raw_line) - len(stripped)
         if width > indents[-1]:
             indents.append(width)
-            tokens.append(Token("INDENT", "", lineno, 1))
+            tokens.append(_new(Token, ("INDENT", "", lineno, 1)))
         else:
             while width < indents[-1]:
                 indents.pop()
-                tokens.append(Token("DEDENT", "", lineno, 1))
+                tokens.append(_new(Token, ("DEDENT", "", lineno, 1)))
             if width != indents[-1]:
                 issues.append(LexIssue(lineno, 1, "unindent does not match any outer level"))
                 indents.append(width)
@@ -93,7 +100,7 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
             # Drop the partial line so the parser never sees a broken tail.
             del tokens[mark:]
             issues.append(issue)
-        tokens.append(Token("NEWLINE", "", lineno, len(raw_line) + 1))
+        tokens.append(_new(Token, ("NEWLINE", "", lineno, len(raw_line) + 1)))
 
     while len(indents) > 1:
         indents.pop()
@@ -105,27 +112,25 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
 def _lex_line(line: str, lineno: int, start: int, tokens: list[Token]) -> LexIssue | None:
     """Append the line's tokens; return the first issue instead, if any."""
     append = tokens.append
-    for m in _TOKEN_RE.finditer(line, start):
+    for m in _TOKEN_RE.finditer(line, start, len(line.rstrip(" "))):
         kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        text = m.group()
-        col = m.start() + 1
+        text = m.group(kind)
+        col = m.end() - len(text) + 1
         if kind == "NAME":
-            append(Token("KW" if text in KEYWORDS else "NAME", text, lineno, col))
+            append(_new(Token, ("KW" if text in KEYWORDS else "NAME", text, lineno, col)))
+        elif kind in _PLAIN:
+            append(_new(Token, (kind, text, lineno, col)))
         elif kind == "STRING":
             body = text[1:-1]
             if "\\" in body:
                 body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], body)
-            append(Token("STRING", body, lineno, col))
+            append(_new(Token, ("STRING", body, lineno, col)))
         elif kind == "COMMENT":
             break
         elif kind == "BADSTR":
-            return _string_issue(line, m.start(), lineno)
-        elif kind == "MISMATCH":
-            return LexIssue(lineno, col, f"unexpected character {text!r}")
+            return _string_issue(line, col - 1, lineno)
         else:
-            append(Token(kind, text, lineno, col))
+            return LexIssue(lineno, col, f"unexpected character {text!r}")
     return None
 
 

@@ -61,20 +61,29 @@ class Script:
         return nodes.module_to_source(self.statements)
 
 
+# Binding power of each binary operator; unary minus binds tighter than all.
+_COMPARE, _UNARY = 1, 4
+_BINARY = {
+    **dict.fromkeys(nodes.COMPARE_OPS, _COMPARE),
+    **dict.fromkeys(nodes.ADD_OPS, 2),
+    **dict.fromkeys(nodes.MUL_OPS, 3),
+}
+
+
 class _ParseAbort(Exception):
     pass
 
 
 class _Parser:
+    """Reads ``tokens`` from ``pos``. The hot paths test a token inline, and a
+    Token is a tuple, so ``tok[:2]`` compares its kind and text at once."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.errors: list[SyntaxIssue] = []
 
     # ---- token plumbing ----
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -95,11 +104,10 @@ class _Parser:
         return None
 
     def expect(self, kind: str, text: str | None = None, what: str = "") -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            got = self.peek()
-            want = what or (text if text else kind.lower())
-            self.error(got, f"expected {want}")
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            self.error(tok, f"expected {what or text or kind.lower()}")
+        self.pos += 1
         return tok
 
     def error(self, tok: Token, message: str) -> None:
@@ -112,7 +120,7 @@ class _Parser:
         """Skip to the end of the current line; swallow any block it opened."""
         depth = 0
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "EOF":
                 return
             if tok.kind == "INDENT":
@@ -133,31 +141,36 @@ class _Parser:
 
     def parse_module(self) -> tuple[Stmt, ...]:
         statements: list[Stmt] = []
-        while not self.check("EOF"):
-            if self.accept("NEWLINE"):
-                continue
-            if self.check("DEDENT") or self.check("INDENT"):
-                tok = self.advance()
+        tok = self.tokens[self.pos]
+        while tok.kind != "EOF":
+            if tok.kind == "NEWLINE":
+                self.pos += 1
+            elif tok.kind == "DEDENT" or tok.kind == "INDENT":
+                self.pos += 1
                 self.errors.append(SyntaxIssue(tok.line, tok.col, "unexpected indentation"))
-                continue
-            stmt = self._statement()
-            if stmt is not None:
-                statements.append(stmt)
+            else:
+                stmt = self._statement()
+                if stmt is not None:
+                    statements.append(stmt)
+            tok = self.tokens[self.pos]
         return tuple(statements)
 
     def _block(self) -> tuple[Stmt, ...]:
         self.expect("NEWLINE", what="end of line")
         self.expect("INDENT", what="an indented block")
         body: list[Stmt] = []
-        while not self.check("DEDENT") and not self.check("EOF"):
-            if self.accept("NEWLINE"):
-                continue
-            stmt = self._statement()
-            if stmt is not None:
-                body.append(stmt)
+        kind = self.tokens[self.pos].kind
+        while kind != "DEDENT" and kind != "EOF":
+            if kind == "NEWLINE":
+                self.pos += 1
+            else:
+                stmt = self._statement()
+                if stmt is not None:
+                    body.append(stmt)
+            kind = self.tokens[self.pos].kind
         self.accept("DEDENT")
         if not body:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             self.errors.append(SyntaxIssue(tok.line, tok.col, "empty block"))
         return tuple(body)
 
@@ -169,7 +182,7 @@ class _Parser:
             return None
 
     def _statement_inner(self) -> Stmt:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "KW" and tok.text == "import":
             return self._import_stmt()
         if tok.kind == "KW" and tok.text == "for":
@@ -178,24 +191,22 @@ class _Parser:
             return self._if_stmt()
         if tok.kind == "KW" and tok.text == "else":
             self.error(tok, "'else' without matching 'if'")
-        if tok.kind == "NAME" and self._lookahead_is_assign():
-            name = self.advance()
-            self.expect("OP", "=")
-            value = self._expression()
-            self.expect("NEWLINE", what="end of line")
-            return Assign(target=name.text, value=value, line=name.line, col=name.col)
-        value = self._expression()
-        self.expect("NEWLINE", what="end of line")
-        return ExprStmt(value=value, line=tok.line, col=tok.col)
-
-    def _lookahead_is_assign(self) -> bool:
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        return nxt is not None and nxt.kind == "OP" and nxt.text == "="
+        if tok.kind == "NAME" and self.tokens[self.pos + 1][:2] == ("OP", "="):
+            self.pos += 2
+            stmt = Assign(target=tok.text, value=self._expression(), line=tok.line, col=tok.col)
+        else:
+            stmt = ExprStmt(value=self._expression(), line=tok.line, col=tok.col)
+        end = self.tokens[self.pos]
+        if end.kind != "NEWLINE":
+            self.error(end, "expected end of line")
+        self.pos += 1
+        return stmt
 
     def _import_stmt(self) -> Stmt:
         kw = self.advance()
         parts = [self.expect("NAME", what="a module name").text]
-        while self.accept("OP", "."):
+        while self.tokens[self.pos][:2] == ("OP", "."):
+            self.pos += 1
             parts.append(self.expect("NAME", what="a name after '.'").text)
         self.expect("NEWLINE", what="end of line")
         return ImportStmt(name=".".join(parts), line=kw.line, col=kw.col)
@@ -218,8 +229,7 @@ class _Parser:
         mark = self.pos
         while self.accept("NEWLINE"):
             pass
-        if self.check("KW", "else"):
-            self.advance()
+        if self.accept("KW", "else"):
             self.expect("OP", ":")
             orelse = self._block()
         else:
@@ -228,66 +238,49 @@ class _Parser:
 
     # ---- expressions ----
 
-    def _expression(self) -> Expr:
-        return self._comparison()
-
-    def _comparison(self) -> Expr:
-        left = self._arith()
-        tok = self.tokens[self.pos]
-        if tok.kind == "OP" and tok.text in nodes.COMPARE_OPS:
-            self.pos += 1
-            right = self._arith()
-            return BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _arith(self) -> Expr:
-        left = self._term()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "OP" and tok.text in nodes.ADD_OPS:
-                self.pos += 1
-                right = self._term()
-                left = BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
-            else:
-                return left
-
-    def _term(self) -> Expr:
-        left = self._factor()
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "OP" and tok.text in nodes.MUL_OPS:
-                self.pos += 1
-                right = self._factor()
-                left = BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
-            else:
-                return left
-
-    def _factor(self) -> Expr:
+    def _expression(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over ``_BINARY``: operators of equal rank group
+        left, and a comparison takes no further comparison as either operand."""
         tok = self.tokens[self.pos]
         if tok.kind == "OP" and tok.text == "-":
             self.pos += 1
-            operand = self._factor()
-            return UnaryOp(op="-", operand=operand, line=tok.line, col=tok.col)
-        return self._postfix()
+            left = UnaryOp(op="-", operand=self._expression(_UNARY), line=tok.line, col=tok.col)
+        else:
+            left = self._postfix()
+        while True:
+            tok = self.tokens[self.pos]
+            prec = _BINARY.get(tok.text, 0) if tok.kind == "OP" else 0
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            right = self._expression(prec + 1)
+            left = BinOp(op=tok.text, left=left, right=right, line=tok.line, col=tok.col)
+            if prec == _COMPARE:
+                return left
 
     def _postfix(self) -> Expr:
         expr = self._atom()
         while True:
             tok = self.tokens[self.pos]
-            if tok.kind == "OP" and tok.text == ".":
-                self.pos += 1
-                attr = self.expect("NAME", what="a name after '.'")
+            if tok.kind != "OP":
+                return expr
+            if tok.text == ".":
+                attr = self.tokens[self.pos + 1]
+                if attr.kind != "NAME":
+                    self.error(attr, "expected a name after '.'")
+                self.pos += 2
                 expr = Attribute(value=expr, attr=attr.text, line=tok.line, col=tok.col)
-            elif tok.kind == "OP" and tok.text == "(":
+            elif tok.text == "(":
                 self.pos += 1
                 args: list[Expr] = []
                 if not self.check("OP", ")"):
                     args.append(self._expression())
-                    while self.accept("OP", ","):
+                    while self.tokens[self.pos][:2] == ("OP", ","):
+                        self.pos += 1
                         args.append(self._expression())
                 self.expect("OP", ")")
                 expr = Call(func=expr, args=tuple(args), line=tok.line, col=tok.col)
-            elif tok.kind == "OP" and tok.text == "[":
+            elif tok.text == "[":
                 self.pos += 1
                 index = self._expression()
                 self.expect("OP", "]")

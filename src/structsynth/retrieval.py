@@ -69,16 +69,21 @@ def load_corpus(path: str | Path) -> tuple[ApiDoc, ...]:
         raise ParseError("corpus document needs a 'docs' list")
     docs = []
     for item in items:
-        if isinstance(item, dict) and not _strings(item.get("tags", [])):
-            raise ParseError(f"bad corpus entry {item.get('id')!r}: 'tags' needs a list of strings")
+        if isinstance(item, dict):
+            entry = f"bad corpus entry {item.get('id')!r}"
+            if not _strings(item.get("tags", [])):
+                raise ParseError(f"{entry}: 'tags' needs a list of strings")
+            for key in ("id", "api_path", "text", "snippet"):
+                if not isinstance(item.get(key, ""), str):
+                    raise ParseError(f"{entry}: {key!r} needs a string")
         try:
             docs.append(
                 ApiDoc(
-                    doc_id=str(item["id"]),
-                    api_path=str(item["api_path"]),
-                    text=str(item["text"]),
+                    doc_id=item["id"],
+                    api_path=item["api_path"],
+                    text=item["text"],
                     tags=tuple(item.get("tags", [])),
-                    snippet=str(item.get("snippet", "")),
+                    snippet=item.get("snippet", ""),
                 )
             )
         except (KeyError, TypeError) as exc:

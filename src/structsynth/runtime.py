@@ -692,8 +692,12 @@ class _Interp:
         value, attr = self.expr(e.value), e.attr
         session, schema = self.s, self.s.schema
         names_enum = attr in schema.enums
+        # A member of a module or enum namespace depends only on that base, so
+        # the last one read is kept; an object's fields are read every time.
+        last_base = last = None
 
         def read():
+            nonlocal last_base, last
             base = value()
             if base is None:
                 raise _Abort("NullAccess", f"attribute {attr!r} read on None")
@@ -703,13 +707,17 @@ class _Interp:
                     raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
                 fields = session.object(base.id).fields
                 return fields[attr] if attr in fields else _unset(declared)
+            if base is last_base:
+                return last
             if isinstance(base, ModuleVal):
                 if names_enum:
-                    return EnumNamespace(base.name, attr)
+                    last_base, last = base, EnumNamespace(base.name, attr)
+                    return last
                 raise _Abort("EnumError", f"module {base.name!r} has no member {attr!r}")
             if isinstance(base, EnumNamespace):
                 if schema.enum_has(base.enum, attr):
-                    return EnumVal(base.enum, attr)
+                    last_base, last = base, EnumVal(base.enum, attr)
+                    return last
                 raise _Abort("EnumError", f"{base.enum} has no constant {attr!r}")
             raise _Abort("BadAttribute", f"attribute {attr!r} on {_fmt(base)}")
 

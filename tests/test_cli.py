@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from structsynth.bench import load_multi_suite
+from structsynth.bench import load_multi_suite, load_suite
 from structsynth.cli import build_parser, main
 from structsynth.fixtures import fixture_path
 from structsynth.retrieval import load_corpus
@@ -292,10 +292,19 @@ _SYNTH = ["synth", "--prompt", "Print the weight of net clk"]
          load_multi_suite, ["bench", "--multis", "m.json"]),
         ("c.json", _fixture_with("toy_corpus.json", lambda raw: raw["docs"][0].update(tags="abc")),
          load_corpus, _SYNTH + ["--corpus", "c.json"]),
+        *[("c.json", _fixture_with("toy_corpus.json",
+                                   lambda raw, k=k, v=v: raw["docs"][0].update({k: v})),
+           load_corpus, _SYNTH + ["--corpus", "c.json"])
+          for k, v in (("id", 7), ("api_path", ["Net"]), ("text", {"a": 1}), ("snippet", ["a"]))],
+        *[("t.json", json.dumps({"tasks": [{"id": "s1", "prompt": "List all nets", k: v}]}),
+           load_suite, ["bench", "--suite", "t.json", "--no-multis"])
+          for k, v in (("prompt", 5), ("kind", ["query"]))],
     ],
     ids=["schema-methods-list", "schema-attributes-list", "schema-returns-string",
          "schema-param-type-string", "schema-params-int", "schema-attribute-string",
-         "schema-root-type-list", "multi-steps-int", "multi-steps-string", "corpus-tags-string"],
+         "schema-root-type-list", "multi-steps-int", "multi-steps-string", "corpus-tags-string",
+         "corpus-id-int", "corpus-api-path-list", "corpus-text-object", "corpus-snippet-list",
+         "suite-prompt-int", "suite-kind-list"],
 )
 def test_wrongly_shaped_member_is_reported_not_raised(tmp_path, capsys, name, text, load, argv):
     path = write(tmp_path, name, text)

@@ -294,6 +294,31 @@ def test_synthesize_budget_zero_never_repairs(schema, retriever):
     assert result.verdict.failure_layer == 3
 
 
+def test_synthesize_analyzes_a_re_emitted_program_once(schema, retriever, parse_calls):
+    gen = FaultInjectionGenerator(
+        TemplateGenerator(schema), DefectKind.UNKNOWN_METHOD, schema, heal_after=2
+    )
+    result = synthesize(
+        prompt="Set the weight of net clk to 3",
+        schema=schema,
+        retriever=retriever,
+        extractor=PatternTableExtractor(schema),
+        generator=gen,
+        judge=RuleBasedJudge(),
+    )
+    first, again, healed = result.trajectory.candidates
+    assert again is first  # the same text, so the same analysis
+    assert healed.source != first.source
+    assert parse_calls == [first.source, healed.source]
+    assert [v.failure_layer for v in result.trajectory.verdicts] == [3, 3, 0]
+    assert [(a.kind, a.escalated) for a in result.trajectory.actions] == [
+        (ActionKind.EDGE_RE_RETRIEVE, False),
+        (ActionKind.GRAPH_RE_EXTRACT, True),  # the loop guard saw the twins
+    ]
+    assert result.trajectory.evidence_versions == [1, 2, 3]
+    assert result.accepted
+
+
 # Lists the nets, then spins 19 times: a static bound of 1 + 1 + (1 + 19 * 3) = 60 steps.
 SIXTY_STEPS = (
     "block = design.getBlock()\n"

@@ -77,6 +77,20 @@ def test_episode_executes_each_accepted_parse_without_parsing_again(
     assert result.tool_calls == 2
 
 
+def test_each_step_analyzes_its_program_even_when_the_text_repeats(
+    schema, retriever, snapshot, parse_calls
+):
+    result = episode(
+        ["List all nets", "List all nets"],
+        schema,
+        retriever,
+        Session(snapshot, schema),
+        generator=ScriptedGenerator([LIST_NETS]),
+    )
+    assert [s.status for s in result.steps] == ["ok", "ok"]
+    assert parse_calls == [LIST_NETS, LIST_NETS]  # no analysis outlives its synthesis
+
+
 def test_first_failure_skips_remaining_steps(schema, retriever, snapshot):
     generator = ScriptedGenerator(sources=[LIST_NETS, "print(ghost)\n"])
     result = episode(

@@ -418,3 +418,47 @@ def test_lexer_token_streams_of_suite_programs_are_pinned(schema):
             programs += 1
     assert programs == 825
     assert digest.hexdigest()[:16] == "62e7ae5c950c894b"
+
+
+_MUTATION_CHARS = " \n\t()[],.:=<>!+-*/%#'\"\\0123456789xyz_"
+
+
+def _mutated(source: str, rng: random.Random) -> str:
+    """The source with one character deleted, inserted or swapped, or a line repeated."""
+    i = rng.randrange(len(source) + 1)
+    how = rng.randrange(4)
+    if how == 0:
+        return source[:i] + source[i + 1 :]
+    if how == 1:
+        return source[:i] + rng.choice(_MUTATION_CHARS) + source[i:]
+    if how == 2 and 0 < i < len(source):
+        return source[: i - 1] + source[i] + source[i - 1] + source[i + 1 :]
+    lines = source.splitlines(keepends=True) or [""]
+    j = rng.randrange(len(lines))
+    return "".join(lines[: j + 1] + lines[j:])
+
+
+def test_parse_outcomes_of_suite_programs_are_pinned(schema):
+    """The full parse of every suite program and of seeded mutants, locations included.
+
+    ``repr`` of a Script shows every node with its line and column, and ``repr``
+    of a SyntaxFailure every error in order, so any change to a tree, a
+    location or an error message moves the digest.
+    """
+    extractor = PatternTableExtractor(schema)
+    generator = TemplateGenerator(schema)
+    prompts = [t.prompt for t in singles_suite()] + [p for m in multis_suite() for p in m.steps]
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    outcomes = {Script: 0, SyntaxFailure: 0}
+    for prompt in prompts:
+        graph = extractor.extract(prompt, None, ())
+        clean = generator.generate(GenerationRequest(prompt=prompt, graph=graph))
+        for source in [clean] + [apply_defect(clean, kind, schema) for kind in DefectKind]:
+            for variant in [source] + [_mutated(source, rng) for _ in range(3)]:
+                outcome = parse(variant)
+                outcomes[type(outcome)] += 1
+                digest.update(repr(outcome).encode())
+    assert sum(outcomes.values()) == 4 * 825
+    assert min(outcomes.values()) > 500  # both outcomes are well represented
+    assert digest.hexdigest()[:16] == "9a1a1ed6a0d33bed"
