@@ -10,7 +10,6 @@ a mock object database.
 
 from __future__ import annotations
 
-from .bench import BenchReport, load_multi_suite, load_suite, run_bench, run_task
 from .controller import (
     Action,
     ActionKind,
@@ -76,7 +75,6 @@ __all__ = [
     "ActionKind",
     "ApiDoc",
     "ApiSchema",
-    "BenchReport",
     "Candidate",
     "DefectKind",
     "DepGraph",
@@ -125,14 +123,10 @@ __all__ = [
     "graph_metrics",
     "ground_truth_graph",
     "load_corpus",
-    "load_multi_suite",
     "load_schema",
     "load_snapshot",
-    "load_suite",
     "loop_guard",
-    "run_bench",
     "run_episode",
-    "run_task",
     "run_with_reflection",
     "select_action",
     "synthesize",

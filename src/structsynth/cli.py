@@ -158,7 +158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     pred, truth = _read_graph(args.pred), _read_graph(args.truth)
-    print(json.dumps(asdict(graph_metrics(pred, truth)), indent=2))
+    print(json.dumps(graph_metrics(pred, truth)._asdict(), indent=2))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .depgraph import DepGraph, ExtractorFailure, Feedback, GraphExtractor, extract_graph
 from .generators import GenerationRequest, GeneratorFailure
@@ -35,8 +36,7 @@ _LADDER = (ActionKind.REGENERATE, ActionKind.EDGE_RE_RETRIEVE, ActionKind.GRAPH_
 LOOP_SIMILARITY = 0.9  # Jaccard similarity at which two candidates are twins
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: ActionKind
     reason: str
     hints: tuple[str, ...] = ()
@@ -63,8 +63,7 @@ class Trajectory:
         return self.verdicts[self.window_start :]
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
+class SynthesisConfig(NamedTuple):
     budget: int = 4
     max_layer: int = 4
     step_budget: int = STEP_BUDGET

@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .qas.analysis import TypedScript
 from .schema import ApiSchema, ParseError
@@ -58,24 +58,21 @@ class EdgeVerdict(str, Enum):
     UNKNOWN_METHOD = "unknown_method"
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     id: str
     kind: NodeKind
     type_name: str | None = None
     label: str = ""
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     src: str
     dst: str
     kind: EdgeKind
     via_method: str | None = None
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
@@ -200,15 +197,13 @@ class DepGraph:
         return DepGraph(nodes=nodes, edges=edges)
 
 
-@dataclass(frozen=True)
-class Feedback:
+class Feedback(NamedTuple):
     target: str
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     """Validation outcome: a class for every node, a verdict for every edge."""
 
     node_classes: dict[str, NodeClass]
@@ -488,8 +483,7 @@ def ground_truth_graph(ts: TypedScript, schema: ApiSchema) -> tuple[DepGraph, in
     return DepGraph(nodes=tuple(nodes), edges=tuple(edges)), skipped
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     node_precision: float
     node_recall: float
     node_f1: float

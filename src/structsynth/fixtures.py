@@ -10,7 +10,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .bench import MultiTaskSpec, TaskSpec, load_multi_suite, load_suite
 from .retrieval import ApiDoc, Retriever, load_corpus
 from .runtime import Snapshot, load_snapshot, snapshot_from_dict
 from .schema import ApiSchema, load_schema
@@ -34,14 +33,6 @@ def toy_retriever() -> Retriever:
 
 def toy_snapshot(schema: ApiSchema | None = None) -> Snapshot:
     return load_snapshot(fixture_path("toy_snapshot.json"), schema or toy_schema())
-
-
-def singles_suite() -> list[TaskSpec]:
-    return load_suite(fixture_path("suite/singles.json"))
-
-
-def multis_suite() -> list[MultiTaskSpec]:
-    return load_multi_suite(fixture_path("suite/multis.json"))
 
 
 def make_scaled_snapshot(

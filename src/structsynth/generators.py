@@ -14,6 +14,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from .qas import nodes as qn
@@ -27,8 +28,7 @@ class GeneratorFailure(Exception):
     """The generator produced nothing usable twice in a row."""
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(NamedTuple):
     prompt: str
     graph: DepGraph
     evidence: EvidenceSet | None = None
@@ -282,9 +282,9 @@ def _rewrite(statements: tuple, replace) -> tuple:
             out.extend(new)
             continue
         if isinstance(s, qn.ForStmt):
-            s = qn.ForStmt(s.var, s.iterable, _rewrite(s.body, replace))
+            s = s._replace(body=_rewrite(s.body, replace))
         elif isinstance(s, qn.IfStmt):
-            s = qn.IfStmt(s.test, _rewrite(s.body, replace), _rewrite(s.orelse, replace))
+            s = s._replace(body=_rewrite(s.body, replace), orelse=_rewrite(s.orelse, replace))
         out.append(s)
     return tuple(out)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .depgraph import DepGraph, NodeKind
 from .qas.analysis import TypedScript
@@ -13,20 +13,17 @@ class JudgeFailure(Exception):
     """The judge could not produce a verdict at all."""
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class JudgeVerdict:
+class JudgeVerdict(NamedTuple):
     ok: bool
     findings: tuple[Finding, ...] = ()
 
 
-@dataclass(frozen=True)
-class JudgeContext:
+class JudgeContext(NamedTuple):
     prompt: str
     source: str
     typed: TypedScript

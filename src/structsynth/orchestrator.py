@@ -10,7 +10,7 @@ reruns from scratch on a fresh session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .controller import SynthesisConfig, SynthesisResult, synthesize
 from .depgraph import ExtractorFailure, GraphExtractor, NodeKind
@@ -21,8 +21,7 @@ from .schema import ApiSchema
 from .verifier import L2_EDGE_UNREALIZED
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     prompt: str
     status: str  # ok | rejected | exec_failed | skipped | error
     synthesis: SynthesisResult | None = None
@@ -47,8 +46,7 @@ class EpisodeResult:
         return None
 
 
-@dataclass(frozen=True)
-class StepHint:
+class StepHint(NamedTuple):
     step_index: int
     hint: str
 

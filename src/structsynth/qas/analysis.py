@@ -46,8 +46,7 @@ from .parser import Script, SyntaxFailure, parse
 Location = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     receiver_type: TypeRef
     method: str
     arg_types: tuple[TypeRef, ...]
@@ -72,16 +71,14 @@ class Operation(NamedTuple):
     allowed: bool
 
 
-@dataclass(frozen=True)
-class EnumRef:
+class EnumRef(NamedTuple):
     """A dotted reference that syntactically looks like an enum constant."""
 
     name: str
     location: Location
 
 
-@dataclass(frozen=True)
-class UndefinedUse:
+class UndefinedUse(NamedTuple):
     name: str
     location: Location
     reason: str  # "undefined" or "not dominated"
@@ -125,8 +122,7 @@ def infer_types(script: Script, schema: ApiSchema) -> TypedScript:
     return inf.run(script)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One generated program, parsed and typed once for every later stage.
 
     An unparseable program has ``typed`` None and a line-based statement

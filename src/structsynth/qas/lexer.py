@@ -16,7 +16,6 @@ cost no match of their own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 KEYWORDS = frozenset({"import", "for", "in", "if", "else", "True", "False", "None"})
@@ -55,8 +54,7 @@ class Token(NamedTuple):
 _new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
 
-@dataclass(frozen=True)
-class LexIssue:
+class LexIssue(NamedTuple):
     line: int
     col: int
     message: str

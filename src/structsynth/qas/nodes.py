@@ -6,29 +6,85 @@ excluded from equality, so two parses of equivalent text compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+try:
+    from _collections import _tuplegetter  # the field reader NamedTuple uses
+except ImportError:  # pragma: no cover - other Python implementations
+    from operator import itemgetter
+
+    def _tuplegetter(index: int, doc: str) -> property:
+        return property(itemgetter(index), doc=doc)
 
 
-@dataclass(frozen=True)
-class _Node:
-    line: int = field(compare=False, kw_only=True, default=0)
-    col: int = field(compare=False, kw_only=True, default=0)
+class Node(tuple):
+    """A node is the tuple ``(line, col, *payload)``, built once and never changed.
+
+    A subclass declares ``__slots__ = ()`` and annotates its payload fields,
+    as a NamedTuple does; a trailing field may have a default. Equality and
+    hash read the class and the payload, so ``line`` and ``col`` never take
+    part. ``repr`` lists every field by name, ``line`` and ``col`` first. The
+    parser builds a node positionally with ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    line = _tuplegetter(0, "Source line of the node.")
+    col = _tuplegetter(1, "Source column of the node.")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+        for i, name in enumerate(cls._fields, start=2):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __new__(cls, *args, line: int = 0, col: int = 0, **kwargs):
+        fields = cls._fields
+        missing = fields[len(args):]
+        try:
+            args += tuple(kwargs.pop(f) if f in kwargs else cls._defaults[f] for f in missing)
+        except KeyError as exc:
+            raise TypeError(f"{cls.__name__}() missing argument {exc}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes fields {fields}")
+        return tuple.__new__(cls, (line, col, *args))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self[2:] == other[2:]
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare locations
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[2:])
+
+    def __repr__(self) -> str:
+        payload = "".join(f", {n}={v!r}" for n, v in zip(self._fields, self[2:]))
+        return f"{type(self).__qualname__}(line={self[0]!r}, col={self[1]!r}{payload})"
+
+    def _replace(self, **changes):
+        """This node with some payload fields changed, at the same location."""
+        payload = tuple(changes.pop(f, v) for f, v in zip(self._fields, self[2:]))
+        if changes:
+            raise ValueError(f"{type(self).__name__} has no fields {sorted(changes)}")
+        return tuple.__new__(type(self), (self[0], self[1], *payload))
 
     @property
     def location(self) -> tuple[int, int]:
-        return (self.line, self.col)
+        return self[:2]
 
 
 # ---- expressions ----
 
 
-@dataclass(frozen=True)
-class Name(_Node):
+class Name(Node):
+    __slots__ = ()
     id: str
 
 
-@dataclass(frozen=True)
-class IntLit(_Node):
+class IntLit(Node):
+    __slots__ = ()
     value: int
 
 
@@ -56,52 +112,51 @@ def int_text(value: int) -> str:
     return ("-" if value < 0 else "") + int_text(head) + f"{tail:0{_PIECE}d}"
 
 
-@dataclass(frozen=True)
-class FloatLit(_Node):
+class FloatLit(Node):
+    __slots__ = ()
     value: float
 
 
-@dataclass(frozen=True)
-class StringLit(_Node):
+class StringLit(Node):
+    __slots__ = ()
     value: str
 
 
-@dataclass(frozen=True)
-class BoolLit(_Node):
+class BoolLit(Node):
+    __slots__ = ()
     value: bool
 
 
-@dataclass(frozen=True)
-class NoneLit(_Node):
-    pass
+class NoneLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Attribute(_Node):
+class Attribute(Node):
+    __slots__ = ()
     value: "Expr"
     attr: str
 
 
-@dataclass(frozen=True)
-class Index(_Node):
+class Index(Node):
+    __slots__ = ()
     value: "Expr"
     index: "Expr"
 
 
-@dataclass(frozen=True)
-class Call(_Node):
+class Call(Node):
+    __slots__ = ()
     func: "Expr"
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class UnaryOp(_Node):
+class UnaryOp(Node):
+    __slots__ = ()
     op: str
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp(_Node):
+class BinOp(Node):
+    __slots__ = ()
     op: str
     left: "Expr"
     right: "Expr"
@@ -113,31 +168,31 @@ Expr = Name | IntLit | FloatLit | StringLit | BoolLit | NoneLit | Attribute | In
 # ---- statements ----
 
 
-@dataclass(frozen=True)
-class ImportStmt(_Node):
+class ImportStmt(Node):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class Assign(_Node):
+class Assign(Node):
+    __slots__ = ()
     target: str
     value: Expr
 
 
-@dataclass(frozen=True)
-class ExprStmt(_Node):
+class ExprStmt(Node):
+    __slots__ = ()
     value: Expr
 
 
-@dataclass(frozen=True)
-class ForStmt(_Node):
+class ForStmt(Node):
+    __slots__ = ()
     var: str
     iterable: Expr
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class IfStmt(_Node):
+class IfStmt(Node):
+    __slots__ = ()
     test: Expr
     body: tuple["Stmt", ...]
     orelse: tuple["Stmt", ...] = ()

@@ -12,7 +12,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -25,8 +24,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class ApiDoc:
+class ApiDoc(NamedTuple):
     doc_id: str
     api_path: str
     text: str
@@ -42,8 +40,7 @@ class Hit(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class EvidenceSet:
+class EvidenceSet(NamedTuple):
     """Retrieved documentation backing one generation attempt."""
 
     query: str

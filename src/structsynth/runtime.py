@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import kinds
 from .qas import nodes as qn
@@ -189,8 +189,7 @@ class ExecStatus(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     status: ExecStatus
     output: tuple[str, ...]
     error_kind: str | None = None

@@ -23,8 +23,7 @@ class ParseError(Exception):
     """Schema document is not valid JSON or has the wrong top-level shape."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single schema invariant violation, addressed by a dotted location."""
 
     location: str
@@ -40,8 +39,7 @@ class SchemaError(Exception):
         super().__init__(f"{len(violations)} schema violation(s): {lines}")
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     """A reference to a value type: base name plus collection/nullability flags."""
 
     base: str
@@ -86,8 +84,7 @@ class Param(NamedTuple):
     type: TypeRef
 
 
-@dataclass(frozen=True)
-class MethodSig:
+class MethodSig(NamedTuple):
     """Signature of one API method on a receiver type."""
 
     name: str
@@ -109,8 +106,7 @@ class TypeDecl:
     attributes: dict[str, TypeRef] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ApiSchema:
+class ApiSchema(NamedTuple):
     """The full API universe a script may legally touch.
 
     roots maps pre-bound session variables to their type; modules lists

@@ -9,8 +9,7 @@ rather than delivered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qas.analysis import Candidate
 from .retrieval import EvidenceSet
@@ -30,30 +29,26 @@ def _clip01(x: float) -> float:
     return max(0.0, min(1.0, x))
 
 
-@dataclass(frozen=True)
-class CodeSignals:
+class CodeSignals(NamedTuple):
     invalid_import_count: int
     unknown_enum_count: int
     unknown_method_ratio: float
     code_confidence: float
 
 
-@dataclass(frozen=True)
-class TrajectorySignals:
+class TrajectorySignals(NamedTuple):
     convergence: float
     stagnation: float
     ineffectiveness: float
 
 
-@dataclass(frozen=True)
-class CoverageSignals:
+class CoverageSignals(NamedTuple):
     covered_calls: int
     total_calls: int
     coverage_confidence: float
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     code: CodeSignals
     trajectory: TrajectorySignals
     coverage: CoverageSignals

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import kinds
 from .depgraph import DepGraph
@@ -49,8 +50,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     code: str
     layer: int
     message: str

@@ -29,7 +29,7 @@ from structsynth.depgraph import (
     graph_metrics,
 )
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import make_scaled_snapshot, singles_suite
+from structsynth.fixtures import make_scaled_snapshot
 from structsynth.generators import (
     DEFECT_LAYER,
     DefectKind,
@@ -46,6 +46,7 @@ from structsynth.runtime import ExecStatus, Session
 from structsynth import uncertainty
 from structsynth.uncertainty import compute_uncertainty
 from structsynth.verifier import L4_STEP_BOUND, Issue, VerdictReport, verify_all
+from suites import singles_suite
 
 TOL = 1e-9
 API_FAULTS = {"UnknownMethod", "BadAttribute", "NullAccess"}

@@ -23,7 +23,6 @@ from structsynth.bench import (
 from structsynth.controller import SynthesisConfig
 from structsynth.depgraph import GraphMetrics
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import multis_suite, singles_suite
 from structsynth.generators import (
     DefectKind,
     FaultInjectionGenerator,
@@ -31,6 +30,7 @@ from structsynth.generators import (
 )
 from structsynth.judges import RuleBasedJudge
 from structsynth.runtime import Session
+from suites import multis_suite, singles_suite
 
 
 def record(

@@ -13,7 +13,7 @@ from structsynth.depgraph import (
     validate_graph,
 )
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import singles_suite
+from suites import singles_suite
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from programs import random_conformant_program
+from structsynth.depgraph import DepGraph
 from structsynth.extractors import PatternTableExtractor
-from structsynth.fixtures import multis_suite, singles_suite
 from structsynth.generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
-from structsynth.qas.analysis import infer_types, normalize_statements
+from structsynth.judges import RuleBasedJudge
+from structsynth.qas.analysis import analyze, infer_types, normalize_statements
 from structsynth.qas.lexer import tokenize
 from structsynth.qas.nodes import (
     Assign,
@@ -26,9 +27,13 @@ from structsynth.qas.nodes import (
     Name,
     NoneLit,
     StringLit,
+    module_to_source,
 )
-from structsynth.qas.parser import Script, SyntaxFailure, parse
+from structsynth.qas.parser import MAX_NESTING, NESTING_MESSAGE, Script, SyntaxFailure, parse
+from structsynth.runtime import Session
 from structsynth.schema import TypeRef
+from structsynth.verifier import verify_all
+from suites import multis_suite, singles_suite
 
 CANONICAL = """import odb
 block = design.getBlock()
@@ -104,6 +109,72 @@ def test_integer_literal_longer_than_4300_digits_is_a_syntax_failure(int_str_lim
     assert [(e.line, e.column, e.message) for e in failure.errors] == [
         (1, 5, "integer literal has more than 4300 digits")
     ]
+
+
+def _nested_ifs(levels: int, body: str = "x = 1") -> str:
+    return "".join("    " * i + "if True:\n" for i in range(levels)) + "    " * levels + body + "\n"
+
+
+# Each builder nests its program ``n`` levels deep. A level is a block around
+# the statement, a pair of parentheses, or an operator or postfix operation
+# applied above the innermost point; ``.getBlock()`` is two of them.
+NESTINGS = {
+    "parentheses": lambda n: "x = " + "(" * n + "1" + ")" * n + "\n",
+    "unary minus": lambda n: "x = " + "-" * n + "1\n",
+    "index chain": lambda n: 'x = "ab"' + "[0]" * n + "\n",
+    "call chain": lambda n: "x = design" + ".getBlock()" * (n // 2) + ".name" * (n % 2) + "\n",
+    "operator chain": lambda n: "x = 1" + " + 1" * n + "\n",
+    "right operands": lambda n: "x = " + "1 + (" * (n // 2) + "-" * (n % 2) + "1" + ")" * (n // 2) + "\n",
+    "call arguments": lambda n: "print(" * n + ")" * n + "\n",
+    "blocks": _nested_ifs,
+    "blocks around an expression": lambda n: _nested_ifs(n - 1, "print(1)"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_programs_nested_to_the_limit_pass_every_stage(shape, schema, snapshot):
+    source = NESTINGS[shape](MAX_NESTING)
+    script = parse(source)
+    assert isinstance(script, Script)
+    assert parse(module_to_source(script.statements)) == script
+    candidate = analyze(source, schema)
+    assert candidate.typed is not None
+    # With a graph and a judge, every layer runs that the program reaches.
+    verdict = verify_all(candidate, DepGraph((), ()), schema, judge=RuleBasedJudge())
+    assert verdict.failure_layer != 1
+    result = Session(snapshot, schema).execute(source)
+    assert result.error_kind != "SyntaxError", result.error_message
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_programs_nested_past_the_limit_are_syntax_failures(shape, schema, snapshot):
+    for levels in (MAX_NESTING + 1, 4 * MAX_NESTING):
+        source = NESTINGS[shape](levels)
+        failure = parse(source)
+        assert isinstance(failure, SyntaxFailure)
+        assert NESTING_MESSAGE in [e.message for e in failure.errors]
+        verdict = verify_all(analyze(source, schema), None, schema)
+        assert verdict.failure_layer == 1
+        result = Session(snapshot, schema).execute(source)
+        assert (result.error_kind, result.error_message.endswith(NESTING_MESSAGE)) == (
+            "SyntaxError", True
+        )
+
+
+def test_nesting_error_points_at_the_token_that_goes_too_deep():
+    over = MAX_NESTING + 1
+    cases = {
+        # the last opening parenthesis, unary minus, '[' or operator
+        NESTINGS["parentheses"](over): (1, 4 + over),
+        NESTINGS["unary minus"](over): (1, 4 + over),
+        NESTINGS["index chain"](over): (1, 6 + 3 * over),
+        NESTINGS["operator chain"](over): (1, 3 + 4 * over),
+        # the 'if' whose block would sit one level too deep
+        _nested_ifs(over): (over, 1 + 4 * MAX_NESTING),
+    }
+    for source, where in cases.items():
+        failure = parse(source)
+        assert [(e.line, e.column, e.message) for e in failure.errors][0] == (*where, NESTING_MESSAGE)
 
 
 def test_parse_else_branch():

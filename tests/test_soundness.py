@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import fields, is_dataclass, replace
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -48,10 +46,11 @@ _LEAVES = (
 def _nodes(node, kinds: tuple) -> list:
     """Every node of one of ``kinds`` under ``node``, in pre-order."""
     out = [node] if isinstance(node, kinds) else []
-    for f in fields(node):
-        value = getattr(node, f.name)
-        for child in value if isinstance(value, tuple) else (value,):
-            if is_dataclass(child):
+    for name in node._fields:
+        value = getattr(node, name)
+        # A node is a tuple too, so it is told apart from a tuple of nodes first.
+        for child in (value,) if isinstance(value, qn.Node) or not isinstance(value, tuple) else value:
+            if isinstance(child, qn.Node):
                 out += _nodes(child, kinds)
     return out
 
@@ -61,17 +60,17 @@ def _rewrite(node, target, make):
     if node is target:
         return make(node)
     changed = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, tuple):
-            new = tuple(_rewrite(c, target, make) if is_dataclass(c) else c for c in value)
-            if any(a is not b for a, b in zip(new, value)):
-                changed[f.name] = new
-        elif is_dataclass(value):
+    for name in node._fields:
+        value = getattr(node, name)
+        if isinstance(value, qn.Node):
             new = _rewrite(value, target, make)
             if new is not value:
-                changed[f.name] = new
-    return replace(node, **changed) if changed else node
+                changed[name] = new
+        elif isinstance(value, tuple):
+            new = tuple(_rewrite(c, target, make) if isinstance(c, qn.Node) else c for c in value)
+            if any(a is not b for a, b in zip(new, value)):
+                changed[name] = new
+    return node._replace(**changed) if changed else node
 
 
 @st.composite
@@ -141,12 +140,12 @@ def mutants(draw, schema) -> str:
         elif action == "insert":
             at = draw(st.integers(0, len(block.body)))
             stmt = draw(statements(_LEAVES + tuple(_nodes(root, _EXPRS))))
-            root = _rewrite(root, block, lambda b: replace(b, body=b.body[:at] + (stmt,)
-                                                           + b.body[at:]))
+            root = _rewrite(root, block, lambda b: b._replace(body=b.body[:at] + (stmt,)
+                                                              + b.body[at:]))
         elif len(block.body) > 1:
             at = draw(st.integers(0, len(block.body) - 1))
-            root = _rewrite(root, block, lambda b: replace(b, body=b.body[:at]
-                                                           + b.body[at + 1:]))
+            root = _rewrite(root, block, lambda b: b._replace(body=b.body[:at]
+                                                              + b.body[at + 1:]))
     return qn.module_to_source(root.body)
 
 

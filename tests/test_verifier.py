@@ -12,7 +12,7 @@ from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import DefectKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge
 from structsynth.qas.analysis import analyze
-from structsynth.fixtures import fixture_path, singles_suite
+from structsynth.fixtures import fixture_path
 from structsynth.runtime import ExecStatus, Session
 from structsynth.schema import schema_from_dict
 from structsynth.verifier import (
@@ -34,6 +34,7 @@ from structsynth.verifier import (
     Severity,
     verify_all,
 )
+from suites import singles_suite
 
 CLEAN = (
     "block = design.getBlock()\n"
