@@ -73,7 +73,6 @@ class SynthesisConfig(NamedTuple):
 class SynthesisResult:
     candidate: Candidate  # the last candidate; run its parse, not its text
     verdict: VerdictReport
-    accepted: bool
     trajectory: Trajectory
     graph: DepGraph
     evidence: EvidenceSet
@@ -82,6 +81,10 @@ class SynthesisResult:
     @property
     def source(self) -> str:
         return self.candidate.source
+
+    @property
+    def accepted(self) -> bool:
+        return self.verdict.passed
 
 
 def _issue_hints(verdict: VerdictReport) -> tuple[str, ...]:
@@ -233,8 +236,7 @@ def synthesize(
     attempt(generate((), ()))
 
     repairs_used = 0
-    accepted = trajectory.verdicts[-1].passed
-    while not accepted and repairs_used < config.budget:
+    while not trajectory.verdicts[-1].passed and repairs_used < config.budget:
         action = select_action(trajectory, g)
         if loop_guard(trajectory):
             action = escalate(trajectory, g)
@@ -261,13 +263,11 @@ def synthesize(
         trajectory.actions.append(action)
         attempt(source)
         repairs_used += 1
-        accepted = trajectory.verdicts[-1].passed
 
     report = compute_uncertainty(trajectory.candidates, trajectory.verdicts, schema, evidence)
     return SynthesisResult(
         candidate=trajectory.candidates[-1],
         verdict=trajectory.verdicts[-1],
-        accepted=accepted,
         trajectory=trajectory,
         graph=g,
         evidence=evidence,

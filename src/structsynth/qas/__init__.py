@@ -8,7 +8,6 @@ statement-set normalization for similarity measures, type inference, and
 from .analysis import (
     CallSite,
     Candidate,
-    EnumRef,
     Operation,
     TypedScript,
     UndefinedUse,
@@ -22,7 +21,6 @@ from . import nodes
 __all__ = [
     "CallSite",
     "Candidate",
-    "EnumRef",
     "Operation",
     "Script",
     "SyntaxFailure",

@@ -8,8 +8,8 @@ Inference is a forward dataflow pass seeded by the schema roots. It resolves
 a receiver type for every method call it can, tracks nullability until an
 explicit None-comparison guard discharges it, and records everything later
 verification layers need: call sites, every other operation whose operand
-kinds ``kinds`` constrains, imports, enum-style dotted references, and uses of
-names with no dominating definition.
+kinds ``kinds`` constrains, imports, and uses of names with no dominating
+definition.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .nodes import (
     Stmt,
     StringLit,
     UnaryOp,
-    expr_to_source,
     stmt_header,
 )
 from .parser import Script, SyntaxFailure, parse
@@ -71,13 +70,6 @@ class Operation(NamedTuple):
     allowed: bool
 
 
-class EnumRef(NamedTuple):
-    """A dotted reference that syntactically looks like an enum constant."""
-
-    name: str
-    location: Location
-
-
 class UndefinedUse(NamedTuple):
     name: str
     location: Location
@@ -91,7 +83,6 @@ class TypedScript:
     call_sites: tuple[CallSite, ...]
     operations: tuple[Operation, ...]
     imports: tuple[str, ...]
-    enum_refs: tuple[EnumRef, ...]
     undefined_uses: tuple[UndefinedUse, ...]
 
 
@@ -152,7 +143,6 @@ class _Inference:
         self.call_sites: list[CallSite] = []
         self.operations: list[Operation] = []
         self.imports: list[str] = []
-        self.enum_refs: list[EnumRef] = []
         self.undefined_uses: list[UndefinedUse] = []
 
     def run(self, script: Script) -> TypedScript:
@@ -164,7 +154,6 @@ class _Inference:
             call_sites=tuple(self.call_sites),
             operations=tuple(self.operations),
             imports=tuple(self.imports),
-            enum_refs=tuple(self.enum_refs),
             undefined_uses=tuple(self.undefined_uses),
         )
 
@@ -201,8 +190,7 @@ class _Inference:
     def _for(self, s: ForStmt) -> set[str]:
         elem = self._apply("for", (self._expr(s.iterable),), s.iterable)
         pre_def = set(self.definite)
-        records = (self.call_sites, self.operations, self.imports, self.enum_refs,
-                   self.undefined_uses)
+        records = (self.call_sites, self.operations, self.imports, self.undefined_uses)
         marks = [len(r) for r in records]
         while True:
             start = dict(self.env)
@@ -313,21 +301,8 @@ class _Inference:
             self.undefined_uses.append(UndefinedUse(e.id, e.location, "not dominated"))
         return binding
 
-    def _attribute(self, e: Attribute, outermost: bool = True) -> TypeRef:
-        """Type an attribute read.
-
-        The outermost read of a chain of three or more names rooted at a module
-        or an unbound name is an enum reference candidate, recorded whether or
-        not it resolves, so fabricated enum names stay countable downstream.
-        """
-        root, segments = e.value, 2
-        while outermost and isinstance(root, Attribute):
-            root, segments = root.value, segments + 1
-        if segments >= 3 and isinstance(root, Name):
-            if self.env.get(root.id, kinds.MODULE_TYPE) == kinds.MODULE_TYPE:
-                self.enum_refs.append(EnumRef(expr_to_source(e), e.location))
-        nested = isinstance(e.value, Attribute)
-        receiver = self._attribute(e.value, False) if nested else self._expr(e.value)
+    def _attribute(self, e: Attribute) -> TypeRef:
+        receiver = self._expr(e.value)
         read = kinds.attribute(receiver, e.attr, self.schema)
         self.operations.append(Operation("attribute", (receiver,), e, read is not None))
         return read if read is not None else UNKNOWN

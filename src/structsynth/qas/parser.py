@@ -62,10 +62,6 @@ class Script:
     source: str = field(compare=False)
     statements: tuple[Stmt, ...]
 
-    def to_source(self) -> str:
-        """Serialize to the normalized form (4-space indent, canonical spacing)."""
-        return nodes.module_to_source(self.statements)
-
 
 MAX_NESTING = 64
 NESTING_MESSAGE = f"nested more than {MAX_NESTING} levels deep"
@@ -193,9 +189,9 @@ class _Parser:
             kind = self.tokens[self.pos].kind
         self.depth -= 1
         self.accept("DEDENT")
-        if not body:
-            tok = self.tokens[self.pos]
-            self.errors.append(SyntaxIssue(tok.line, tok.col, "empty block"))
+        # An empty body needs no error of its own: INDENT comes only before a
+        # line with tokens, so every line here failed to parse or to lex, and
+        # that failure is already reported.
         return tuple(body)
 
     def _statement(self) -> Stmt | None:

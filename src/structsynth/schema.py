@@ -155,14 +155,6 @@ def valid_import(schema: ApiSchema, name: str) -> bool:
     return len(segs) == 3 and segs[2] in schema.enums[segs[1]]
 
 
-def valid_enum_ref(schema: ApiSchema, name: str) -> bool:
-    """True when the dotted chain's last two segments name a declared constant."""
-    segs = name.split(".")
-    if len(segs) < 2:
-        return False
-    return schema.enum_has(segs[-2], segs[-1])
-
-
 def load_schema(path: str | Path) -> ApiSchema:
     """Load and validate a schema document.
 

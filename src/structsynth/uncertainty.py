@@ -1,10 +1,13 @@
 """Closed-form uncertainty scoring over a finished synthesis attempt.
 
-Three risk axes, each in [0, 1]: code-level hallucination signals from the
-final program, trajectory-level signals from how the repair loop behaved,
-and evidence coverage of the calls the program makes. A weighted sum gives
-the combined uncertainty; anything above the threshold should be filtered
-rather than delivered.
+Two risk axes, each in [0, 1]: trajectory-level signals from how the repair
+loop behaved, and evidence coverage of the calls the program makes. A
+weighted sum gives the combined uncertainty, in [0, 0.6]; anything above the
+threshold should be filtered rather than delivered.
+
+There is no code axis. Invalid imports, unknown enum constants and unknown
+methods are layer-3 errors, so such a score would read 0 on every program
+the verifier accepts and could never withhold one.
 """
 
 from __future__ import annotations
@@ -13,27 +16,18 @@ from typing import NamedTuple, Sequence
 
 from .qas.analysis import Candidate
 from .retrieval import EvidenceSet
-from .schema import ApiSchema, valid_enum_ref, valid_import
+from .schema import ApiSchema
 from .verifier import VerdictReport
 
-# Axis weights of the combined score, the code-confidence penalties, the
-# trajectory-risk weights, and the filter threshold: a program scoring above
-# THRESHOLD is withheld.
-CODE_WEIGHT, TRAJECTORY_WEIGHT, COVERAGE_WEIGHT = 0.4, 0.3, 0.3
-IMPORT_PENALTY, ENUM_PENALTY, UNKNOWN_METHOD_PENALTY = 0.15, 0.15, 0.6
+# Axis weights of the combined score, the trajectory-risk weights, and the
+# filter threshold: a program scoring above THRESHOLD is withheld.
+TRAJECTORY_WEIGHT, COVERAGE_WEIGHT = 0.3, 0.3
 CONVERGENCE_WEIGHT, STAGNATION_WEIGHT, INEFFECTIVENESS_WEIGHT = 0.4, 0.3, 0.3
 THRESHOLD = 0.35
 
 
 def _clip01(x: float) -> float:
     return max(0.0, min(1.0, x))
-
-
-class CodeSignals(NamedTuple):
-    invalid_import_count: int
-    unknown_enum_count: int
-    unknown_method_ratio: float
-    code_confidence: float
 
 
 class TrajectorySignals(NamedTuple):
@@ -49,10 +43,8 @@ class CoverageSignals(NamedTuple):
 
 
 class UncertaintyReport(NamedTuple):
-    code: CodeSignals
     trajectory: TrajectorySignals
     coverage: CoverageSignals
-    code_risk: float
     trajectory_risk: float
     coverage_risk: float
     combined: float
@@ -63,34 +55,6 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-def compute_code_signals(candidate: Candidate, schema: ApiSchema) -> CodeSignals:
-    """Hallucination counters over the final program; unparseable scores zero."""
-    ts = candidate.typed
-    if ts is None:
-        return CodeSignals(0, 0, 1.0, 0.0)
-    bad_imports = sum(1 for name in ts.imports if not valid_import(schema, name))
-    bad_enums = sum(1 for ref in ts.enum_refs if not valid_enum_ref(schema, ref.name))
-    all_method_names = {
-        m for decl in schema.types.values() for m in decl.methods
-    }
-    unknown = 0
-    for cs in ts.call_sites:
-        base = cs.receiver_type.base
-        if schema.is_object_type(base):
-            if schema.method(base, cs.method) is None:
-                unknown += 1
-        elif cs.method not in all_method_names:
-            unknown += 1
-    ratio = unknown / len(ts.call_sites) if ts.call_sites else 0.0
-    confidence = _clip01(
-        1.0
-        - IMPORT_PENALTY * bad_imports
-        - ENUM_PENALTY * bad_enums
-        - UNKNOWN_METHOD_PENALTY * ratio
-    )
-    return CodeSignals(bad_imports, bad_enums, ratio, confidence)
 
 
 def compute_trajectory_signals(
@@ -144,26 +108,18 @@ def compute_uncertainty(
 ) -> UncertaintyReport:
     """Score a finished attempt; the final candidate is the delivered program."""
     final = candidates[-1]
-    code = compute_code_signals(final, schema)
     trajectory = compute_trajectory_signals(candidates, verdicts)
     coverage = compute_coverage(final, schema, evidence)
-    code_risk = 1.0 - code.code_confidence
     trajectory_risk = (
         CONVERGENCE_WEIGHT * trajectory.convergence
         + STAGNATION_WEIGHT * trajectory.stagnation
         + INEFFECTIVENESS_WEIGHT * trajectory.ineffectiveness
     )
     coverage_risk = 1.0 - coverage.coverage_confidence
-    combined = (
-        CODE_WEIGHT * code_risk
-        + TRAJECTORY_WEIGHT * trajectory_risk
-        + COVERAGE_WEIGHT * coverage_risk
-    )
+    combined = TRAJECTORY_WEIGHT * trajectory_risk + COVERAGE_WEIGHT * coverage_risk
     return UncertaintyReport(
-        code=code,
         trajectory=trajectory,
         coverage=coverage,
-        code_risk=code_risk,
         trajectory_risk=trajectory_risk,
         coverage_risk=coverage_risk,
         combined=combined,

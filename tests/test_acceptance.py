@@ -130,7 +130,7 @@ S4 = S2 + "insts = block.getInsts()\n" + 'net = block.findNet("clk")\n'
 S_NOCALL = "x = 1\n"
 S_BADIMPORT = "import foo\n" + S2
 S_UNPARSEABLE = "x = = 1\n"
-S_ALLPENALTIES = "import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n"
+S_MANYFAULTS = "import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n"
 
 
 def test_uncertainty_scores_match_hand_worked_fixtures(schema, monkeypatch):
@@ -139,32 +139,31 @@ def test_uncertainty_scores_match_hand_worked_fixtures(schema, monkeypatch):
     ev_empty = _evidence()
 
     # columns: candidates, verdict layers, evidence,
-    #          expected (code risk, trajectory risk, coverage risk)
+    #          expected (trajectory risk, coverage risk)
     rows = [
-        ([S1], [0], ev_b, (0.0, 0.0, 0.0)),
-        ([S_NOCALL], [2], None, (0.0, 0.4, 0.0)),
-        ([S2], [0], ev_b, (0.0, 0.0, 0.5)),
-        ([S_BADIMPORT], [3], ev_bn, (0.15, 0.4, 0.0)),
-        ([S4], [3], ev_bn, (0.0, 0.4, 0.5)),
-        ([S1, S1], [2, 2], ev_b, (0.0, 0.4 + 0.3 + 0.3, 0.0)),
-        ([S2, S1], [2, 0], ev_b, (0.0, 0.3 * 0.5, 0.0)),
-        ([S1, S4], [1, 4], ev_b, (0.0, 0.4 * 1.0 + 0.3 * 0.25 + 0.3 * 1.0, 0.75)),
-        ([S_UNPARSEABLE], [1], ev_b, (1.0, 0.4, 1.0)),
-        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], None, (1.0, 1.0, 1.0)),
-        ([S2], [0], ev_empty, (0.0, 0.0, 1.0)),
-        ([S_NOCALL], [0], None, (0.0, 0.0, 0.0)),
-        ([S1, S2, S2], [3, 2, 2], ev_b, (0.0, 0.4 * (2 / 3) + 0.3 * 0.75 + 0.3 * 0.5, 0.5)),
-        ([S_ALLPENALTIES], [3], None, (1.0, 0.4, 0.0)),
+        ([S1], [0], ev_b, (0.0, 0.0)),
+        ([S_NOCALL], [2], None, (0.4, 0.0)),
+        ([S2], [0], ev_b, (0.0, 0.5)),
+        ([S_BADIMPORT], [3], ev_bn, (0.4, 0.0)),
+        ([S4], [3], ev_bn, (0.4, 0.5)),
+        ([S1, S1], [2, 2], ev_b, (0.4 + 0.3 + 0.3, 0.0)),
+        ([S2, S1], [2, 0], ev_b, (0.3 * 0.5, 0.0)),
+        ([S1, S4], [1, 4], ev_b, (0.4 * 1.0 + 0.3 * 0.25 + 0.3 * 1.0, 0.75)),
+        ([S_UNPARSEABLE], [1], ev_b, (0.4, 1.0)),
+        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], None, (1.0, 1.0)),
+        ([S2], [0], ev_empty, (0.0, 1.0)),
+        ([S_NOCALL], [0], None, (0.0, 0.0)),
+        ([S1, S2, S2], [3, 2, 2], ev_b, (0.4 * (2 / 3) + 0.3 * 0.75 + 0.3 * 0.5, 0.5)),
+        ([S_MANYFAULTS], [3], None, (0.4, 0.0)),
     ]
     assert len(rows) >= 12
-    for candidates, layers, evidence, (code, traj, cov) in rows:
+    for candidates, layers, evidence, (traj, cov) in rows:
         verdicts = [_verdict(n) for n in layers]
         analyzed = [analyze(c, schema) for c in candidates]
         report = compute_uncertainty(analyzed, verdicts, schema, evidence)
-        assert abs(report.code_risk - code) < TOL, (candidates, layers)
         assert abs(report.trajectory_risk - traj) < TOL, (candidates, layers)
         assert abs(report.coverage_risk - cov) < TOL, (candidates, layers)
-        expected = 0.4 * code + 0.3 * traj + 0.3 * cov
+        expected = 0.3 * traj + 0.3 * cov
         assert abs(report.combined - expected) < TOL, (candidates, layers)
         assert report.filtered == (report.combined > uncertainty.THRESHOLD)
 

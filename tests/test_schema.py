@@ -7,7 +7,6 @@ from structsynth.schema import (
     TypeRef,
     UNKNOWN,
     schema_from_dict,
-    valid_enum_ref,
     valid_import,
 )
 
@@ -67,13 +66,6 @@ def test_valid_import(schema):
     assert not valid_import(schema, "odb.Ghost")
     assert not valid_import(schema, "odb.PlacementStatus.WIBBLE")
     assert not valid_import(schema, "pandas")
-
-
-def test_valid_enum_ref(schema):
-    assert valid_enum_ref(schema, "PlacementStatus.PLACED")
-    assert valid_enum_ref(schema, "odb.PlacementStatus.FIRM")
-    assert not valid_enum_ref(schema, "PlacementStatus.WIBBLE")
-    assert not valid_enum_ref(schema, "PLACED")
 
 
 def _minimal_raw() -> dict:

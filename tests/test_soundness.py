@@ -9,6 +9,8 @@ fault, which no static kind rule can see: division by zero, an index out of
 range, a ``find*`` miss, or the step budget running out. Every mutant that
 runs to the end takes at least the steps that L4's static bound predicts,
 and exactly that many, one per statement, when it has no branch or loop.
+Every accepted mutant also meets what L3 checks of the text itself: each
+method call resolves on a single schema object, and each import is valid.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from structsynth.qas import nodes as qn
 from structsynth.qas.analysis import analyze
 from structsynth.qas.parser import SyntaxFailure, parse
 from structsynth.runtime import ExecStatus, Session, min_steps
+from structsynth.schema import valid_import
 from structsynth.verifier import verify_all
 from test_verifier import HOLES
 
@@ -162,6 +165,10 @@ def test_programs_passing_layers_one_to_three_raise_no_api_fault(peer_schema, pe
     candidate = analyze(source, peer_schema)
     if not verify_all(candidate, None, peer_schema).passed:
         return
+    for cs in candidate.typed.call_sites:
+        assert cs.returns is not None and not cs.receiver_type.many, source
+        assert peer_schema.is_object_type(cs.receiver_type.base), source
+    assert all(valid_import(peer_schema, name) for name in candidate.typed.imports), source
     result = Session(peer_snapshot, peer_schema, step_budget=5_000).execute(source)
     if result.status is ExecStatus.RUNTIME_ERROR:
         assert _is_value_fault(result.error_message), (

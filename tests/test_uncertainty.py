@@ -10,9 +10,7 @@ from structsynth import uncertainty
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.uncertainty import (
-    CodeSignals,
     CoverageSignals,
-    compute_code_signals,
     compute_coverage,
     compute_trajectory_signals,
     compute_uncertainty,
@@ -51,7 +49,6 @@ def test_clean_single_candidate_scores_zero(schema):
     candidates = [analyze(source, schema)]
     report = compute_uncertainty(candidates, [verdict(0)], schema, evidence=None)
     assert report.combined == 0.0
-    assert report.code_risk == 0.0
     assert report.trajectory_risk == 0.0
     assert report.coverage_risk == 0.0
     assert not report.filtered
@@ -111,38 +108,8 @@ def test_trajectory_requires_one_verdict_per_candidate(schema):
         compute_trajectory_signals([a, b], [verdict(0)])
 
 
-def test_code_penalty_single_bad_import(schema):
-    for name in ("foo", "Net"):  # a type name is not a module
-        src = f"import {name}\nblock = design.getBlock()\n"
-        cs = compute_code_signals(analyze(src, schema), schema)
-        assert cs == CodeSignals(1, 0, 0.0, 0.85), name
-
-
-def test_code_penalty_import_plus_enum(schema):
-    src = "import foo\nstatus = foo.Bogus.NOPE\nblock = design.getBlock()\n"
-    cs = compute_code_signals(analyze(src, schema), schema)
-    assert cs.invalid_import_count == 1
-    assert cs.unknown_enum_count == 1
-    assert abs(cs.code_confidence - 0.70) < TOL
-
-
-def test_code_penalty_unknown_method_ratio(schema):
-    src = "import foo\nblock = design.getBlock()\nblock.getBogus()\n"
-    cs = compute_code_signals(analyze(src, schema), schema)
-    assert cs.unknown_method_ratio == 0.5
-    assert abs(cs.code_confidence - 0.55) < TOL
-
-
-def test_code_confidence_clips_at_zero(schema):
-    src = "import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n"
-    cs = compute_code_signals(analyze(src, schema), schema)
-    assert cs == CodeSignals(2, 2, 1.0, 0.0)
-
-
 def test_unparseable_source_scores_worst(schema):
     broken = analyze("x = = 1\n", schema)
-    cs = compute_code_signals(broken, schema)
-    assert cs == CodeSignals(0, 0, 1.0, 0.0)
     cov = compute_coverage(broken, schema, None)
     assert cov == CoverageSignals(0, 0, 0.0)
 
@@ -184,10 +151,9 @@ def test_combined_weighted_sum(schema):
     source = "import foo\n" + FOUR_CALLS
     ev = evidence_over("Design.getBlock", "Block.getNets")
     report = compute_uncertainty([analyze(source, schema)], [verdict(3, "A")], schema, ev)
-    assert abs(report.code_risk - 0.15) < TOL
     assert abs(report.trajectory_risk - 0.4) < TOL
     assert abs(report.coverage_risk - 0.5) < TOL
-    assert abs(report.combined - 0.33) < TOL
+    assert abs(report.combined - 0.27) < TOL
     assert not report.filtered
 
 
@@ -195,7 +161,7 @@ def test_combined_crosses_threshold_when_uncovered(schema):
     source = "import foo\n" + FOUR_CALLS
     candidates = [analyze(source, schema)]
     report = compute_uncertainty(candidates, [verdict(3, "A")], schema, evidence_over())
-    assert abs(report.combined - 0.48) < TOL
+    assert abs(report.combined - 0.42) < TOL
     assert report.filtered
 
 
@@ -212,13 +178,11 @@ def test_at_threshold_is_delivered(schema, monkeypatch):
 
 
 def test_weight_triples_sum_to_one():
-    axes = (uncertainty.CODE_WEIGHT, uncertainty.TRAJECTORY_WEIGHT, uncertainty.COVERAGE_WEIGHT)
     trajectory = (
         uncertainty.CONVERGENCE_WEIGHT,
         uncertainty.STAGNATION_WEIGHT,
         uncertainty.INEFFECTIVENESS_WEIGHT,
     )
-    assert abs(sum(axes) - 1.0) < TOL
     assert abs(sum(trajectory) - 1.0) < TOL
 
 
@@ -233,8 +197,8 @@ def test_signals_stay_in_unit_interval(schema, layers, seeds):
     sources = [analyze(f"x{s} = {s}\n", schema) for s in seeds]
     verdicts = [verdict(layer) for layer in layers]
     report = compute_uncertainty(sources, verdicts, schema, None)
+    assert report.combined <= uncertainty.TRAJECTORY_WEIGHT + uncertainty.COVERAGE_WEIGHT
     for value in (
-        report.code_risk,
         report.trajectory_risk,
         report.coverage_risk,
         report.combined,

@@ -163,6 +163,28 @@ def test_unknown_enum_fails_layer_three(schema):
     assert L3_UNKNOWN_ENUM in verdict.codes()
 
 
+# Programs that name an import, enum constant or method the schema lacks, with
+# every code layer 3 reports for them: one per fabricated name.
+FABRICATED = {
+    "import-unknown-module": ("import foo\nblock = design.getBlock()\n", (L3_INVALID_IMPORT,)),
+    "import-type-name": ("import Net\nblock = design.getBlock()\n", (L3_INVALID_IMPORT,)),
+    "unknown-module-enum": ("import foo\nstatus = foo.Bogus.NOPE\nblock = design.getBlock()\n",
+                            (L3_INVALID_IMPORT, L3_UNKNOWN_ENUM)),
+    "unknown-method": ("import foo\nblock = design.getBlock()\nblock.getBogus()\n",
+                       (L3_INVALID_IMPORT, L3_UNKNOWN_METHOD)),
+    "one-of-each-twice": ("import foo\nimport bar\nx = foo.A.B\ny = bar.C.D\ndesign.getBogus()\n",
+                          (L3_INVALID_IMPORT, L3_INVALID_IMPORT, L3_UNKNOWN_ENUM,
+                           L3_UNKNOWN_ENUM, L3_UNKNOWN_METHOD)),
+}
+
+
+@pytest.mark.parametrize("src, codes", FABRICATED.values(), ids=FABRICATED.keys())
+def test_layer_three_reports_every_fabricated_name(schema, src, codes):
+    verdict = verify_all(analyze(src, schema), None, schema)
+    assert verdict.failure_layer == 3
+    assert verdict.codes() == codes
+
+
 def test_len_of_scalar_fails_layer_three(schema):
     src = "block = design.getBlock()\nprint(len(block))\n"
     verdict = verify_all(analyze(src, schema), None, schema)
