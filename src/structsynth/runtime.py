@@ -81,10 +81,11 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
 
     Conformance is eager and exhaustive: fields, children or roots of the
     wrong shape, undeclared object types, dangling child ids, children keyed
-    by non-methods, scalar attribute fields holding a value of the wrong kind,
-    empty root types, and schema methods that fit no dispatch convention are
-    all collected and reported together. Unbound schema roots bind to the
-    first record of their type.
+    by non-methods, fields that their attribute or ``get*`` method types
+    otherwise, empty root types, and schema methods that fit no dispatch
+    convention are all collected and reported together. An enum field's text
+    ``"<Enum>.<CONST>"`` is stored as that ``EnumVal``. Unbound schema roots
+    bind to the first record of their type.
     """
     if not isinstance(raw, dict) or not isinstance(raw.get("objects"), list):
         raise ParseError("snapshot document needs an 'objects' list")
@@ -111,6 +112,7 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
             violations.append(Violation(f"objects[{i}]", f"duplicate id {rec.id!r}"))
         objects[rec.id] = rec
 
+    field_types: dict[str, dict[str, list[TypeRef]]] = {}  # per record type
     for rec in objects.values():
         decl = schema.type_decl(rec.type)
         if decl is None:
@@ -136,13 +138,17 @@ def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:
                             f"{cid} is {child.type}, method returns {sig.returns.base}",
                         )
                     )
+        if rec.type not in field_types:
+            field_types[rec.type] = _field_types(decl, schema)
         for key, value in rec.fields.items():
-            ref = decl.attributes.get(key)
-            if ref is not None and ref.base in _DEFAULTS and not _holds(ref, value, schema):
-                violations.append(
-                    Violation(f"{rec.id}.fields.{key}",
-                              f"declared {kinds.describe(ref)}, holds {value!r}")
-                )
+            refs = field_types[rec.type].get(key, ())
+            for ref in refs:
+                value = _decoded(ref, value, schema)
+            wrong = [kinds.describe(ref) for ref in refs if not _holds(ref, value, schema)]
+            if wrong:
+                violations.append(Violation(f"{rec.id}.fields.{key}",
+                                            f"declared {wrong[0]}, holds {rec.fields[key]!r}"))
+            rec.fields[key] = value  # a key that is already there: the dict keeps its size
 
     by_type: dict[str, list[str]] = {}
     for rid in sorted(objects):
@@ -226,7 +232,31 @@ def _holds(ref: TypeRef, value, schema: ApiSchema) -> bool:
         return isinstance(value, list) and all(_holds(ref.element(), v, schema) for v in value)
     if value is None:
         return ref.nullable
-    return kinds.accepts(ref, _VALUE_KINDS.get(type(value), ""), "", schema)
+    name = value.type if isinstance(value, ObjRef) else getattr(value, "enum", "")
+    return kinds.accepts(ref, _VALUE_KINDS.get(type(value), ""), name, schema)
+
+
+def _field_types(decl, schema: ApiSchema) -> dict[str, list[TypeRef]]:
+    """Each field key of a record of type ``decl`` and the types that read it:
+    the attribute of that name, and the ``get*`` method whose key it is."""
+    types = {key: [ref] for key, ref in decl.attributes.items()}
+    for method, sig in decl.methods.items():
+        rule, key = _dispatch_rule(method)
+        if rule == "get" and not schema.is_object_type(sig.returns.base):
+            types.setdefault(key, []).append(sig.returns)
+    return types
+
+
+def _decoded(ref: TypeRef, value, schema: ApiSchema):
+    """A snapshot field's value as type ``ref`` reads it: ``"<Enum>.<CONST>"``
+    text of a constant of the enum ``ref`` names becomes that ``EnumVal``."""
+    if ref.many and type(value) is list:
+        return [_decoded(ref.element(), v, schema) for v in value]
+    if type(value) is str and ref.base in schema.enums:
+        enum, _, const = value.partition(".")
+        if enum == ref.base and schema.enum_has(enum, const):
+            return EnumVal(enum, const)
+    return value
 
 
 class _Abort(Exception):
@@ -249,13 +279,17 @@ def _dispatch_rule(method: str) -> tuple[str, str]:
     return "", method
 
 
-# Value of a declared scalar that the snapshot leaves unset; other types read None.
+# Value of a declared scalar that the snapshot leaves unset; an enum reads its first
+# constant, and other types read None.
 _DEFAULTS = {"string": "", "int": 0, "float": 0.0, "bool": False}
 
 
-def _unset(ref: TypeRef):
+def _unset(ref: TypeRef, schema: ApiSchema):
     """What a declared value that the snapshot leaves unset reads as: [] when ``many``."""
-    return [] if ref.many else _DEFAULTS.get(ref.base)
+    if ref.many:
+        return []
+    constants = schema.enums.get(ref.base)
+    return EnumVal(ref.base, constants[0]) if constants else _DEFAULTS.get(ref.base)
 
 
 class Session:
@@ -311,11 +345,12 @@ class Session:
         rec = self._overlay.get(oid)
         if rec is None:
             base = self._base[oid]
+            children = base.children
             rec = ObjRecord(
                 base.id,
                 base.type,
                 dict(base.fields),
-                {key: list(kids) for key, kids in base.children.items()},
+                {key: list(kids) for key, kids in children.items()} if children else {},
             )
             self._overlay[oid] = rec
         return rec
@@ -546,9 +581,14 @@ class _Interp:
     count it and test the budget before running it, so the budget bounds
     what a reader can count in the text, and ``min_steps`` bounds the same
     count from below without running. Expressions count nothing, so a node
-    may fold a literal child into itself, as with the superinstructions of
-    Ertl and Gregg (PLDI 2003): all-literal method arguments are built once
-    and a literal right operand is held as a value.
+    may fold a child into itself, as with the superinstructions of Ertl and
+    Gregg (PLDI 2003), picked from the node's shape: literal method
+    arguments and a literal right operand are held as values; a variable
+    receiver, or a variable left of a literal, is read by the call's or the
+    operator's closure; ``==`` and ``!=`` against a string literal skip
+    ``_equals``; a one-statement loop body runs without an inner loop; an
+    ``if`` without ``else`` runs nothing when false; ``print`` appends a str
+    as it is; getters and attribute reads look their record up themselves.
 
     Each node becomes a closure over its children's closures and over every
     decision that needs no runtime value. A method call site resolves the
@@ -599,16 +639,21 @@ class _Interp:
         if isinstance(st, qn.ForStmt):
             return self.loop(st)
         if isinstance(st, qn.IfStmt):
-            test, body, orelse = self.expr(st.test), self.block(st.body), self.block(st.orelse)
+            test, body = self.expr(st.test), self.block(st.body)
+            orelse = self.block(st.orelse) if st.orelse else None
             if isinstance(st.test, qn.BinOp) and st.test.op in qn.COMPARE_OPS:
 
                 def branch_on_bool():  # a comparison gives a bool: no _truthy
-                    (body if test() else orelse)()
+                    taken = body if test() else orelse
+                    if taken is not None:
+                        taken()
 
                 return branch_on_bool
 
             def branch():
-                (body if _truthy(test()) else orelse)()
+                taken = body if _truthy(test()) else orelse
+                if taken is not None:
+                    taken()
 
             return branch
         if isinstance(st, qn.ImportStmt):
@@ -628,24 +673,32 @@ class _Interp:
         raise TypeError(f"not a statement node: {st!r}")
 
     def loop(self, st: qn.ForStmt):
-        """Each iteration counts one step; its body's statements run here, one step each."""
+        """Each iteration counts one step, then runs its body: one statement directly."""
         env, var, budget = self.env, st.var, self.budget
-        iterable, body = self.expr(st.iterable), [self.stmt(s) for s in st.body]
+        iterable = self.expr(st.iterable)
+        only = self.stmt(st.body[0]) if len(st.body) == 1 else None
+        body = self.block(st.body) if only is None else None
 
         def run_loop():
             seq = iterable()
             if not isinstance(seq, (list, range)):
                 raise _Abort("TypeError", "for-loop needs a collection")
+            if only is not None:
+                for item in seq:
+                    steps = self.steps + 2  # the iteration and its one statement
+                    if steps > budget:
+                        self.steps = budget + 1  # the first step past the budget
+                        raise _OverBudget()
+                    self.steps = steps
+                    env[var] = item
+                    only()
+                return
             for item in seq:
                 self.steps += 1
                 if self.steps > budget:
                     raise _OverBudget()
                 env[var] = item
-                for step in body:
-                    self.steps += 1
-                    if self.steps > budget:
-                        raise _OverBudget()
-                    step()
+                body()
 
         return run_loop
 
@@ -669,6 +722,8 @@ class _Interp:
         if isinstance(e, qn.Attribute):
             return self.attribute(e)
         if isinstance(e, qn.BinOp):
+            if e.op in ("==", "!=") and isinstance(e.right, qn.StringLit):
+                return self.text_equals(e.left, e.right.value, e.op == "==")
             return self.pair(_BINOPS[e.op], e.left, e.right)
         if isinstance(e, qn.Index):
             return self.pair(_subscript, e.value, e.index)
@@ -690,6 +745,7 @@ class _Interp:
     def attribute(self, e: qn.Attribute):
         value, attr = self.expr(e.value), e.attr
         session, schema = self.s, self.s.schema
+        overlay, records = session._overlay, session._base
         names_enum = attr in schema.enums
         # A member of a module or enum namespace depends only on that base, so
         # the last one read is kept; an object's fields are read every time.
@@ -704,8 +760,8 @@ class _Interp:
                 declared = schema.attribute(base.type, attr)
                 if declared is None:
                     raise _Abort("BadAttribute", f"{base.type} has no attribute {attr!r}")
-                fields = session.object(base.id).fields
-                return fields[attr] if attr in fields else _unset(declared)
+                fields = (overlay.get(base.id) or records[base.id]).fields
+                return fields[attr] if attr in fields else _unset(declared, schema)
             if base is last_base:
                 return last
             if isinstance(base, ModuleVal):
@@ -724,12 +780,30 @@ class _Interp:
 
     def pair(self, apply, left_node, right_node):
         """Evaluate both operands, left first, and ``apply`` to their values."""
-        left = self.expr(left_node)
         if not isinstance(right_node, _LITERALS):
-            right = self.expr(right_node)
+            left, right = self.expr(left_node), self.expr(right_node)
             return lambda: apply(left(), right())
         fixed = _literal_value(right_node)
-        return lambda: apply(left(), fixed)
+        if not isinstance(left_node, qn.Name):
+            left = self.expr(left_node)
+            return lambda: apply(left(), fixed)
+        env, name = self.env, left_node.id
+
+        def apply_to_variable():
+            try:
+                value = env[name]
+            except KeyError:
+                raise _Abort("NameError", f"name {name!r} is not defined") from None
+            return apply(value, fixed)
+
+        return apply_to_variable
+
+    def text_equals(self, left_node, text: str, equal: bool):
+        """``==`` or ``!=`` against a string literal: ``_equals`` with a str is str equality."""
+        left = self.expr(left_node)
+        if equal:
+            return lambda: type(value := left()) is str and value == text
+        return lambda: type(value := left()) is not str or value != text
 
     def negate(self, operand_node):
         operand = self.expr(operand_node)
@@ -749,22 +823,33 @@ class _Interp:
     def emit(self, arg_node):
         """``print`` of one argument: format it onto the output."""
         arg, append = self.expr(arg_node), self.output.append
-        return lambda: append(_fmt(arg()))
+        return lambda: append(value if type(value := arg()) is str else _fmt(value))
 
     def method_call(self, func: qn.Attribute, arg_nodes: tuple):
-        receiver_of, method, resolve = self.expr(func.value), func.attr, self.resolve
-        nargs = len(arg_nodes)
+        method, resolve, env = func.attr, self.resolve, self.env
+        receiver_name = func.value.id if isinstance(func.value, qn.Name) else None
+        receiver_of = None if receiver_name else self.expr(func.value)
+        nargs, fixed, only, arg_fns = len(arg_nodes), None, None, ()
         if all(isinstance(a, _LITERALS) for a in arg_nodes):
-            fixed, arg_fns = [_literal_value(a) for a in arg_nodes], None  # built once
+            fixed = [_literal_value(a) for a in arg_nodes]  # built once
+        elif nargs == 1:
+            only = self.expr(arg_nodes[0])
         else:
-            fixed, arg_fns = None, tuple(self.expr(a) for a in arg_nodes)
+            arg_fns = tuple(self.expr(a) for a in arg_nodes)
         # Receiver type -> its resolved action: an inline cache (Deutsch and
         # Schiffman, POPL 1984) that lives as long as this execution.
         actions: dict[str, Callable[[str, list], object]] = {}
 
         def invoke():
-            receiver = receiver_of()
-            args = fixed if arg_fns is None else [f() for f in arg_fns]
+            if receiver_of is not None:
+                receiver = receiver_of()
+            else:
+                try:
+                    receiver = env[receiver_name]
+                except KeyError:
+                    raise _Abort("NameError", f"name {receiver_name!r} is not defined") from None
+            args = (fixed if fixed is not None else [only()] if only is not None
+                    else [f() for f in arg_fns])
             if receiver is None:
                 raise _Abort("NullAccess", f"method {method!r} called on None")
             if not isinstance(receiver, ObjRef):
@@ -818,6 +903,7 @@ class _Interp:
 
     def getter(self, method: str, key: str, returns: TypeRef):
         session, schema = self.s, self.s.schema
+        overlay, records = session._overlay, session._base
         if schema.is_object_type(returns.base):
             if returns.many:
                 # Snapshot ids only: conformance checks every child id, and a
@@ -825,7 +911,7 @@ class _Interp:
                 refs = session._refs
 
                 def get_many(oid: str, args: list):
-                    kids = session.object(oid).children.get(method)
+                    kids = (overlay.get(oid) or records[oid]).children.get(method)
                     return [refs[cid] for cid in kids] if kids else []
 
                 return get_many
@@ -841,18 +927,10 @@ class _Interp:
                 return child
 
             return get_one
-        names_enum = returns.base in schema.enums
+        unset = _unset(returns, schema)
 
         def get_field(oid: str, args: list):
-            fields = session.object(oid).fields
-            if key not in fields:
-                return _unset(returns)
-            value = fields[key]
-            if names_enum and isinstance(value, str):
-                enum, _, const = value.partition(".")
-                if schema.enum_has(enum, const):
-                    return EnumVal(enum, const)
-            return value
+            return (overlay.get(oid) or records[oid]).fields.get(key, unset)
 
         return get_field
 

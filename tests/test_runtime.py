@@ -363,6 +363,12 @@ INTERPRETER_CASES = [
         id="if-no-else",
     ),
     pytest.param(
+        'x = 1\nif x > 2:\n    print(1)\nif x == "1":\n    print(2)\nif x - 1:\n    print(3)\n'
+        "print(4)\n",
+        ("ok", ("4",), None, "", 5, 0),
+        id="if-false-no-else",
+    ),
+    pytest.param(
         "import odb\nif odb:\n    print(1)\nif odb.PlacementStatus.PLACED:\n    print(2)\n"
         "if design.getBlock().getNets():\n    print(3)\nif range(0):\n    print(4)\n",
         ("ok", ("1", "2", "3"), None, "", 8, 0),
@@ -470,9 +476,38 @@ INTERPRETER_CASES = [
         id="equals-mixed",
     ),
     pytest.param(
+        'import odb\nn = None\ni = 1\nb = True\nr = design\ne = odb.PlacementStatus.PLACED\n'
+        's = "PlacementStatus.PLACED"\nprint(n == "None")\nprint(i == "1")\nprint(b == "True")\n'
+        'print(r == "d1")\nprint(e == "PlacementStatus.PLACED")\n'
+        'print(s == "PlacementStatus.PLACED")\nprint(s == "PLACED")\n',
+        ("ok", ("False", "False", "False", "False", "False", "True", "False"), None, "", 14, 0),
+        id="equals-string-literal",
+    ),
+    pytest.param(
+        'import odb\nn = None\ni = 1\nb = True\nr = design\ne = odb.PlacementStatus.PLACED\n'
+        's = "PlacementStatus.PLACED"\nprint(n != "None")\nprint(i != "1")\nprint(b != "True")\n'
+        'print(r != "d1")\nprint(e != "PlacementStatus.PLACED")\n'
+        'print(s != "PlacementStatus.PLACED")\nprint(s != "PLACED")\n',
+        ("ok", ("True", "True", "True", "True", "True", "False", "True"), None, "", 14, 0),
+        id="not-equals-string-literal",
+    ),
+    pytest.param(
+        'print(design.getBlock().findNet("clk").getName() == "clk")\nprint(len("ab") == "2")\n'
+        'print(design.getBlock().findNet("rst").name != "clk")\n',
+        ("ok", ("True", "False", "True"), None, "", 3, 0),
+        id="string-literal-right-of-a-call",
+    ),
+    pytest.param(
         "print(design.getBlock().getNets())\nprint(range(2))\n",
         ("ok", ("[<Net n1>, <Net n2>, <Net n3>]", "range(2)"), None, "", 2, 0),
         id="print-collections",
+    ),
+    pytest.param(
+        'x = "s"\nprint(x)\nprint("t")\ny = 3\nprint(y)\nprint(None)\nprint(design)\n'
+        "print(design.getBlock().getNets())\nprint(design.getBlock().getInsts()[0])\n",
+        ("ok", ("s", "t", "3", "None", "<Design d1>", "[<Net n1>, <Net n2>, <Net n3>]",
+                "<Inst i1>"), None, "", 9, 0),
+        id="print-values",
     ),
     pytest.param(
         "print(ghost)\n",
@@ -498,6 +533,11 @@ INTERPRETER_CASES = [
         "frob(1)\n",
         ("runtime_error", (), "NameError", "name 'frob' is not defined", 1, 0),
         id="name-error-call",
+    ),
+    pytest.param(
+        "x = 1\nprint(ghost + 1)\n",
+        ("runtime_error", (), "NameError", "name 'ghost' is not defined", 2, 0),
+        id="name-error-left-of-literal",
     ),
     pytest.param(
         'block = design.getBlock()\nnet = block.findNet("nope")\nprint(net.name)\n',
@@ -638,6 +678,17 @@ INTERPRETER_CASES = [
         "import odb\nfor x in odb:\n    print(x)\n",
         ("runtime_error", (), "TypeError", "for-loop needs a collection", 2, 0),
         id="for-over-module",
+    ),
+    pytest.param(
+        "for i in range(5):\n    print(10 / (2 - i))\n",
+        ("runtime_error", ("5.0", "10.0"), "TypeError", "division by zero", 7, 0),
+        id="for-one-statement-aborts",
+    ),
+    pytest.param(
+        'net = design.getBlock().findNet("clk")\nfor i in range(5):\n'
+        "    net.setWeight(4 % (2 - i))\n",
+        ("runtime_error", (), "TypeError", "division by zero", 8, 2),
+        id="for-one-statement-aborts-after-writes",
     ),
     pytest.param(
         "print(1, 2)\n",
@@ -857,6 +908,41 @@ def test_step_budget_boundary_at_design_scale(scaled_snapshot, driver_schema):
     over = run(fresh_session(scaled_snapshot, driver_schema, step_budget=steps - 1), source)
     assert (over.status, over.steps, over.output) == (ExecStatus.TIMEOUT, steps, ())
     assert over.error_message == f"step budget of {steps - 1} exceeded"
+
+
+def _budgets_below(steps: int) -> list[int]:
+    """Budgets 0-11, which cover the first statements and the first loop iterations
+    of every pinned program, and the last five below ``steps``."""
+    return sorted({*range(min(steps, 12)), *range(max(steps - 5, 0), steps)})
+
+
+def _assert_times_out_on_the_way(result, budget, expected):
+    """A run cut at ``budget`` stops one step past it, partway to the pinned ``expected``."""
+    output, mutations = expected[1], expected[5]
+    assert (result.status, result.steps) == (ExecStatus.TIMEOUT, budget + 1)
+    assert result.error_message == f"step budget of {budget} exceeded"
+    assert result.output == output[: len(result.output)]
+    assert result.mutations <= mutations
+
+
+@pytest.mark.parametrize("source, expected", INTERPRETER_CASES)
+def test_every_budget_below_the_pinned_steps_times_out_on_the_way(
+    snapshot, schema, source, expected
+):
+    steps = expected[4]
+    budgets = range(steps) if steps <= 1_000 else _budgets_below(steps)
+    for budget in budgets:
+        result = run(fresh_session(snapshot, schema, step_budget=budget), source)
+        _assert_times_out_on_the_way(result, budget, expected)
+
+
+@pytest.mark.parametrize("source, expected", SCALED_CASES)
+def test_budgets_below_the_pinned_steps_at_design_scale_time_out_on_the_way(
+    scaled_snapshot, driver_schema, source, expected
+):
+    for budget in _budgets_below(expected[4]):
+        result = run(fresh_session(scaled_snapshot, driver_schema, step_budget=budget), source)
+        _assert_times_out_on_the_way(result, budget, expected)
 
 
 def test_modulo(snapshot, schema):
@@ -1082,3 +1168,51 @@ def test_snapshot_field_check_leaves_undeclared_fields_and_lists(schema, tags_sc
         snapshot_from_dict(_toy_with_net_fields({"tags": "a"}), tags_schema)
     with pytest.raises(SnapshotError):
         snapshot_from_dict(_toy_with_net_fields({"tags": ["a", 1]}), tags_schema)
+
+
+@pytest.fixture(scope="module")
+def status_schema():
+    """The toy schema plus ``Inst.placementStatus`` and ``Inst.getPlacementStatus()``."""
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    raw["types"]["Inst"]["attributes"]["placementStatus"] = {"base": "PlacementStatus"}
+    raw["types"]["Inst"]["methods"]["getPlacementStatus"] = {
+        "returns": {"base": "PlacementStatus"}
+    }
+    return schema_from_dict(raw)
+
+
+def _toy_with_status(status) -> dict:
+    """The toy snapshot with instance i1's ``placementStatus`` field set; i2 leaves it unset."""
+    raw = json.loads(fixture_path("toy_snapshot.json").read_text())
+    raw["objects"][5]["fields"]["placementStatus"] = status
+    return raw
+
+
+@pytest.mark.parametrize("status", [
+    7, "PlacementStatus.WIBBLE", "PLACED", "Other.PLACED", True, None, ["PlacementStatus.FIRM"],
+])
+def test_snapshot_enum_fields_must_name_a_constant_of_their_enum(status_schema, status):
+    with pytest.raises(SnapshotError) as exc:
+        snapshot_from_dict(_toy_with_status(status), status_schema)
+    assert [(v.location, v.message) for v in exc.value.violations] == [
+        ("i1.fields.placementStatus", f"declared PlacementStatus, holds {status!r}")
+    ]
+
+
+def test_enum_fields_read_alike_through_attribute_and_getter(status_schema):
+    source = (
+        "import odb\n"
+        "for inst in design.getBlock().getInsts():\n"
+        "    print(inst.placementStatus)\n"
+        "    print(inst.placementStatus == odb.PlacementStatus.FIRM)\n"
+        "    print(inst.getPlacementStatus() == odb.PlacementStatus.FIRM)\n"
+        "    inst.setPlacementStatus(inst.placementStatus)\n"
+        "    inst.setPlacementStatus(inst.getPlacementStatus())\n"
+    )
+    assert verify_all(analyze(source, status_schema), None, status_schema, max_layer=3).passed
+    snap = snapshot_from_dict(_toy_with_status("PlacementStatus.FIRM"), status_schema)
+    result = run(fresh_session(snap, status_schema), source)
+    # i2 leaves the field unset, so it reads the enum's first constant.
+    assert (result.status, result.output, result.mutations) == (ExecStatus.OK, (
+        "PlacementStatus.FIRM", "True", "True", "PlacementStatus.PLACED", "False", "False",
+    ), 4)

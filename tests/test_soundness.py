@@ -3,8 +3,10 @@
 The verifier and the interpreter are two readings of one language's rules, so
 each is an oracle for the other, as in Csmith (Yang et al., PLDI 2011). Seeds
 are random conformant programs, their planted defects and the programs in
-``HOLES``; Hypothesis mutates their syntax trees. Every mutant that layers 1
-to 3 accept runs once. A runtime error fails the test unless it is a value
+``HOLES``, and seeded draws mutate their syntax trees. Each seed from 0 to 299
+gives one mutant from ``random.Random(seed)`` alone, so the mutants do not
+move when the package or this file changes. Every mutant that layers 1 to 3
+accept runs once. A runtime error fails the test unless it is a value
 fault, which no static kind rule can see: division by zero, an index out of
 range, a ``find*`` miss, or the step budget running out. Every mutant that
 runs to the end takes at least the steps that L4's static bound predicts,
@@ -17,8 +19,6 @@ from __future__ import annotations
 
 import random
 import re
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from programs import random_conformant_program
 from structsynth.generators import DefectKind, apply_defect
@@ -76,77 +76,75 @@ def _rewrite(node, target, make):
     return node._replace(**changed) if changed else node
 
 
-@st.composite
-def expressions(draw, pool: tuple, depth: int = 2):
+def expressions(rng: random.Random, pool: tuple, depth: int = 2):
     """A node from ``pool``, or an operation over smaller expressions."""
-    if depth == 0 or draw(st.booleans()):
-        return draw(st.sampled_from(pool))
-    inner = expressions(pool, depth - 1)
-    shape = draw(st.sampled_from(("binop", "index", "neg", "attr", "method", "call", "builtin")))
+    if depth == 0 or rng.random() < 0.5:
+        return rng.choice(pool)
+
+    def inner():
+        return expressions(rng, pool, depth - 1)
+
+    shape = rng.choice(("binop", "index", "neg", "attr", "method", "call", "builtin"))
     if shape == "binop":
-        return qn.BinOp(draw(st.sampled_from(_OPERATORS)), draw(inner), draw(inner))
+        return qn.BinOp(rng.choice(_OPERATORS), inner(), inner())
     if shape == "index":
-        return qn.Index(draw(inner), draw(inner))
+        return qn.Index(inner(), inner())
     if shape == "neg":
-        return qn.UnaryOp("-", draw(inner))
+        return qn.UnaryOp("-", inner())
     if shape == "attr":
-        return qn.Attribute(draw(inner), draw(st.sampled_from(_ATTRIBUTES)))
+        return qn.Attribute(inner(), rng.choice(_ATTRIBUTES))
     if shape == "method":
-        args = tuple(draw(st.lists(inner, max_size=2)))
-        return qn.Call(qn.Attribute(draw(inner), draw(st.sampled_from(_METHODS))), args)
+        args = tuple(inner() for _ in range(rng.randint(0, 2)))
+        return qn.Call(qn.Attribute(inner(), rng.choice(_METHODS)), args)
     if shape == "call":
-        return qn.Call(draw(inner), ())
-    return qn.Call(qn.Name(draw(st.sampled_from(("print", "len", "range")))), (draw(inner),))
+        return qn.Call(inner(), ())
+    return qn.Call(qn.Name(rng.choice(("print", "len", "range"))), (inner(),))
 
 
-@st.composite
-def statements(draw, pool: tuple):
-    expr = expressions(pool)
-    shape = draw(st.sampled_from(("assign", "expr", "for", "if")))
+def statements(rng: random.Random, pool: tuple):
+    shape = rng.choice(("assign", "expr", "for", "if"))
     if shape == "assign":
-        return qn.Assign(draw(st.sampled_from(_NAMES)), draw(expr))
+        return qn.Assign(rng.choice(_NAMES), expressions(rng, pool))
     if shape == "expr":
-        return qn.ExprStmt(draw(expr))
-    body = (qn.ExprStmt(qn.Call(qn.Name("print"), (draw(expr),))),)
+        return qn.ExprStmt(expressions(rng, pool))
+    body = (qn.ExprStmt(qn.Call(qn.Name("print"), (expressions(rng, pool),))),)
     if shape == "for":
-        return qn.ForStmt(draw(st.sampled_from(_NAMES)), draw(expr), body)
-    return qn.IfStmt(draw(expr), body)
+        return qn.ForStmt(rng.choice(_NAMES), expressions(rng, pool), body)
+    return qn.IfStmt(expressions(rng, pool), body)
 
 
-@st.composite
-def mutants(draw, schema) -> str:
+def mutant(rng: random.Random, schema) -> str:
     """A seed program after one to three syntax-tree mutations.
 
     A mutation replaces an expression with one built from literals, names and
     the program's own subexpressions; wraps an expression in an operation;
     inserts a statement; or deletes one.
     """
-    source = random_conformant_program(random.Random(draw(st.integers(0, 10_000))))
-    origin = draw(st.sampled_from(("conformant", "defect", "hole")))
+    source = random_conformant_program(rng)
+    origin = rng.choice(("conformant", "defect", "hole"))
     if origin == "defect":
-        source = apply_defect(source, draw(st.sampled_from(list(DefectKind))), schema)
+        source = apply_defect(source, rng.choice(list(DefectKind)), schema)
     elif origin == "hole":
-        source = draw(st.sampled_from([h[1] for h in HOLES]))
+        source = rng.choice([h[1] for h in HOLES])
     script = parse(source)
     if isinstance(script, SyntaxFailure):
         return source
     root = qn.IfStmt(qn.BoolLit(True), script.statements)  # one node that holds them all
-    for _ in range(draw(st.integers(1, 3))):
-        action = draw(st.sampled_from(("replace", "wrap", "insert", "delete")))
-        blocks = _nodes(root, (qn.IfStmt, qn.ForStmt))
-        block = draw(st.sampled_from(blocks))
+    for _ in range(rng.randint(1, 3)):
+        action = rng.choice(("replace", "wrap", "insert", "delete"))
+        block = rng.choice(_nodes(root, (qn.IfStmt, qn.ForStmt)))
         if action in ("replace", "wrap"):
-            target = draw(st.sampled_from(_nodes(root, _EXPRS)))
+            target = rng.choice(_nodes(root, _EXPRS))
             pool = (target,) if action == "wrap" else _LEAVES + tuple(_nodes(root, _EXPRS))
-            new = draw(expressions(pool))
+            new = expressions(rng, pool)
             root = _rewrite(root, target, lambda _: new)
         elif action == "insert":
-            at = draw(st.integers(0, len(block.body)))
-            stmt = draw(statements(_LEAVES + tuple(_nodes(root, _EXPRS))))
+            at = rng.randint(0, len(block.body))
+            stmt = statements(rng, _LEAVES + tuple(_nodes(root, _EXPRS)))
             root = _rewrite(root, block, lambda b: b._replace(body=b.body[:at] + (stmt,)
                                                               + b.body[at:]))
         elif len(block.body) > 1:
-            at = draw(st.integers(0, len(block.body) - 1))
+            at = rng.randint(0, len(block.body) - 1)
             root = _rewrite(root, block, lambda b: b._replace(body=b.body[:at]
                                                               + b.body[at + 1:]))
     return qn.module_to_source(root.body)
@@ -156,29 +154,36 @@ def _is_value_fault(message: str) -> bool:
     return _VALUE_FAULT.search(message) is not None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_programs_passing_layers_one_to_three_raise_no_api_fault(peer_schema, peer_snapshot,
-                                                                  data):
-    source = data.draw(mutants(peer_schema))
-    candidate = analyze(source, peer_schema)
-    if not verify_all(candidate, None, peer_schema).passed:
-        return
+def _broken_promise(source: str, schema, snapshot) -> str | None:
+    """What a program that passes L1-L3 breaks of their promise; None if nothing or rejected."""
+    candidate = analyze(source, schema)
+    if not verify_all(candidate, None, schema).passed:
+        return None
     for cs in candidate.typed.call_sites:
-        assert cs.returns is not None and not cs.receiver_type.many, source
-        assert peer_schema.is_object_type(cs.receiver_type.base), source
-    assert all(valid_import(peer_schema, name) for name in candidate.typed.imports), source
-    result = Session(peer_snapshot, peer_schema, step_budget=5_000).execute(source)
-    if result.status is ExecStatus.RUNTIME_ERROR:
-        assert _is_value_fault(result.error_message), (
-            f"passed L1-L3, then {result.error_kind}: {result.error_message}\n{source}"
-        )
+        if cs.returns is None or cs.receiver_type.many:
+            return f"call site {cs.method!r} has no single schema signature"
+        if not schema.is_object_type(cs.receiver_type.base):
+            return f"call site {cs.method!r} has a receiver of type {cs.receiver_type.base}"
+    if not all(valid_import(schema, name) for name in candidate.typed.imports):
+        return f"invalid import among {candidate.typed.imports}"
+    result = Session(snapshot, schema, step_budget=5_000).execute(source)
+    if result.status is ExecStatus.RUNTIME_ERROR and not _is_value_fault(result.error_message):
+        return f"passed L1-L3, then {result.error_kind}: {result.error_message}"
     if result.status is ExecStatus.OK:
         statements = candidate.script.statements
-        assert min_steps(statements) <= result.steps, source
-        if not any(isinstance(s, (qn.IfStmt, qn.ForStmt)) for s in statements):
-            assert min_steps(statements) == result.steps == len(statements), source
+        if min_steps(statements) > result.steps:
+            return f"min_steps {min_steps(statements)} exceeds the {result.steps} steps run"
+        straight = not any(isinstance(s, (qn.IfStmt, qn.ForStmt)) for s in statements)
+        if straight and not min_steps(statements) == result.steps == len(statements):
+            return f"straight-line: min_steps {min_steps(statements)}, {result.steps} steps"
+    return None
+
+
+def test_programs_passing_layers_one_to_three_raise_no_api_fault(peer_schema, peer_snapshot):
+    for seed in range(300):
+        source = mutant(random.Random(seed), peer_schema)
+        broken = _broken_promise(source, peer_schema, peer_snapshot)
+        assert broken is None, f"seed {seed}: {broken}\n{source}"
 
 
 def test_value_faults_are_told_apart_by_message(schema, snapshot):
