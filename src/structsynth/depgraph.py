@@ -208,7 +208,6 @@ class GraphReport(NamedTuple):
 
     node_classes: dict[str, NodeClass]
     edge_verdicts: dict[str, EdgeVerdict]
-    inserted_intermediates: tuple[tuple[str, str], ...]
     feedback: tuple[Feedback, ...]
 
     @property
@@ -263,7 +262,6 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
     feedback: list[Feedback] = []
 
     edge_verdicts: dict[str, EdgeVerdict] = {}
-    inserted: list[tuple[str, str]] = []
     for e in g.edges:
         eid = DepGraph.edge_id(e)
         if e.kind is EdgeKind.DEPENDENCY:
@@ -288,7 +286,7 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
                         f"{src_t}.{e.via_method} returns {sig.returns.base}, not {dst_t}",
                     )
                 )
-                _suggest_intermediates(rel, src_t, dst_t, eid, inserted, feedback)
+                _suggest_intermediates(rel, src_t, dst_t, eid, feedback)
                 continue
             edge_verdicts[eid] = EdgeVerdict.OK
             continue
@@ -299,7 +297,7 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
             feedback.append(
                 Feedback(eid, "invalid_transition", f"no method of {src_t} returns {dst_t}")
             )
-            _suggest_intermediates(rel, src_t, dst_t, eid, inserted, feedback)
+            _suggest_intermediates(rel, src_t, dst_t, eid, feedback)
 
     root_types = set(schema.roots.values())
     reachable: set[str] = set()
@@ -343,7 +341,6 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
     return GraphReport(
         node_classes=node_classes,
         edge_verdicts=edge_verdicts,
-        inserted_intermediates=tuple(inserted),
         feedback=tuple(feedback),
     )
 
@@ -353,13 +350,11 @@ def _suggest_intermediates(
     src_t: str,
     dst_t: str,
     eid: str,
-    inserted: list[tuple[str, str]],
     feedback: list[Feedback],
 ) -> None:
     paths = _shortest_paths(rel, src_t, dst_t)
     if len(paths) == 1 and len(paths[0]) > 2:
         for mid in paths[0][1:-1]:
-            inserted.append((mid, eid))
             feedback.append(
                 Feedback(eid, "missing_intermediate", f"insert {mid} between {src_t} and {dst_t}")
             )

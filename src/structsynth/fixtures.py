@@ -35,12 +35,14 @@ def toy_snapshot(schema: ApiSchema | None = None) -> Snapshot:
     return load_snapshot(fixture_path("toy_snapshot.json"), schema or toy_schema())
 
 
-def make_scaled_snapshot(
-    schema: ApiSchema,
-    nets: int = 581,
-    insts: int = 624,
-    iterms: int = 54,
-) -> Snapshot:
+# The design-sized snapshot's record counts; with the design and the block it
+# holds 1,261 objects.
+SCALED_NETS = 581
+SCALED_INSTS = 624
+SCALED_ITERMS = 54
+
+
+def make_scaled_snapshot(schema: ApiSchema) -> Snapshot:
     """A design-sized snapshot with the toy shape and a few well-known names."""
     objects = [
         {"id": "d1", "type": "Design", "fields": {"name": "gcd"},
@@ -48,7 +50,7 @@ def make_scaled_snapshot(
     ]
     net_ids = []
     known_nets = ["clk", "rst", "data"]
-    for i in range(nets):
+    for i in range(SCALED_NETS):
         nid = f"n{i + 1}"
         name = known_nets[i] if i < len(known_nets) else f"net_{i + 1:04d}"
         objects.append(
@@ -57,12 +59,12 @@ def make_scaled_snapshot(
         )
         net_ids.append(nid)
     inst_ids = []
-    for i in range(insts):
+    for i in range(SCALED_INSTS):
         iid = f"i{i + 1}"
         name = f"u{i + 1}" if i < 2 else f"inst_{i + 1:04d}"
         objects.append({"id": iid, "type": "Inst", "fields": {"name": name}})
         inst_ids.append(iid)
-    for i in range(iterms):
+    for i in range(SCALED_ITERMS):
         objects.append({"id": f"t{i + 1}", "type": "ITerm", "fields": {}})
     objects.append(
         {"id": "b1", "type": "Block", "fields": {"name": "top"},

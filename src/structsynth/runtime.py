@@ -936,20 +936,20 @@ class _Interp:
 
     def finder(self, tname: str, returns: TypeRef):
         session, base = self.s, returns.base
+        overlay, records = session._overlay, session._base
         # Conformance types each child list by its method's return, so only
-        # the lists of methods returning ``base`` can hold a match.
+        # the lists of methods returning ``base`` can hold a match. They are
+        # searched in name order.
         decl = session.schema.type_decl(tname)
-        keys = {m for m, sig in decl.methods.items() if sig.returns.base == base}
+        keys = tuple(sorted(m for m, sig in decl.methods.items() if sig.returns.base == base))
         miss_is_none = returns.nullable or not session.schema.is_object_type(base)
 
         def find(oid: str, args: list):
             wanted = args[0] if args else ""
-            children = session.object(oid).children
-            for child_key in sorted(children):
-                if child_key not in keys:
-                    continue
-                for cid in children[child_key]:
-                    child = session.object(cid)
+            children = (overlay.get(oid) or records[oid]).children
+            for child_key in keys:
+                for cid in children.get(child_key, ()):
+                    child = overlay.get(cid) or records[cid]
                     if child.type == base and child.fields.get("name") == wanted:
                         return session.ref(cid)
             if miss_is_none:

@@ -252,11 +252,16 @@ def schema_from_dict(raw: object) -> ApiSchema:
                 returns=type_ref(mdecl.get("returns", {"base": "void"}), f"{loc}.returns"),
                 mutates=bool(mdecl.get("mutates", False)),
             )
-        attributes = {
-            aname: type_ref(adecl, f"types.{tname}.attributes.{aname}")
-            for aname, adecl in _shaped(tdecl.get("attributes", {}),
-                                        f"types.{tname}.attributes", violations).items()
-        }
+        attributes: dict[str, TypeRef] = {}
+        for aname, adecl in _shaped(tdecl.get("attributes", {}), f"types.{tname}.attributes",
+                                    violations).items():
+            loc = f"types.{tname}.attributes.{aname}"
+            ref = attributes[aname] = type_ref(adecl, loc)
+            # A snapshot field holds JSON, never an object, so such an
+            # attribute would always read None; objects come from get* methods.
+            if ref.base in raw_types:
+                violations.append(Violation(
+                    loc, f"object type {ref.base!r} cannot be an attribute; declare a get* method"))
         types[tname] = TypeDecl(name=tname, methods=methods, attributes=attributes)
 
     roots: dict[str, str] = {}

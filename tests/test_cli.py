@@ -284,6 +284,9 @@ _SYNTH = ["synth", "--prompt", "Print the weight of net clk"]
         ("s.json", _fixture_with("toy_schema.json", _net_type(
             lambda t: t["attributes"].update(weight="int"))),
          load_schema, _SYNTH + ["--schema", "s.json"]),
+        ("s.json", _fixture_with("toy_schema.json", _net_type(
+            lambda t: t["attributes"].update(driver={"base": "Inst"}))),
+         load_schema, _SYNTH + ["--schema", "s.json"]),
         ("s.json", _fixture_with("toy_schema.json", lambda raw: raw.update(roots={"design": []})),
          load_schema, _SYNTH + ["--schema", "s.json"]),
         ("m.json", json.dumps({"tasks": [{"id": "m1", "steps": 5}]}),
@@ -302,7 +305,8 @@ _SYNTH = ["synth", "--prompt", "Print the weight of net clk"]
     ],
     ids=["schema-methods-list", "schema-attributes-list", "schema-returns-string",
          "schema-param-type-string", "schema-params-int", "schema-attribute-string",
-         "schema-root-type-list", "multi-steps-int", "multi-steps-string", "corpus-tags-string",
+         "schema-attribute-object", "schema-root-type-list", "multi-steps-int",
+         "multi-steps-string", "corpus-tags-string",
          "corpus-id-int", "corpus-api-path-list", "corpus-text-object", "corpus-snippet-list",
          "suite-prompt-int", "suite-kind-list"],
 )

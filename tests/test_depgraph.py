@@ -176,7 +176,8 @@ def test_validate_invalid_transition_suggests_intermediate(schema):
     g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=(acq("d", "n"),))
     report = validate_graph(g, schema)
     assert report.edge_verdicts["d->n"] is EdgeVerdict.INVALID_TRANSITION
-    assert ("Block", "d->n") in report.inserted_intermediates
+    assert Feedback("d->n", "missing_intermediate", "insert Block between Design and Net") in (
+        report.feedback)
 
 
 def test_validate_via_with_wrong_return_type(schema):

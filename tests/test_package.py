@@ -2,18 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import sys
 from pathlib import Path
 
-import structsynth
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Records the top-level names of the modules that `import structsynth` adds.
+# Imports the modules named after the report path, in order, and records the
+# top-level names of the modules that importing them adds.
 PROBE = """\
-import json, sys
+import importlib, json, sys
 before = set(sys.modules)
-import structsynth
+for name in sys.argv[2:]:
+    importlib.import_module(name)
 added = {name.split(".")[0] for name in set(sys.modules) - before}
 with open(sys.argv[1], "w") as out:
     json.dump(sorted(added), out)
@@ -25,7 +26,6 @@ with open(sys.argv[1], "w") as out:
 # dataclasses.
 SYNTHESIS_PROBE = """\
 import dataclasses, json, sys
-import structsynth
 from structsynth import (
     controller, extractors, fixtures, generators, judges, orchestrator, runtime,
 )
@@ -65,26 +65,32 @@ DATACLASSES = {
 }
 
 
-def _probe(script: str, tmp_path) -> object:
-    """Runs ``script`` in a fresh interpreter and returns the JSON it writes."""
+def _probe(script: str, tmp_path, *args: str) -> object:
+    """Runs ``script`` in a fresh interpreter and returns the JSON it writes.
+
+    ``-S`` skips site-packages, so a third-party import fails outright.
+    """
     report = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = [sys.executable, "-c", script, str(report)]
-    assert os.spawnve(os.P_WAIT, sys.executable, argv, env) == 0
+    argv = [sys.executable, "-S", "-c", script, str(report), *args]
+    assert os.spawnve(os.P_WAIT, sys.executable, argv, env) == 0, args
     return json.loads(report.read_text())
 
 
-def test_public_names_resolve_and_are_sorted():
-    names = structsynth.__all__
-    for name in names:
-        assert getattr(structsynth, name) is not None, name
-    assert names == sorted(names)
-    assert len(set(names)) == len(names)
+def _package_modules() -> list[str]:
+    """Names every module under ``src/structsynth``, the package included."""
+    found = pkgutil.walk_packages([str(SRC / "structsynth")], "structsynth.")
+    return ["structsynth", *sorted(info.name for info in found)]
 
 
 def test_import_loads_only_stdlib_and_the_package(tmp_path):
-    added = set(_probe(PROBE, tmp_path))
-    assert "structsynth" in added
+    modules = _package_modules()
+    assert {"structsynth.cli", "structsynth.qas", "structsynth.qas.parser"} <= set(modules)
+    # Each module imports alone, so no import cycle depends on which module
+    # a caller happens to import first.
+    for name in modules:
+        assert "structsynth" in _probe(PROBE, tmp_path, name), name
+    added = set(_probe(PROBE, tmp_path, *modules))
     assert added - set(sys.stdlib_module_names) - {"structsynth"} == set()
 
 

@@ -862,6 +862,54 @@ def test_interpreter_results_at_design_scale_are_pinned(
     assert got == expected
 
 
+@pytest.fixture(scope="module")
+def strict_find_schema():
+    """The toy schema with ``Block.findNet`` non-nullable and a second Net list on Block."""
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    block = raw["types"]["Block"]["methods"]
+    block["findNet"]["returns"] = {"base": "Net"}
+    block["getClockNets"] = {"returns": {"base": "Net", "many": True}}
+    return schema_from_dict(raw)
+
+
+@pytest.fixture(scope="module")
+def strict_find_snapshot(strict_find_schema):
+    """Two nets named clk: n1 under getNets, n2 under getClockNets."""
+    return snapshot_from_dict({"objects": [
+        {"id": "d1", "type": "Design", "children": {"getBlock": ["b1"]}},
+        {"id": "b1", "type": "Block",
+         "children": {"getNets": ["n1", "n3"], "getClockNets": ["n2"]}},
+        {"id": "n1", "type": "Net", "fields": {"name": "clk", "weight": 1}},
+        {"id": "n2", "type": "Net", "fields": {"name": "clk", "weight": 2}},
+        {"id": "n3", "type": "Net", "fields": {"name": "rst", "weight": 3}},
+    ]}, strict_find_schema)
+
+
+@pytest.mark.parametrize("source, expected", [
+    pytest.param(
+        'block = design.getBlock()\nnet = block.findNet("nope")\nprint("unreached")\n',
+        ("runtime_error", (), "TypeError", "nothing named 'nope' found", 2, 0),
+        id="miss-aborts",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nprint(block.findNet("clk"))\nprint(block.findNet("rst"))\n',
+        ("ok", ("<Net n2>", "<Net n3>"), None, "", 3, 0),
+        id="child-lists-searched-in-name-order",
+    ),
+    pytest.param(
+        'block = design.getBlock()\nblock.findNet("clk").setWeight(7)\n'
+        'print(block.findNet("clk").weight)\n',
+        ("ok", ("7",), None, "", 3, 1),
+        id="match-read-after-a-write",
+    ),
+])
+def test_find_with_a_non_nullable_return(strict_find_snapshot, strict_find_schema, source,
+                                         expected):
+    r = run(fresh_session(strict_find_snapshot, strict_find_schema), source)
+    got = (r.status.value, r.output, r.error_kind, r.error_message, r.steps, r.mutations)
+    assert got == expected
+
+
 def test_min_steps_counts_literal_loops_and_the_cheaper_branch(snapshot, schema):
     loop = "for i in range(3):\n    print(i * 2)\n"  # 1 + 3 * (1 + 1) steps, as pinned below
     assert min_steps(parse(loop).statements) == 7

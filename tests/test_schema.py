@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from structsynth.fixtures import fixture_path
 from structsynth.schema import (
     SchemaError,
     TypeRef,
@@ -110,3 +113,18 @@ def test_schema_rejects_type_enum_collision():
     with pytest.raises(SchemaError) as err:
         schema_from_dict(raw)
     assert any("collides" in v.message for v in err.value.violations)
+
+
+@pytest.mark.parametrize("ref", [
+    {"base": "Inst"}, {"base": "Inst", "many": True}, {"base": "Inst", "nullable": True},
+], ids=["one", "many", "nullable"])
+def test_schema_rejects_an_object_typed_attribute(ref):
+    # A snapshot field cannot hold an object, so the attribute would read None
+    # where L3 types it an Inst; the object has to come from a get* method.
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    raw["types"]["Net"]["attributes"]["driver"] = ref
+    with pytest.raises(SchemaError) as err:
+        schema_from_dict(raw)
+    (violation,) = err.value.violations
+    assert violation.location == "types.Net.attributes.driver"
+    assert "get*" in violation.message

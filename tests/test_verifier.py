@@ -7,7 +7,14 @@ import pytest
 
 from doubles import ScriptedJudge
 from structsynth.bench import plant_cases
-from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
+from structsynth.depgraph import (
+    DepGraph,
+    EdgeKind,
+    GraphEdge,
+    GraphNode,
+    NodeKind,
+    extract_graph,
+)
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import DefectKind
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge
@@ -114,6 +121,28 @@ def test_out_of_order_realization_fails_layer_two(schema):
     g = spine()
     verdict = verify_all(analyze(src, schema), g, schema)
     assert verdict.failure_layer == 2
+
+
+def test_acquisition_before_its_prerequisite_in_text_fails_layer_two(schema, snapshot):
+    # findNet stands before getBlock in the text, though at runtime the guard
+    # keeps it from running until getBlock has; L2 orders by text.
+    src = (
+        "blk = None\n"
+        "for i in range(2):\n"
+        "    if blk != None:\n"
+        '        net = blk.findNet("clk")\n'
+        "    blk = design.getBlock()\n"
+    )
+    prompt = "Print the weight of net clk"
+    graph = extract_graph(prompt, PatternTableExtractor(schema), schema).graph
+    verdict = verify_all(analyze(src, schema), graph, schema, max_layer=3)
+    assert verdict.failure_layer == 2
+    (issue,) = verdict.errors()
+    assert issue.code == L2_EDGE_UNREALIZED
+    assert issue.message == "Block->Net realized before its prerequisite acquisition"
+    assert issue.location == (4, 26)
+    assert issue.graph_region == "block->net#findNet"
+    assert Session(snapshot, schema).execute(src).status is ExecStatus.OK
 
 
 def test_unknown_method_fails_layer_three(schema):
