@@ -7,21 +7,16 @@ execution, uncertainty-filter sweeps, and graph accuracy by prompt length.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .controller import SynthesisConfig
 from .depgraph import DepGraph, GraphExtractor, GraphMetrics, graph_metrics
-from .generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
-from .judges import RuleBasedJudge
 from .orchestrator import run_episode, run_with_reflection
-from .qas.analysis import analyze
 from .retrieval import Retriever
-from .runtime import ExecStatus, Session, Snapshot
-from .schema import ApiSchema, ParseError, _strings
-from .verifier import verify_all
+from .runtime import Session
+from .schema import ApiSchema, ParseError, _strings, read_json
 
 BUCKETS = ("<8", "<15", "<25", ">=25")
 
@@ -80,10 +75,7 @@ def load_multi_suite(path: str | Path) -> list[MultiTaskSpec]:
 
 def _read_tasks(path: str | Path, field: str) -> list[dict]:
     """The suite's task entries, each an object with an ``id`` and ``field``."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read suite {path}: {exc}") from exc
+    doc = read_json(path, "suite")
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ParseError("suite document needs a 'tasks' list")
     for i, item in enumerate(doc["tasks"]):
@@ -151,26 +143,15 @@ class FilterStats:
     false_pass_rate: float | None
 
 
-@dataclass(frozen=True)
-class Labeled:
-    uncertainty: float
-    verifier_pass: bool
-    exec_ok: bool
+def filter_metrics(records: Sequence[TaskRecord], theta: float) -> FilterStats:
+    """Verifier quality after dropping the programs scored above ``theta``."""
+    kept = verifier_quality([r for r in records if r.uncertainty <= theta])
+    filtered_out = verifier_quality(records).passes - kept.passes
+    return FilterStats(theta, kept.passes, filtered_out, kept.precision, kept.false_pass_rate)
 
 
-def filter_metrics(labeled: Sequence[Labeled], theta: float) -> FilterStats:
-    """Quality of the verifier-pass set after dropping uncertain programs."""
-    passed = [r for r in labeled if r.verifier_pass]
-    delivered = [r for r in passed if r.uncertainty <= theta]
-    filtered_out = len(passed) - len(delivered)
-    good = sum(1 for r in delivered if r.exec_ok)
-    precision = good / len(delivered) if delivered else None
-    fpr = None if precision is None else 1.0 - precision
-    return FilterStats(theta, len(delivered), filtered_out, precision, fpr)
-
-
-def theta_sweep(labeled: Sequence[Labeled], thetas: Sequence[float]) -> list[FilterStats]:
-    return [filter_metrics(labeled, t) for t in thetas]
+def theta_sweep(records: Sequence[TaskRecord], thetas: Sequence[float]) -> list[FilterStats]:
+    return [filter_metrics(records, t) for t in thetas]
 
 
 @dataclass
@@ -215,13 +196,6 @@ class BenchReport:
 
     def quality(self) -> VerifierQuality:
         return verifier_quality(self.records)
-
-    def labeled(self) -> list[Labeled]:
-        return [
-            Labeled(r.uncertainty, r.verifier_pass, r.exec_status == "ok")
-            for r in self.records
-            if r.exec_status is not None
-        ]
 
     def buckets(self) -> dict[str, BucketStats]:
         return graph_accuracy(self.records)
@@ -331,80 +305,3 @@ def run_bench(
             )
         )
     return report
-
-
-@dataclass(frozen=True)
-class PlantedCase:
-    """A program with a known defect (or none), plus its graph and prompt."""
-
-    task: TaskSpec
-    defect: DefectKind | None
-    source: str
-    graph: DepGraph
-
-
-def plant_cases(
-    plan: Sequence[tuple[TaskSpec, DefectKind | None]],
-    schema: ApiSchema,
-    extractor: GraphExtractor,
-) -> list[PlantedCase]:
-    """Render each task cleanly, then break it per the plan."""
-    template = TemplateGenerator(schema)
-    cases = []
-    for task, defect in plan:
-        graph = extractor.extract(task.prompt, None, ())
-        source = template.generate(GenerationRequest(prompt=task.prompt, graph=graph))
-        if defect is not None:
-            source = apply_defect(source, defect, schema)
-        cases.append(PlantedCase(task, defect, source, graph))
-    return cases
-
-
-@dataclass(frozen=True)
-class AblationPoint:
-    max_layer: int
-    passes: int
-    exec_ok_among_passes: int
-    precision: float | None
-
-
-def ablation_precisions(
-    cases: Sequence[PlantedCase],
-    schema: ApiSchema,
-    snapshot: Snapshot,
-    layers: Sequence[int] = (1, 3, 4),
-) -> dict[int, AblationPoint]:
-    """Verifier precision at several pipeline depths over planted programs.
-
-    Every case is analyzed once, then its parse executes once in its own
-    session to establish ground truth; unparseable programs count as runtime
-    errors.
-    """
-    judge = RuleBasedJudge()
-    analyzed = [analyze(case.source, schema) for case in cases]
-    truths: list[bool] = []
-    for candidate in analyzed:
-        session = Session(snapshot, schema)
-        truths.append(session.execute(candidate.script).status is ExecStatus.OK)
-    out: dict[int, AblationPoint] = {}
-    for max_layer in layers:
-        passes = 0
-        good = 0
-        for case, candidate, ok in zip(cases, analyzed, truths):
-            verdict = verify_all(
-                candidate,
-                case.graph,
-                schema,
-                None,
-                judge,
-                case.task.prompt,
-                max_layer=max_layer,
-            )
-            if verdict.passed:
-                passes += 1
-                if ok:
-                    good += 1
-        out[max_layer] = AblationPoint(
-            max_layer, passes, good, good / passes if passes else None
-        )
-    return out

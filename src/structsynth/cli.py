@@ -265,7 +265,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for record in errors:
             print(f"error in {record.task_id}: {record.error}")
         if args.sweep:
-            for stats in theta_sweep(report.labeled(), _parse_sweep(args.sweep)):
+            for stats in theta_sweep(report.records, _parse_sweep(args.sweep)):
                 precision = "-" if stats.precision is None else f"{stats.precision:.3f}"
                 print(f"theta {stats.theta:.2f}: delivered {stats.delivered:3d}  "
                       f"filtered {stats.filtered_out:3d}  precision {precision}")
@@ -293,19 +293,19 @@ def _bench_dict(report, max_layer: int) -> dict:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r") as handle:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_graph(path: str) -> DepGraph:
     try:
         raw = json.loads(_read_source(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read graph {path}: {exc}") from exc
     return DepGraph.from_dict(raw)
 

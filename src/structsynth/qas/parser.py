@@ -14,7 +14,6 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import nodes
@@ -55,11 +54,9 @@ class SyntaxFailure(NamedTuple):
     errors: tuple[SyntaxIssue, ...]
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     """A parsed program. Equality is structural and ignores source locations."""
 
-    source: str = field(compare=False)
     statements: tuple[Stmt, ...]
 
 
@@ -376,4 +373,4 @@ def parse(source: str) -> Script | SyntaxFailure:
     if issues:
         issues.sort(key=lambda i: (i.line, i.column))
         return SyntaxFailure(errors=tuple(issues))
-    return Script(source=source, statements=statements)
+    return Script(statements)

@@ -8,14 +8,13 @@ Snippets ride along for generators but are not indexed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .schema import ParseError, _strings
+from .schema import ParseError, _strings, read_json
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -57,10 +56,7 @@ class EvidenceSet(NamedTuple):
 
 
 def load_corpus(path: str | Path) -> tuple[ApiDoc, ...]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read corpus {path}: {exc}") from exc
+    raw = read_json(path, "corpus")
     items = raw.get("docs") if isinstance(raw, dict) else None
     if not isinstance(items, list):
         raise ParseError("corpus document needs a 'docs' list")

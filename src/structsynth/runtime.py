@@ -10,7 +10,6 @@ remains fatal at runtime is exactly what static layers promise to prevent.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import kinds
 from .qas import nodes as qn
 from .qas.parser import Script, SyntaxFailure, parse
-from .schema import ApiSchema, ParseError, TypeRef, Violation, _shaped, valid_import
+from .schema import ApiSchema, ParseError, TypeRef, Violation, _shaped, read_json, valid_import
 
 # Interpreter steps one execution may take; the verifier's L4 bound reads it too.
 STEP_BUDGET = 100_000
@@ -69,11 +68,7 @@ class Snapshot:
 
 
 def load_snapshot(path: str | Path, schema: ApiSchema) -> Snapshot:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read snapshot {path}: {exc}") from exc
-    return snapshot_from_dict(raw, schema)
+    return snapshot_from_dict(read_json(path, "snapshot"), schema)
 
 
 def snapshot_from_dict(raw: dict, schema: ApiSchema) -> Snapshot:

@@ -20,7 +20,7 @@ UNKNOWN_BASE = "?"
 
 
 class ParseError(Exception):
-    """Schema document is not valid JSON or has the wrong top-level shape."""
+    """An input file cannot be read or decoded, or its document has the wrong shape."""
 
 
 class Violation(NamedTuple):
@@ -155,17 +155,25 @@ def valid_import(schema: ApiSchema, name: str) -> bool:
     return len(segs) == 3 and segs[2] in schema.enums[segs[1]]
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON document in the UTF-8 file at ``path``.
+
+    Raises ParseError, naming ``what`` the file holds, when the file cannot be
+    read, is not UTF-8, is not JSON, or nests too deep for the decoder.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_schema(path: str | Path) -> ApiSchema:
     """Load and validate a schema document.
 
     Raises ParseError for malformed documents and SchemaError carrying the
     complete list of invariant violations; a returned schema is fully valid.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read schema from {path}: {exc}") from exc
-    return schema_from_dict(raw)
+    return schema_from_dict(read_json(path, "schema"))
 
 
 def _shaped(value, location: str, violations: list[Violation]) -> dict:

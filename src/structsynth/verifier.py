@@ -86,27 +86,15 @@ def verify_syntax(script: Script | SyntaxFailure) -> tuple[Issue, ...]:
     return ()
 
 
-def _edge_realizations(ts: TypedScript, g: DepGraph) -> dict[str, tuple[int, int] | None]:
-    """First source location realizing each acquisition edge, or None."""
-    nmap = g.node_map()
-    first: dict[str, tuple[int, int] | None] = {}
-    for e in g.acquisition_edges():
-        eid = DepGraph.edge_id(e)
-        src_t = nmap[e.src].type_name
-        dst_t = nmap[e.dst].type_name
-        best: tuple[int, int] | None = None
-        for cs in ts.call_sites:
-            if cs.receiver_type.base != src_t:
-                continue
-            if e.via_method is not None:
-                if cs.method != e.via_method:
-                    continue
-            elif cs.returns is None or cs.returns.base != dst_t:
-                continue
-            if best is None or cs.location < best:
-                best = cs.location
-        first[eid] = best
-    return first
+def _realized(ts: TypedScript, src: str, dst: str, via: str | None) -> bool:
+    """True when a call on a ``src`` receiver realizes the acquisition edge:
+    a call of ``via`` when the edge names one, else a call returning ``dst``."""
+    return any(
+        cs.receiver_type.base == src
+        and (cs.method == via if via is not None
+             else cs.returns is not None and cs.returns.base == dst)
+        for cs in ts.call_sites
+    )
 
 
 def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tuple[Issue, ...]:
@@ -132,37 +120,19 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
                 )
             )
     if g is not None:
-        first = _edge_realizations(ts, g)
         nmap = g.node_map()
         for e in g.acquisition_edges():
-            eid = DepGraph.edge_id(e)
-            if first[eid] is None:
+            src, dst = nmap[e.src].type_name, nmap[e.dst].type_name
+            if not _realized(ts, src, dst, e.via_method):
                 via = f" via {e.via_method}" if e.via_method else ""
                 issues.append(
                     Issue(
                         L2_EDGE_UNREALIZED,
                         2,
-                        f"no call realizes {nmap[e.src].type_name}->"
-                        f"{nmap[e.dst].type_name}{via}",
-                        graph_region=eid,
+                        f"no call realizes {src}->{dst}{via}",
+                        graph_region=DepGraph.edge_id(e),
                     )
                 )
-        for e in g.acquisition_edges():
-            for f in g.acquisition_edges():
-                if e.dst != f.src:
-                    continue
-                le, lf = first[DepGraph.edge_id(e)], first[DepGraph.edge_id(f)]
-                if le is not None and lf is not None and lf < le:
-                    issues.append(
-                        Issue(
-                            L2_EDGE_UNREALIZED,
-                            2,
-                            f"{nmap[f.src].type_name}->{nmap[f.dst].type_name} realized "
-                            "before its prerequisite acquisition",
-                            location=lf,
-                            graph_region=DepGraph.edge_id(f),
-                        )
-                    )
     return tuple(issues)
 
 

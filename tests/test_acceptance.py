@@ -11,14 +11,7 @@ import time
 
 from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
 from programs import random_conformant_program
-from structsynth.bench import (
-    Labeled,
-    TaskSpec,
-    ablation_precisions,
-    filter_metrics,
-    plant_cases,
-    run_bench,
-)
+from structsynth.bench import TaskSpec, filter_metrics, run_bench
 from structsynth.controller import ActionKind, SynthesisConfig, synthesize
 from structsynth.depgraph import (
     DepGraph,
@@ -34,7 +27,6 @@ from structsynth.generators import (
     DEFECT_LAYER,
     DefectKind,
     FaultInjectionGenerator,
-    GenerationRequest,
     TemplateGenerator,
     apply_defect,
 )
@@ -46,17 +38,10 @@ from structsynth.runtime import ExecStatus, Session
 from structsynth import uncertainty
 from structsynth.uncertainty import compute_uncertainty
 from structsynth.verifier import L4_STEP_BOUND, Issue, VerdictReport, verify_all
-from suites import singles_suite
+from suites import depth_quality, record, singles_suite, template_program
 
 TOL = 1e-9
 API_FAULTS = {"UnknownMethod", "BadAttribute", "NullAccess"}
-
-
-def template_program(prompt: str, schema) -> tuple[str, DepGraph]:
-    extractor = PatternTableExtractor(schema)
-    graph = extractor.extract(prompt, None, ())
-    source = TemplateGenerator(schema).generate(GenerationRequest(prompt=prompt, graph=graph))
-    return source, graph
 
 
 def test_each_executed_task_costs_exactly_one_runtime_call(schema, retriever, snapshot):
@@ -393,7 +378,9 @@ def test_acceptance_rate_is_monotone_in_repair_budget(schema, retriever):
 
 
 def test_uncertainty_filter_trades_recall_for_strict_precision_gain():
-    population = [Labeled(0.1, True, True)] * 8 + [Labeled(0.8, True, False)] * 2
+    population = [record(uncertainty=0.1)] * 8 + [
+        record(exec_status="runtime_error", uncertainty=0.8)
+    ] * 2
     baseline = filter_metrics(population, theta=1.0)
     tightened = filter_metrics(population, theta=0.5)
 
@@ -411,7 +398,7 @@ def test_uncertainty_filter_trades_recall_for_strict_precision_gain():
     assert tightened.false_pass_rate < baseline.false_pass_rate
 
 
-def test_deeper_verification_strictly_raises_delivered_precision(schema, snapshot):
+def test_deeper_verification_strictly_raises_delivered_precision(schema, retriever, snapshot):
     def spec(tid: str, prompt: str, kind: str) -> TaskSpec:
         return TaskSpec(task_id=tid, prompt=prompt, kind=kind)
 
@@ -458,17 +445,16 @@ def test_deeper_verification_strictly_raises_delivered_precision(schema, snapsho
         + [(t, DefectKind.TIMEOUT_LOOP) for t in spinning]
     )
 
-    cases = plant_cases(plan, schema, PatternTableExtractor(schema))
-    points = ablation_precisions(cases, schema, snapshot)
+    points = {d: depth_quality(plan, schema, retriever, snapshot, d) for d in (1, 3, 4)}
 
     # syntax-only checking delivers every parseable program: 12 good of 25
-    assert (points[1].passes, points[1].exec_ok_among_passes) == (25, 12)
+    assert (points[1].passes, points[1].agree) == (25, 12)
     assert points[1].precision == 12 / 25
     # flow and alignment checks reject the hallucinated and unguarded programs
-    assert (points[3].passes, points[3].exec_ok_among_passes) == (15, 12)
+    assert (points[3].passes, points[3].agree) == (15, 12)
     assert points[3].precision == 12 / 15
     # the judge rejects silent and spinning programs; nothing bad survives
-    assert (points[4].passes, points[4].exec_ok_among_passes) == (10, 10)
+    assert (points[4].passes, points[4].agree) == (10, 10)
     assert points[4].precision == 1.0
 
     assert points[1].precision < points[3].precision <= points[4].precision

@@ -7,14 +7,11 @@ import pytest
 from doubles import ScriptedGenerator
 from structsynth.bench import (
     BUCKETS,
-    Labeled,
     TaskRecord,
     TaskSpec,
     bucket_of,
     filter_metrics,
     graph_accuracy,
-    plant_cases,
-    ablation_precisions,
     run_bench,
     run_task,
     theta_sweep,
@@ -30,35 +27,7 @@ from structsynth.generators import (
 )
 from structsynth.judges import RuleBasedJudge
 from structsynth.runtime import Session
-from suites import multis_suite, singles_suite
-
-
-def record(
-    verifier_pass: bool = True,
-    exec_status: str | None = "ok",
-    accepted: bool | None = None,
-    forced: bool = False,
-    uncertainty: float = 0.0,
-    bucket: str = "<8",
-    graph: GraphMetrics | None = None,
-    tool_calls: int = 1,
-) -> TaskRecord:
-    return TaskRecord(
-        task_id="t",
-        kind="query",
-        bucket=bucket,
-        accepted=verifier_pass if accepted is None else accepted,
-        verifier_pass=verifier_pass,
-        final_layer=0 if verifier_pass else 3,
-        layers_run=(1, 2, 3, 4),
-        tool_calls=tool_calls,
-        exec_status=exec_status,
-        exec_forced=forced,
-        uncertainty=uncertainty,
-        filtered=False,
-        graph=graph,
-        repairs=0,
-    )
+from suites import depth_quality, multis_suite, record, singles_suite
 
 
 def perfect_metrics() -> GraphMetrics:
@@ -229,13 +198,20 @@ def test_verifier_quality_empty_is_none():
     assert q.false_pass_rate is None
 
 
+def planted_population() -> list[TaskRecord]:
+    """Eight passes that run ok at uncertainty 0.1, two that fail at 0.8."""
+    return [record(uncertainty=0.1)] * 8 + [
+        record(exec_status="runtime_error", uncertainty=0.8)
+    ] * 2
+
+
 def test_filter_metrics_planted_population():
-    labeled = [Labeled(0.1, True, True)] * 8 + [Labeled(0.8, True, False)] * 2
-    unfiltered = filter_metrics(labeled, 1.0)
+    records = planted_population()
+    unfiltered = filter_metrics(records, 1.0)
     assert unfiltered.delivered == 10
     assert unfiltered.precision == 0.8
     assert abs(unfiltered.false_pass_rate - 0.2) < 1e-9
-    tight = filter_metrics(labeled, 0.5)
+    tight = filter_metrics(records, 0.5)
     assert tight.delivered == 8
     assert tight.filtered_out == 2
     assert tight.precision == 1.0
@@ -243,17 +219,20 @@ def test_filter_metrics_planted_population():
 
 
 def test_filter_metrics_boundary_and_empty():
-    labeled = [Labeled(0.5, True, True), Labeled(0.0, False, True)]
-    stats = filter_metrics(labeled, 0.5)
+    records = [
+        record(uncertainty=0.5),
+        record(verifier_pass=False, uncertainty=0.0),
+        record(exec_status=None, uncertainty=0.0),
+    ]
+    stats = filter_metrics(records, 0.5)
     assert stats.delivered == 1
-    empty = filter_metrics(labeled, 0.1)
+    empty = filter_metrics(records, 0.1)
     assert empty.delivered == 0
     assert empty.precision is None
 
 
 def test_theta_sweep_orders_by_theta():
-    labeled = [Labeled(0.1, True, True)] * 8 + [Labeled(0.8, True, False)] * 2
-    sweep = theta_sweep(labeled, [0.0, 0.5, 1.0])
+    sweep = theta_sweep(planted_population(), [0.0, 0.5, 1.0])
     assert [s.theta for s in sweep] == [0.0, 0.5, 1.0]
     assert [s.delivered for s in sweep] == [0, 8, 10]
 
@@ -287,7 +266,6 @@ def test_pass_rate_counts_all_records(schema, retriever, snapshot):
     )
     assert report.pass_rate == 0.5
     assert report.calls_per_task == 1.0
-    assert len(report.labeled()) == 3
 
 
 def test_run_bench_small_subset(schema, retriever, snapshot):
@@ -312,25 +290,7 @@ def test_run_bench_small_subset(schema, retriever, snapshot):
     assert all(not m.reflected for m in report.multi_records)
 
 
-def test_plant_cases_applies_defects(schema):
-    extractor = PatternTableExtractor(schema)
-    plan = [
-        (TaskSpec("a", "Set the weight of net clk to 3", "action"), None),
-        (
-            TaskSpec("b", "Set the weight of net clk to 3", "action"),
-            DefectKind.UNKNOWN_METHOD,
-        ),
-    ]
-    cases = plant_cases(plan, schema, extractor)
-    assert len(cases) == 2
-    assert cases[0].defect is None
-    assert cases[1].defect is DefectKind.UNKNOWN_METHOD
-    assert cases[0].source != cases[1].source
-    assert "net.setWeight(3)" in cases[0].source
-
-
-def test_ablation_precision_rises_with_depth(schema, snapshot):
-    extractor = PatternTableExtractor(schema)
+def test_ablation_precision_rises_with_depth(schema, retriever, snapshot):
     act = TaskSpec("a", "Set the weight of net clk to 3", "action")
     qry = TaskSpec("q", "Print the weight of net clk", "query")
     plan = [
@@ -341,8 +301,7 @@ def test_ablation_precision_rises_with_depth(schema, snapshot):
         (qry, DefectKind.MISSING_OUTPUT),
         (qry, DefectKind.TIMEOUT_LOOP),
     ]
-    cases = plant_cases(plan, schema, extractor)
-    points = ablation_precisions(cases, schema, snapshot, layers=(1, 3, 4))
+    points = {d: depth_quality(plan, schema, retriever, snapshot, d) for d in (1, 3, 4)}
     assert points[1].passes == 6
     assert points[1].precision == 0.5
     assert points[3].passes == 4
@@ -351,12 +310,10 @@ def test_ablation_precision_rises_with_depth(schema, snapshot):
     assert points[4].precision == 1.0
 
 
-def test_ablation_counts_unparseable_as_failing(schema, snapshot):
-    extractor = PatternTableExtractor(schema)
+def test_ablation_counts_unparseable_as_failing(schema, retriever, snapshot):
     plan = [
         (TaskSpec("a", "Set the weight of net clk to 3", "action"), DefectKind.SYNTAX)
     ]
-    cases = plant_cases(plan, schema, extractor)
-    points = ablation_precisions(cases, schema, snapshot, layers=(1,))
-    assert points[1].passes == 0
-    assert points[1].precision is None
+    point = depth_quality(plan, schema, retriever, snapshot, 1)
+    assert point.passes == 0
+    assert point.precision is None

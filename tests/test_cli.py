@@ -251,6 +251,38 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     assert "Traceback" not in err
 
 
+_NOT_UTF8 = b'\xff\xfe{"x": 1}'
+_DEEP_JSON = b"[" * 100_000
+_JSON_INPUTS = {
+    "schema": ["bench", "--schema", "bad.json"],
+    "snapshot": ["bench", "--snapshot", "bad.json"],
+    "corpus": ["bench", "--corpus", "bad.json"],
+    "suite": ["bench", "--suite", "bad.json", "--no-multis"],
+    "graph": ["score", "--pred", "bad.json", "--truth", "bad.json"],
+}
+_UNDECODABLE = [
+    *[(_NOT_UTF8, argv) for argv in _JSON_INPUTS.values()],
+    (_NOT_UTF8, ["verify", "bad.json"]),
+    *[(_DEEP_JSON, argv) for argv in _JSON_INPUTS.values()],
+]
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    _UNDECODABLE,
+    ids=[*(f"not-utf8-{k}" for k in _JSON_INPUTS), "not-utf8-program",
+         *(f"deeply-nested-{k}" for k in _JSON_INPUTS)],
+)
+def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, content, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([str(path) if arg == "bad.json" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _fixture_with(name: str, edit) -> str:
     """A packaged fixture document after ``edit`` changed it in place."""
     raw = json.loads(fixture_path(name).read_text())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from doubles import ScriptedGenerator
+from doubles import ScriptedExtractor, ScriptedGenerator
 from structsynth.controller import (
     Action,
     ActionKind,
@@ -374,6 +374,27 @@ def test_graph_re_extract_resets_window_and_bumps_evidence(schema, retriever):
     assert [a.escalated for a in result.trajectory.actions] == [False, True, True]
     assert result.trajectory.window_start == 3
     assert result.trajectory.evidence_versions == [1, 1, 2, 3]
+
+
+def test_failed_graph_re_extraction_keeps_the_first_graph(schema, retriever):
+    prompt = "Set the weight of net clk to 3"
+    first = PatternTableExtractor(schema).extract(prompt, None, ())
+    extractor = ScriptedExtractor([first, "not a graph"])
+    gen = FaultInjectionGenerator(
+        TemplateGenerator(schema), DefectKind.USE_BEFORE_DEF, schema, heal_after=3
+    )
+    result = synthesize(
+        prompt=prompt,
+        schema=schema,
+        retriever=retriever,
+        extractor=extractor,
+        generator=gen,
+        judge=RuleBasedJudge(),
+    )
+    assert result.trajectory.actions[-1].kind is ActionKind.GRAPH_RE_EXTRACT
+    assert len(extractor.calls) == 3  # one graph, then two unparseable responses
+    assert result.graph is first
+    assert result.accepted
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])

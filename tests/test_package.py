@@ -53,7 +53,6 @@ DATACLASSES = {
     "structsynth.orchestrator.EpisodeResult",
     "structsynth.orchestrator.ReflectionOutcome",
     "structsynth.qas.analysis.TypedScript",
-    "structsynth.qas.parser.Script",
     "structsynth.runtime.EnumNamespace",
     "structsynth.runtime.EnumVal",
     "structsynth.runtime.ModuleVal",

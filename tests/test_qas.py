@@ -545,4 +545,4 @@ def test_parse_outcomes_of_suite_programs_are_pinned(schema):
                 digest.update(repr(outcome).encode())
     assert sum(outcomes.values()) == 4 * 825
     assert min(outcomes.values()) > 500  # both outcomes are well represented
-    assert digest.hexdigest()[:16] == "48e8496d2dd88605"
+    assert digest.hexdigest()[:16] == "6e2601303367ed5d"

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from doubles import ScriptedJudge
-from structsynth.bench import plant_cases
 from structsynth.depgraph import (
     DepGraph,
     EdgeKind,
@@ -16,7 +15,7 @@ from structsynth.depgraph import (
     extract_graph,
 )
 from structsynth.extractors import PatternTableExtractor
-from structsynth.generators import DefectKind
+from structsynth.generators import DefectKind, apply_defect
 from structsynth.judges import Finding, JudgeVerdict, RuleBasedJudge
 from structsynth.qas.analysis import analyze
 from structsynth.fixtures import fixture_path
@@ -41,7 +40,7 @@ from structsynth.verifier import (
     Severity,
     verify_all,
 )
-from suites import singles_suite
+from suites import singles_suite, template_program
 
 CLEAN = (
     "block = design.getBlock()\n"
@@ -113,19 +112,19 @@ def test_unrealized_edge_fails_layer_two_with_region(schema):
 
 
 def test_out_of_order_realization_fails_layer_two(schema):
-    # The Net acquisition runs before the Block acquisition it depends on.
-    src = (
-        'net = ghost.findNet("clk")\n'
-        "block = design.getBlock()\n"
-    )
-    g = spine()
-    verdict = verify_all(analyze(src, schema), g, schema)
+    # The Net acquisition runs before the Block acquisition it depends on, so
+    # blk has no type where findNet is called and the call realizes no edge.
+    src = 'net = blk.findNet("clk")\nblk = design.getBlock()\n'
+    verdict = verify_all(analyze(src, schema), spine(), schema)
     assert verdict.failure_layer == 2
+    assert verdict.codes() == (L2_EDGE_UNREALIZED, L2_USE_BEFORE_DEF)
+    (unrealized,) = (i for i in verdict.errors() if i.code == L2_EDGE_UNREALIZED)
+    assert unrealized.message == "no call realizes Block->Net via findNet"
 
 
-def test_acquisition_before_its_prerequisite_in_text_fails_layer_two(schema, snapshot):
-    # findNet stands before getBlock in the text, though at runtime the guard
-    # keeps it from running until getBlock has; L2 orders by text.
+def test_loop_carried_acquisition_passes_layer_two(schema, snapshot):
+    # findNet stands before getBlock in the text, but the guard keeps it from
+    # running until getBlock has, so it runs ok and L2 accepts it.
     src = (
         "blk = None\n"
         "for i in range(2):\n"
@@ -133,15 +132,10 @@ def test_acquisition_before_its_prerequisite_in_text_fails_layer_two(schema, sna
         '        net = blk.findNet("clk")\n'
         "    blk = design.getBlock()\n"
     )
-    prompt = "Print the weight of net clk"
-    graph = extract_graph(prompt, PatternTableExtractor(schema), schema).graph
+    graph = extract_graph("Print the weight of net clk", PatternTableExtractor(schema),
+                          schema).graph
     verdict = verify_all(analyze(src, schema), graph, schema, max_layer=3)
-    assert verdict.failure_layer == 2
-    (issue,) = verdict.errors()
-    assert issue.code == L2_EDGE_UNREALIZED
-    assert issue.message == "Block->Net realized before its prerequisite acquisition"
-    assert issue.location == (4, 26)
-    assert issue.graph_region == "block->net#findNet"
+    assert verdict.passed and verdict.layers_run == (1, 2, 3)
     assert Session(snapshot, schema).execute(src).status is ExecStatus.OK
 
 
@@ -296,6 +290,33 @@ def test_layer_three_rejects_what_fails_at_runtime(peer_schema, peer_snapshot, s
     assert verdict.failure_layer == int(code[1])
     assert verdict.codes() == (code,)
     assert Session(peer_snapshot, peer_schema).execute(src).error_kind == runtime_kind
+
+
+_FIND = 'block = design.getBlock()\nnet = block.findNet("{}")\n'
+
+# Programs with an else branch, each with its L1-L3 codes and how it ends at
+# runtime: "ok", or the runtime's error kind.
+ELSE_BRANCHES = [
+    ("none-test-narrows-else",
+     _FIND.format("clk") + 'if net == None:\n    print("none")\nelse:\n    print(net.weight)\n',
+     (), "ok"),
+    ("not-none-test-leaves-else-nullable",
+     _FIND.format("ghost") + 'if net != None:\n    print("found")\nelse:\n    print(net.weight)\n',
+     (L2_NULL_UNGUARDED,), "NullAccess"),
+    ("assigned-in-one-branch", 'if 1 > 2:\n    y = 1\nelse:\n    print("no")\nprint(y)\n',
+     (L2_USE_BEFORE_DEF,), "NameError"),
+    ("types-differ-by-branch",
+     "if 1 > 2:\n    x = design.getBlock()\nelse:\n    x = 3\nprint(x.getNets())\n",
+     (L3_UNKNOWN_METHOD,), "UnknownMethod"),
+]
+
+
+@pytest.mark.parametrize("src, codes, outcome", [b[1:] for b in ELSE_BRANCHES],
+                         ids=[b[0] for b in ELSE_BRANCHES])
+def test_else_branch_verdict_agrees_with_the_runtime(schema, snapshot, src, codes, outcome):
+    assert verify_all(analyze(src, schema), None, schema).codes() == codes
+    result = Session(snapshot, schema).execute(src)
+    assert (result.error_kind or result.status.value) == outcome
 
 
 def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
@@ -487,16 +508,19 @@ def test_verdict_table_of_planted_suite_programs_is_pinned(schema):
     plan = [(t, d) for t in singles_suite() for d in (None, *DefectKind)]
     judge = RuleBasedJudge()
     rows = {}
-    for case in plant_cases(plan, schema, PatternTableExtractor(schema)):
-        candidate = analyze(case.source, schema)
-        defect = case.defect.value if case.defect else "clean"
+    for task, defect in plan:
+        source, task_graph = template_program(task.prompt, schema)
+        if defect is not None:
+            source = apply_defect(source, defect, schema)
+        candidate = analyze(source, schema)
+        name = defect.value if defect else "clean"
         for max_layer in (1, 2, 3, 4):
-            for variant, graph, j in (("full", case.graph, judge),
-                                      ("no-judge", case.graph, None),
+            for variant, graph, j in (("full", task_graph, judge),
+                                      ("no-judge", task_graph, None),
                                       ("no-graph", None, judge)):
-                v = verify_all(candidate, graph, schema, None, j, case.task.prompt,
+                v = verify_all(candidate, graph, schema, None, j, task.prompt,
                                max_layer=max_layer)
-                key = f"{case.task.task_id}/{defect}/L{max_layer}/{variant}"
+                key = f"{task.task_id}/{name}/L{max_layer}/{variant}"
                 rows[key] = (v.passed, v.failure_layer, v.layers_run, v.codes())
     assert len(rows) == 6072
     assert {k: rows[k] for k in VERDICT_SAMPLE} == VERDICT_SAMPLE
