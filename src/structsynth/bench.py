@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .controller import SynthesisConfig
-from .depgraph import DepGraph, GraphExtractor, GraphMetrics, graph_metrics
+from .depgraph import DepGraph, GraphExtractor, GraphMetrics, checked_graph, graph_metrics
 from .orchestrator import run_episode, run_with_reflection
 from .retrieval import Retriever
 from .runtime import Session
@@ -52,13 +52,14 @@ def load_suite(path: str | Path) -> list[TaskSpec]:
         for key in ("prompt", "kind"):
             if not isinstance(item.get(key, ""), str):
                 raise ParseError(f"suite {path}: task {i} needs {key!r} as a string")
-        truth = item.get("truth_graph")
+        raw = item.get("truth_graph")
+        truth = checked_graph(raw, f"suite {path}: task {i} truth_graph") if raw else None
         tasks.append(
             TaskSpec(
                 task_id=str(item["id"]),
                 prompt=item["prompt"],
                 kind=item.get("kind", "query"),
-                truth_graph=DepGraph.from_dict(truth) if truth else None,
+                truth_graph=truth,
             )
         )
     return tasks

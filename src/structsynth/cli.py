@@ -14,9 +14,9 @@ from dataclasses import asdict
 
 from .bench import load_multi_suite, load_suite, run_bench, theta_sweep
 from .controller import SynthesisConfig, synthesize
-from .depgraph import DepGraph, ExtractorFailure, extract_graph, graph_metrics, ground_truth_graph
+from .depgraph import DepGraph, ExtractorFailure, checked_graph, extract_graph, graph_metrics
 from .extractors import PatternTableExtractor
-from .fixtures import fixture_path, toy_corpus, toy_retriever, toy_schema, toy_snapshot
+from .fixtures import fixture_path, toy_retriever, toy_schema, toy_snapshot
 from .generators import GeneratorFailure, TemplateGenerator
 from .judges import RuleBasedJudge
 from .qas.analysis import analyze
@@ -51,17 +51,9 @@ def _print_verdict(verdict: VerdictReport) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     candidate = analyze(_read_source(args.source), schema)
-    if args.graph:
-        graph = _read_graph(args.graph)
-    elif candidate.typed is not None:
-        # No graph supplied: check the program against its own shape so the
-        # causal layer still runs.
-        graph, _ = ground_truth_graph(candidate.typed, schema)
-    else:
-        graph = None
-    judge = RuleBasedJudge() if args.max_layer >= 4 else None
+    graph = _read_graph(args.graph) if args.graph else None
     verdict = verify_all(
-        candidate, graph, schema, None, judge, args.prompt, max_layer=args.max_layer
+        candidate, graph, schema, None, RuleBasedJudge(), args.prompt, max_layer=args.max_layer
     )
     if args.json:
         print(json.dumps(_verdict_dict(verdict), indent=2))
@@ -139,13 +131,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     snapshot = _load_snapshot(args.snapshot, schema)
-    session = Session(
-        snapshot,
-        schema,
-        step_budget=args.step_budget,
-        crash_probability=args.crash_probability,
-        seed=args.seed,
-    )
+    session = Session(snapshot, schema, step_budget=args.step_budget)
     result = session.execute(_read_source(args.source))
     for line in result.output:
         print(line)
@@ -307,7 +293,7 @@ def _read_graph(path: str) -> DepGraph:
         raw = json.loads(_read_source(path))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read graph {path}: {exc}") from exc
-    return DepGraph.from_dict(raw)
+    return checked_graph(raw, f"graph {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the staged verifier over a program")
     p.add_argument("source", help="program file, or - for stdin")
     p.add_argument("--schema", help="schema JSON path (default: packaged toy schema)")
-    p.add_argument("--graph", help="dependency graph JSON (default: derive from program)")
+    p.add_argument("--graph", help="the task's dependency graph JSON; L4 runs only with one")
     p.add_argument("--prompt", default="", help="task text for the semantic layer")
     p.add_argument("--max-layer", type=int, default=4, choices=(1, 2, 3, 4))
     p.add_argument("--json", action="store_true")
@@ -344,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--snapshot", help="snapshot JSON (default: packaged)")
     p.add_argument("--step-budget", type=int, default=STEP_BUDGET)
-    p.add_argument("--crash-probability", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("score", help="compare a predicted graph against a reference")

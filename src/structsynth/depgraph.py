@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Protocol
 
-from .qas.analysis import TypedScript
 from .schema import ApiSchema, ParseError
 
 
@@ -44,18 +43,6 @@ class NodeKind(str, Enum):
 class EdgeKind(str, Enum):
     ACQUISITION = "acquisition"
     DEPENDENCY = "dependency"
-
-
-class NodeClass(str, Enum):
-    VALID = "valid"
-    MISSING_BUT_REAL = "missing_but_real"
-    HALLUCINATED = "hallucinated"
-
-
-class EdgeVerdict(str, Enum):
-    OK = "ok"
-    INVALID_TRANSITION = "invalid_transition"
-    UNKNOWN_METHOD = "unknown_method"
 
 
 class GraphNode(NamedTuple):
@@ -197,6 +184,20 @@ class DepGraph(NamedTuple):
         return DepGraph(nodes=nodes, edges=edges)
 
 
+def checked_graph(raw, where: str) -> DepGraph:
+    """The graph a document read from a file describes, its invariants checked.
+
+    Raises ParseError for a malformed document, or one naming ``where`` for a
+    graph that breaks an invariant.
+    """
+    graph = DepGraph.from_dict(raw)
+    try:
+        graph.check_invariants()
+    except GraphInvariantError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return graph
+
+
 class Feedback(NamedTuple):
     target: str
     code: str
@@ -204,17 +205,14 @@ class Feedback(NamedTuple):
 
 
 class GraphReport(NamedTuple):
-    """Validation outcome: a class for every node, a verdict for every edge."""
+    """Validation outcome: one feedback entry per finding.
 
-    node_classes: dict[str, NodeClass]
-    edge_verdicts: dict[str, EdgeVerdict]
+    ``ok`` is false when an object node's type is hallucinated or an
+    acquisition edge is invalid; an unreachable real type is advisory.
+    """
+
     feedback: tuple[Feedback, ...]
-
-    @property
-    def ok(self) -> bool:
-        no_bad_nodes = all(c is not NodeClass.HALLUCINATED for c in self.node_classes.values())
-        no_bad_edges = all(v is EdgeVerdict.OK for v in self.edge_verdicts.values())
-        return no_bad_nodes and no_bad_edges
+    ok: bool
 
 
 def _relation_graph(schema: ApiSchema) -> dict[str, set[str]]:
@@ -261,24 +259,20 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
     rel = _relation_graph(schema)
     feedback: list[Feedback] = []
 
-    edge_verdicts: dict[str, EdgeVerdict] = {}
-    for e in g.edges:
+    acquisitions = g.acquisition_edges()
+    valid_edges: list[GraphEdge] = []
+    for e in acquisitions:
         eid = DepGraph.edge_id(e)
-        if e.kind is EdgeKind.DEPENDENCY:
-            edge_verdicts[eid] = EdgeVerdict.OK
-            continue
         src_t = nmap[e.src].type_name or ""
         dst_t = nmap[e.dst].type_name or ""
         if e.via_method is not None:
             sig = schema.method(src_t, e.via_method)
             if sig is None:
-                edge_verdicts[eid] = EdgeVerdict.UNKNOWN_METHOD
                 feedback.append(
                     Feedback(eid, "unknown_method", f"{src_t} has no method {e.via_method!r}")
                 )
                 continue
             if sig.returns.base != dst_t:
-                edge_verdicts[eid] = EdgeVerdict.INVALID_TRANSITION
                 feedback.append(
                     Feedback(
                         eid,
@@ -288,16 +282,13 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
                 )
                 _suggest_intermediates(rel, src_t, dst_t, eid, feedback)
                 continue
-            edge_verdicts[eid] = EdgeVerdict.OK
-            continue
-        if dst_t in rel.get(src_t, set()):
-            edge_verdicts[eid] = EdgeVerdict.OK
-        else:
-            edge_verdicts[eid] = EdgeVerdict.INVALID_TRANSITION
+        elif dst_t not in rel.get(src_t, ()):
             feedback.append(
                 Feedback(eid, "invalid_transition", f"no method of {src_t} returns {dst_t}")
             )
             _suggest_intermediates(rel, src_t, dst_t, eid, feedback)
+            continue
+        valid_edges.append(e)
 
     root_types = set(schema.roots.values())
     reachable: set[str] = set()
@@ -305,31 +296,22 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
     reachable.update(frontier)
     while frontier:
         nxt: list[str] = []
-        for e in g.edges:
-            if (
-                e.kind is EdgeKind.ACQUISITION
-                and e.src in reachable
-                and e.dst not in reachable
-                and edge_verdicts.get(DepGraph.edge_id(e)) is EdgeVerdict.OK
-            ):
+        for e in valid_edges:
+            if e.src in reachable and e.dst not in reachable:
                 reachable.add(e.dst)
                 nxt.append(e.dst)
         frontier = nxt
 
-    node_classes: dict[str, NodeClass] = {}
+    ok = len(valid_edges) == len(acquisitions)
     for n in g.nodes:
         if n.kind is not NodeKind.OBJECT:
-            node_classes[n.id] = NodeClass.VALID
             continue
         if n.type_name not in schema.types:
-            node_classes[n.id] = NodeClass.HALLUCINATED
+            ok = False
             feedback.append(
                 Feedback(n.id, "hallucinated_type", f"type {n.type_name!r} is not in the API")
             )
-        elif n.id in reachable:
-            node_classes[n.id] = NodeClass.VALID
-        else:
-            node_classes[n.id] = NodeClass.MISSING_BUT_REAL
+        elif n.id not in reachable:
             feedback.append(
                 Feedback(
                     n.id,
@@ -338,11 +320,7 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
                 )
             )
 
-    return GraphReport(
-        node_classes=node_classes,
-        edge_verdicts=edge_verdicts,
-        feedback=tuple(feedback),
-    )
+    return GraphReport(feedback=tuple(feedback), ok=ok)
 
 
 def _suggest_intermediates(
@@ -423,59 +401,6 @@ def extract_graph(
     if previous is None:
         raise ExtractorFailure("extractor produced no usable graph")
     return ExtractionResult(previous, last_report, MAX_ROUNDS, validated=False)
-
-
-def ground_truth_graph(ts: TypedScript, schema: ApiSchema) -> tuple[DepGraph, int]:
-    """Derive the reference graph a typed script implies.
-
-    One object node per distinct acquired type, one acquisition edge per
-    producing call, one action node per mutating call. Returns the graph and
-    the count of call sites skipped for lack of a resolved receiver type.
-    """
-    node_ids: dict[str, str] = {}
-    nodes: list[GraphNode] = []
-    edges: list[GraphEdge] = []
-    seen_edges: set[tuple[str, str, str | None]] = set()
-    skipped = 0
-    action_n = 0
-
-    def ensure(type_name: str) -> str:
-        nid = node_ids.get(type_name)
-        if nid is None:
-            nid = f"t_{type_name.lower()}"
-            node_ids[type_name] = nid
-            nodes.append(GraphNode(id=nid, kind=NodeKind.OBJECT, type_name=type_name))
-        return nid
-
-    for cs in ts.call_sites:
-        recv = cs.receiver_type
-        if recv.is_unknown or recv.base not in schema.types:
-            skipped += 1
-            continue
-        sig = schema.method(recv.base, cs.method)
-        if sig is None:
-            skipped += 1
-            continue
-        src = ensure(recv.base)
-        if sig.returns.base in schema.types:
-            dst = ensure(sig.returns.base)
-            key = (src, dst, cs.method)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                edges.append(
-                    GraphEdge(src=src, dst=dst, kind=EdgeKind.ACQUISITION, via_method=cs.method)
-                )
-        if sig.mutates:
-            action_n += 1
-            aid = f"a_{action_n}_{cs.method.lower()}"
-            nodes.append(GraphNode(id=aid, kind=NodeKind.ACTION, label=cs.method))
-            edges.append(GraphEdge(src=src, dst=aid, kind=EdgeKind.DEPENDENCY))
-            for arg in cs.arg_types:
-                if not arg.is_unknown and arg.base in schema.types:
-                    edges.append(
-                        GraphEdge(src=ensure(arg.base), dst=aid, kind=EdgeKind.DEPENDENCY)
-                    )
-    return DepGraph(nodes=tuple(nodes), edges=tuple(edges)), skipped
 
 
 class GraphMetrics(NamedTuple):

@@ -11,7 +11,6 @@ remains fatal at runtime is exactly what static layers promise to prevent.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -296,19 +295,11 @@ class Session:
     snapshot or another session. Copying one record's ``fields`` dict and
     ``children`` lists is enough because scripts never mutate a value in place.
 
-    Every execute() increments tool_calls exactly once, succeed or fail.
-    Crash injection, off by default, makes a seeded fraction of calls die
-    with a "Crash" error before running anything.
+    Every execute() increments tool_calls exactly once, succeed or fail, and
+    times out after ``step_budget`` interpreter steps.
     """
 
-    def __init__(
-        self,
-        snapshot: Snapshot,
-        schema: ApiSchema,
-        step_budget: int = STEP_BUDGET,
-        crash_probability: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, snapshot: Snapshot, schema: ApiSchema, step_budget: int = STEP_BUDGET):
         self.schema = schema
         self.roots = snapshot.roots
         self._base = snapshot.objects
@@ -316,11 +307,8 @@ class Session:
         self._refs = snapshot.refs
         self._made: dict[str, ObjRef] = {}  # refs of the records this session materialized
         self.step_budget = step_budget
-        self.crash_probability = crash_probability
         self.tool_calls = 0
         self.mutations = 0
-        # Only crash injection draws from it, so a session without it seeds none.
-        self._rng = random.Random(seed) if crash_probability > 0 else None
         self._auto_n = 0
 
     def object(self, oid: str) -> ObjRecord:
@@ -353,10 +341,6 @@ class Session:
     def execute(self, program: str | Script | SyntaxFailure) -> ExecutionResult:
         """Run source text, or the outcome of parsing it; both give the same result."""
         self.tool_calls += 1
-        if self.crash_probability > 0 and self._rng.random() < self.crash_probability:
-            return ExecutionResult(
-                ExecStatus.RUNTIME_ERROR, (), "Crash", "injected crash", 0, 0
-            )
         parsed = parse(program) if isinstance(program, str) else program
         if isinstance(parsed, SyntaxFailure):
             first = parsed.errors[0]
@@ -481,6 +465,15 @@ def _operator(op: str, fn):
     return apply
 
 
+def _mul(a, b):
+    """``a * b``. An int product too long to print aborts, so that repeated
+    squaring cannot make each step cost more than the last."""
+    product = a * b
+    if type(product) is int and not -_UNPRINTABLE < product < _UNPRINTABLE:
+        raise _Abort("TypeError", f"int product of more than {qn.MAX_INT_DIGITS} digits")
+    return product
+
+
 # Every binary operator the parser produces.
 _BINOPS = {
     "==": _equals,
@@ -491,7 +484,7 @@ _BINOPS = {
     ">=": _operator(">=", operator.ge),
     "+": _operator("+", operator.add),
     "-": _operator("-", operator.sub),
-    "*": _operator("*", operator.mul),
+    "*": _operator("*", _mul),
     "/": _operator("/", operator.truediv),
     "%": _operator("%", operator.mod),
 }

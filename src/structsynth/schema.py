@@ -59,14 +59,6 @@ class TypeRef(NamedTuple):
     def without_null(self) -> "TypeRef":
         return TypeRef(self.base, many=self.many) if self.nullable else self
 
-    def to_dict(self) -> dict:
-        out: dict = {"base": self.base}
-        if self.many:
-            out["many"] = True
-        if self.nullable:
-            out["nullable"] = True
-        return out
-
     @staticmethod
     def from_dict(raw: dict) -> "TypeRef":
         return TypeRef(

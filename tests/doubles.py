@@ -1,6 +1,6 @@
 """Test doubles for the pipeline's plug-in points: canned extractors, generators,
-judges and reflectors that replay fixed answers, so tests can drive the loop
-around each stage deterministically."""
+judges and reflectors that replay fixed answers, and a session whose tool calls
+all crash, so tests can drive the loop around each stage deterministically."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from structsynth.generators import (
 )
 from structsynth.judges import JudgeContext, JudgeFailure, JudgeVerdict
 from structsynth.orchestrator import EpisodeResult, StepHint
+from structsynth.runtime import ExecStatus, ExecutionResult, Session
 from structsynth.schema import ApiSchema
 
 
@@ -102,3 +103,11 @@ class ScriptedReflector:
 
     def reflect(self, episode: EpisodeResult) -> tuple[StepHint, ...]:
         return self.hints
+
+
+class CrashingSession(Session):
+    """A session whose every execute counts the tool call, then crashes before running."""
+
+    def execute(self, program) -> ExecutionResult:
+        self.tool_calls += 1
+        return ExecutionResult(ExecStatus.RUNTIME_ERROR, (), "Crash", "injected crash", 0, 0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from doubles import ScriptedGenerator
+from doubles import CrashingSession, ScriptedGenerator
 from structsynth.bench import (
     BUCKETS,
     TaskRecord,
@@ -147,7 +147,7 @@ def test_run_task_records_an_execution_failure_of_an_accepted_program(
         PatternTableExtractor(schema),
         TemplateGenerator(schema),
         RuleBasedJudge(),
-        lambda: Session(snapshot, schema, crash_probability=1.0),
+        lambda: CrashingSession(snapshot, schema),
     )
     assert rec.accepted and not rec.exec_forced
     assert rec.exec_status == "runtime_error"

@@ -29,12 +29,21 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# The task graph of a program that takes the design's block.
+BLOCK_GRAPH = {
+    "nodes": [
+        {"id": "d", "kind": "object", "type": "Design"},
+        {"id": "b", "kind": "object", "type": "Block"},
+    ],
+    "edges": [{"src": "d", "dst": "b", "kind": "acquisition", "via": "getBlock"}],
+}
+
+
 def test_verify_clean_program(tmp_path, capsys):
     src = write(tmp_path, "prog.txt", CLEAN)
     assert main(["verify", src]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "L1, L2, L3, L4" in out
+    assert "PASS (layers run: L1, L2, L3)" in out
 
 
 def test_verify_failing_program_json(tmp_path, capsys):
@@ -48,22 +57,19 @@ def test_verify_failing_program_json(tmp_path, capsys):
 
 def test_verify_respects_max_layer(tmp_path, capsys):
     src = write(tmp_path, "noprint.txt", "block = design.getBlock()\n")
-    assert main(["verify", src, "--max-layer", "3"]) == 0
-    assert main(["verify", src, "--max-layer", "4"]) == 1
+    gpath = write(tmp_path, "graph.json", json.dumps(BLOCK_GRAPH))
+    assert main(["verify", src, "--max-layer", "4"]) == 0  # no task graph: L1-L3 only
+    assert "PASS (layers run: L1, L2, L3)" in capsys.readouterr().out
+    assert main(["verify", src, "--graph", gpath, "--max-layer", "3"]) == 0
+    assert main(["verify", src, "--graph", gpath, "--max-layer", "4"]) == 1
     out = capsys.readouterr().out
     assert "L4_NO_OUTPUT" in out
+    assert "FAIL at layer 4 (layers run: L1, L2, L3, L4)" in out
 
 
 def test_verify_with_explicit_graph(tmp_path, capsys):
-    graph = {
-        "nodes": [
-            {"id": "d", "kind": "object", "type": "Design"},
-            {"id": "b", "kind": "object", "type": "Block"},
-        ],
-        "edges": [{"src": "d", "dst": "b", "kind": "acquisition", "via": "getBlock"}],
-    }
     src = write(tmp_path, "prog.txt", "block = design.getBlock()\nprint(block)\n")
-    gpath = write(tmp_path, "graph.json", json.dumps(graph))
+    gpath = write(tmp_path, "graph.json", json.dumps(BLOCK_GRAPH))
     assert main(["verify", src, "--graph", gpath]) == 0
 
 
@@ -84,13 +90,6 @@ def test_run_timeout_exit_code(tmp_path, capsys):
     src = write(tmp_path, "loop.txt", "for i in range(100):\n    x = i\n")
     assert main(["run", src, "--step-budget", "10"]) == 2
     assert "timeout" in capsys.readouterr().err
-
-
-def test_run_crash_injection(tmp_path, capsys):
-    src = write(tmp_path, "ok.txt", "x = 1\n")
-    code = main(["run", src, "--crash-probability", "1.0", "--seed", "3"])
-    assert code == 1
-    assert "Crash" in capsys.readouterr().err
 
 
 def test_synth_emits_program(capsys):
@@ -199,6 +198,12 @@ def test_stdin_source(tmp_path, capsys, monkeypatch):
 
 _GRAPH = json.dumps({"nodes": [{"id": "d", "kind": "object", "type": "Design"}], "edges": []})
 _SUITE_TASK = {"id": "s1", "prompt": "Print the weight of net clk"}
+# Graphs that parse but break a DepGraph invariant.
+_DANGLING = json.dumps({
+    "nodes": [{"id": "d", "kind": "object", "type": "Design"}],
+    "edges": [{"src": "d", "dst": "ghost", "kind": "acquisition", "via": "getBlock"}],
+})
+_UNTYPED = json.dumps({"nodes": [{"id": "d", "kind": "object"}], "edges": []})
 
 
 def _toy_snapshot_with(design: dict, **document) -> str:
@@ -228,6 +233,12 @@ def _toy_snapshot_with(design: dict, **document) -> str:
         ({"p.json": "{not json", "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
         ({"p.json": _GRAPH, "t.json": json.dumps({"nodes": []})},
          ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.txt": CLEAN, "g.json": _DANGLING}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.txt": CLEAN, "g.json": _UNTYPED}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.json": _DANGLING, "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.json": _GRAPH, "t.json": _DANGLING}, ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"s.json": json.dumps({"tasks": [{**_SUITE_TASK, "truth_graph": json.loads(_DANGLING)}]})},
+         ["bench", "--suite", "s.json", "--no-multis"]),
         ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"children": ["b1"]})},
          ["run", "p.txt", "--snapshot", "s.json"]),
         ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"fields": "abc"})},
@@ -240,6 +251,8 @@ def _toy_snapshot_with(design: dict, **document) -> str:
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
          "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
          "verify-graph-without-edges", "score-not-json", "score-graph-without-edges",
+         "verify-graph-dangling-edge", "verify-graph-untyped-object", "score-pred-dangling-edge",
+         "score-truth-dangling-edge", "suite-truth-graph-dangling-edge",
          "snapshot-children-list", "snapshot-fields-string", "snapshot-roots-list",
          "snapshot-child-ids-string"],
 )
@@ -248,6 +261,7 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -10,22 +10,17 @@ from doubles import ScriptedExtractor
 from structsynth.depgraph import (
     DepGraph,
     EdgeKind,
-    EdgeVerdict,
     ExtractorFailure,
     Feedback,
     GraphEdge,
     GraphInvariantError,
     GraphNode,
     MAX_ROUNDS,
-    NodeClass,
     NodeKind,
     extract_graph,
     graph_metrics,
-    ground_truth_graph,
     validate_graph,
 )
-from structsynth.qas.analysis import infer_types
-from structsynth.qas.parser import parse
 
 
 def obj(nid: str, type_name: str) -> GraphNode:
@@ -136,11 +131,15 @@ def test_edge_id_includes_via():
 # ---- validation ----
 
 
+def findings(report) -> list[tuple[str, str]]:
+    """Each feedback entry's (target, code), in report order."""
+    return [(f.target, f.code) for f in report.feedback]
+
+
 def test_validate_spine_is_ok(schema):
     report = validate_graph(spine(), schema)
     assert report.ok
-    assert set(report.node_classes.values()) == {NodeClass.VALID}
-    assert set(report.edge_verdicts.values()) == {EdgeVerdict.OK}
+    assert report.feedback == ()
 
 
 def test_validate_flags_hallucinated_type(schema):
@@ -150,16 +149,14 @@ def test_validate_flags_hallucinated_type(schema):
     )
     report = validate_graph(g, schema)
     assert not report.ok
-    assert report.node_classes["w"] is NodeClass.HALLUCINATED
-    assert any(f.code == "hallucinated_type" for f in report.feedback)
+    assert findings(report) == [("d->w", "invalid_transition"), ("w", "hallucinated_type")]
 
 
 def test_validate_flags_unreachable_real_type(schema):
     g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=())
     report = validate_graph(g, schema)
-    assert report.node_classes["n"] is NodeClass.MISSING_BUT_REAL
-    assert report.node_classes["d"] is NodeClass.VALID
-    assert any(f.code == "unreachable_type" for f in report.feedback)
+    assert report.ok  # an unreachable real type is advisory
+    assert findings(report) == [("n", "unreachable_type")]
 
 
 def test_validate_unknown_method_edge(schema):
@@ -168,22 +165,41 @@ def test_validate_unknown_method_edge(schema):
         edges=(acq("d", "b", "frobnicate"),),
     )
     report = validate_graph(g, schema)
-    assert report.edge_verdicts["d->b#frobnicate"] is EdgeVerdict.UNKNOWN_METHOD
+    assert not report.ok
+    assert findings(report) == [("d->b#frobnicate", "unknown_method"), ("b", "unreachable_type")]
 
 
 def test_validate_invalid_transition_suggests_intermediate(schema):
     # Design cannot reach Net directly; the unique shortest path inserts Block.
     g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=(acq("d", "n"),))
     report = validate_graph(g, schema)
-    assert report.edge_verdicts["d->n"] is EdgeVerdict.INVALID_TRANSITION
+    assert not report.ok
+    assert findings(report) == [
+        ("d->n", "invalid_transition"), ("d->n", "missing_intermediate"), ("n", "unreachable_type")
+    ]
     assert Feedback("d->n", "missing_intermediate", "insert Block between Design and Net") in (
         report.feedback)
+
+
+def test_validate_dependency_edge_with_the_same_id_does_not_mask_an_invalid_one(schema):
+    # Both edges have the id "d->n"; only the acquisition is checked against the schema.
+    g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=(acq("d", "n"), dep("d", "n")))
+    report = validate_graph(g, schema)
+    assert not report.ok
+    assert findings(report) == [
+        ("d->n", "invalid_transition"), ("d->n", "missing_intermediate"), ("n", "unreachable_type")
+    ]
 
 
 def test_validate_via_with_wrong_return_type(schema):
     g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=(acq("d", "n", "getBlock"),))
     report = validate_graph(g, schema)
-    assert report.edge_verdicts["d->n#getBlock"] is EdgeVerdict.INVALID_TRANSITION
+    assert not report.ok
+    assert findings(report) == [
+        ("d->n#getBlock", "invalid_transition"),
+        ("d->n#getBlock", "missing_intermediate"),
+        ("n", "unreachable_type"),
+    ]
 
 
 def test_validate_reachability_needs_ok_edges(schema):
@@ -193,8 +209,9 @@ def test_validate_reachability_needs_ok_edges(schema):
         edges=(acq("d", "b", "frobnicate"), acq("b", "n", "getNets")),
     )
     report = validate_graph(g, schema)
-    assert report.node_classes["b"] is NodeClass.MISSING_BUT_REAL
-    assert report.node_classes["n"] is NodeClass.MISSING_BUT_REAL
+    assert findings(report) == [
+        ("d->b#frobnicate", "unknown_method"), ("b", "unreachable_type"), ("n", "unreachable_type")
+    ]
 
 
 # ---- iterative extraction ----
@@ -254,44 +271,6 @@ def test_extract_graph_seed_feedback_reaches_first_call(schema):
     extract_graph("p", ex, schema, seed_feedback=seed)
     _, first_feedback = ex.calls[0]
     assert seed[0] in first_feedback
-
-
-# ---- ground truth from scripts ----
-
-
-def test_ground_truth_graph_canonical(schema):
-    src = (
-        "import odb\n"
-        "block = design.getBlock()\n"
-        'net = block.findNet("clk")\n'
-        "if net != None:\n"
-        "    net.setWeight(2)\n"
-        "for inst in block.getInsts():\n"
-        "    inst.setPlacementStatus(odb.PlacementStatus.PLACED)\n"
-        "print(len(block.getNets()))\n"
-    )
-    g, skipped = ground_truth_graph(infer_types(parse(src), schema), schema)
-    assert skipped == 0
-    object_types = {n.type_name for n in g.nodes if n.kind is NodeKind.OBJECT}
-    assert object_types == {"Design", "Block", "Net", "Inst"}
-    actions = [n for n in g.nodes if n.kind is NodeKind.ACTION]
-    assert sorted(n.label for n in actions) == ["setPlacementStatus", "setWeight"]
-    vias = {e.via_method for e in g.acquisition_edges()}
-    assert vias == {"getBlock", "findNet", "getInsts", "getNets"}
-    g.check_invariants()
-
-
-def test_ground_truth_graph_dedups_repeated_acquisitions(schema):
-    src = "block = design.getBlock()\nfor n in block.getNets():\n    noop = 0\nfor m in block.getNets():\n    noop = 0\n"
-    g, _ = ground_truth_graph(infer_types(parse(src), schema), schema)
-    nets = [e for e in g.acquisition_edges() if e.via_method == "getNets"]
-    assert len(nets) == 1
-
-
-def test_ground_truth_graph_counts_skipped(schema):
-    g, skipped = ground_truth_graph(infer_types(parse("ghost.frobnicate()\n"), schema), schema)
-    assert skipped == 1
-    assert g.nodes == ()
 
 
 # ---- metrics oracle ----

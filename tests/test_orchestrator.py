@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
+from doubles import (
+    CrashingSession,
+    HintSensitiveGenerator,
+    ScriptedGenerator,
+    ScriptedReflector,
+)
 from structsynth.controller import SynthesisConfig
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
@@ -113,7 +118,7 @@ def test_first_failure_skips_remaining_steps(schema, retriever, snapshot):
 
 
 def test_runtime_failure_marks_step_exec_failed(schema, retriever, snapshot):
-    session = Session(snapshot, schema, crash_probability=1.0, seed=1)
+    session = CrashingSession(snapshot, schema)
     result = episode(
         ["Set the weight of net clk to 3"], schema, retriever, session
     )
@@ -242,7 +247,7 @@ def test_rule_based_reflector_surfaces_verifier_errors(schema, retriever, snapsh
 
 
 def test_rule_based_reflector_reports_runtime_failure(schema, retriever, snapshot):
-    session = Session(snapshot, schema, crash_probability=1.0, seed=1)
+    session = CrashingSession(snapshot, schema)
     failed = episode(
         ["Set the weight of net clk to 3"], schema, retriever, session
     )

@@ -57,8 +57,12 @@ def test_typeref_flags():
 
 
 def test_typeref_dict_round_trip():
-    for ref in (TypeRef("Net"), TypeRef("Net", many=True), TypeRef("Net", nullable=True)):
-        assert TypeRef.from_dict(ref.to_dict()) == ref
+    for raw, ref in (
+        ({"base": "Net"}, TypeRef("Net")),
+        ({"base": "Net", "many": True}, TypeRef("Net", many=True)),
+        ({"base": "Net", "nullable": True}, TypeRef("Net", nullable=True)),
+    ):
+        assert TypeRef.from_dict(raw) == ref
 
 
 def test_valid_import(schema):
