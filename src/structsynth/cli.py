@@ -137,8 +137,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     if result.status is ExecStatus.OK:
         return 0
-    print(f"{result.status.value}: {result.error_kind}: {result.error_message}",
-          file=sys.stderr)
+    kind = f"{result.error_kind}: " if result.error_kind else ""
+    print(f"{result.status.value}: {kind}{result.error_message}", file=sys.stderr)
     return 2 if result.status is ExecStatus.TIMEOUT else 1
 
 
@@ -370,6 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("budget", "step_budget"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            print(f"error: --{flag.replace('_', '-')} must be 0 or more, not {value}",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ParseError, SchemaError, SnapshotError) as exc:

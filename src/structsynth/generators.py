@@ -34,7 +34,6 @@ class GenerationRequest(NamedTuple):
     evidence: EvidenceSet | None = None
     hints: tuple[str, ...] = ()
     previous: str | None = None
-    feedback: tuple[str, ...] = ()
 
 
 _KEYWORDS = {"import", "for", "in", "if", "else", "True", "False", "None",
@@ -373,8 +372,8 @@ class FaultInjectionGenerator:
     """Wraps a generator, injecting one defect until enough repairs happened.
 
     The defect persists for heal_after repair rounds: identical defective
-    output each time, which is what drives a repair controller's loop guard
-    and escalation ladder in a fully deterministic way.
+    output each time, so a repair loop's rounds and verdicts are fully
+    deterministic.
     """
 
     base: object

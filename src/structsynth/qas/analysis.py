@@ -1,8 +1,8 @@
-"""Static analysis over parsed scripts: normalization and type inference.
+"""Static analysis over parsed scripts: type inference.
 
-``analyze`` turns a program's text into a ``Candidate`` once: its parse, its
-types and its statement fingerprint. Verification, the loop guard and
-uncertainty scoring read that value instead of parsing the text again.
+``analyze`` turns a program's text into a ``Candidate`` once: its parse and
+its types. Verification, uncertainty scoring and execution read that value
+instead of parsing the text again.
 
 Inference is a forward dataflow pass seeded by the schema roots. It resolves
 a receiver type for every method call it can, tracks nullability until an
@@ -38,7 +38,6 @@ from .nodes import (
     Stmt,
     StringLit,
     UnaryOp,
-    stmt_header,
 )
 from .parser import Script, SyntaxFailure, parse
 
@@ -86,27 +85,6 @@ class TypedScript:
     undefined_uses: tuple[UndefinedUse, ...]
 
 
-def normalize_statements(script: Script) -> frozenset[str]:
-    """Whitespace-collapsed one-line forms of every statement, as a set.
-
-    Block headers and nested statements each contribute one entry; comments
-    and indentation width never survive normalization.
-    """
-    out: set[str] = set()
-
-    def walk(statements: tuple[Stmt, ...]) -> None:
-        for s in statements:
-            out.add(stmt_header(s))
-            if isinstance(s, ForStmt):
-                walk(s.body)
-            elif isinstance(s, IfStmt):
-                walk(s.body)
-                walk(s.orelse)
-
-    walk(script.statements)
-    return frozenset(out)
-
-
 def infer_types(script: Script, schema: ApiSchema) -> TypedScript:
     """Run forward type inference over a parsed script."""
     inf = _Inference(schema)
@@ -116,23 +94,20 @@ def infer_types(script: Script, schema: ApiSchema) -> TypedScript:
 class Candidate(NamedTuple):
     """One generated program, parsed and typed once for every later stage.
 
-    An unparseable program has ``typed`` None and a line-based statement
-    fingerprint, so similarity measures still see its text.
+    An unparseable program has ``typed`` None.
     """
 
     source: str
     script: Script | SyntaxFailure
     typed: TypedScript | None
-    statements: frozenset[str]
 
 
 def analyze(source: str, schema: ApiSchema) -> Candidate:
-    """Parse, type and fingerprint a program."""
+    """Parse and type a program."""
     script = parse(source)
     if isinstance(script, SyntaxFailure):
-        lines = frozenset(line.strip() for line in source.splitlines() if line.strip())
-        return Candidate(source, script, None, lines)
-    return Candidate(source, script, infer_types(script, schema), normalize_statements(script))
+        return Candidate(source, script, None)
+    return Candidate(source, script, infer_types(script, schema))
 
 
 class _Inference:

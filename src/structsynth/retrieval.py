@@ -120,7 +120,6 @@ class Retriever:
         query: str,
         k: int = 5,
         exclude: frozenset[str] = frozenset(),
-        version: int = 1,
     ) -> EvidenceSet:
         """Top-k positive-score docs for the query, ties broken by doc id."""
         qcounts = Counter(tokenize(query))
@@ -137,9 +136,9 @@ class Retriever:
             query=query,
             hits=hits,
             docs=tuple(self._by_id[h.doc_id] for h in hits),
-            version=version,
         )
 
+    # The loop never refreshes; perfbench's tracing.Tracer.install wraps this by name.
     def refresh(self, evidence: EvidenceSet, focus_query: str, k: int = 5) -> EvidenceSet:
         """Widen evidence with fresh docs for a focused query; version advances.
 

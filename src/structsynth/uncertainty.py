@@ -3,7 +3,9 @@
 Two risk axes, each in [0, 1]: trajectory-level signals from how the repair
 loop behaved, and evidence coverage of the calls the program makes. A
 weighted sum gives the combined uncertainty, in [0, 0.6]; anything above the
-threshold should be filtered rather than delivered.
+threshold should be filtered rather than delivered. Stagnation compares the
+statement sets of consecutive candidates, so those sets are built only for a
+trajectory that had a repair.
 
 There is no code axis. Invalid imports, unknown enum constants and unknown
 methods are layer-3 errors, so such a score would read 0 on every program
@@ -15,6 +17,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .qas.analysis import Candidate
+from .qas.nodes import ForStmt, IfStmt, Stmt, stmt_header
+from .qas.parser import SyntaxFailure
 from .retrieval import EvidenceSet
 from .schema import ApiSchema
 from .verifier import VerdictReport
@@ -51,6 +55,32 @@ class UncertaintyReport(NamedTuple):
     filtered: bool
 
 
+def normalize_statements(candidate: Candidate) -> frozenset[str]:
+    """Whitespace-collapsed one-line forms of every statement, as a set.
+
+    Block headers and nested statements each contribute one entry; comments
+    and indentation width never survive normalization. An unparseable
+    program contributes its stripped non-blank lines, so similarity still
+    sees its text.
+    """
+    script = candidate.script
+    if isinstance(script, SyntaxFailure):
+        return frozenset(line.strip() for line in candidate.source.splitlines() if line.strip())
+    out: set[str] = set()
+
+    def walk(statements: tuple[Stmt, ...]) -> None:
+        for s in statements:
+            out.add(stmt_header(s))
+            if isinstance(s, ForStmt):
+                walk(s.body)
+            elif isinstance(s, IfStmt):
+                walk(s.body)
+                walk(s.orelse)
+
+    walk(script.statements)
+    return frozenset(out)
+
+
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
@@ -72,7 +102,8 @@ def compute_trajectory_signals(
         convergence = _clip01(1.0 - (first - last) / max(first, 1))
     if repairs == 0:
         return TrajectorySignals(convergence, 0.0, 0.0)
-    sims = [jaccard(a.statements, b.statements) for a, b in zip(candidates, candidates[1:])]
+    sets = [normalize_statements(c) for c in candidates]
+    sims = [jaccard(a, b) for a, b in zip(sets, sets[1:])]
     flat = sum(1 for a, b in zip(verdicts, verdicts[1:]) if b.failure_layer >= a.failure_layer)
     return TrajectorySignals(convergence, sum(sims) / len(sims), flat / repairs)
 

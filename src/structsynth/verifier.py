@@ -73,7 +73,7 @@ class VerdictReport:
         return tuple(i for i in self.issues if i.severity is Severity.WARNING)
 
     def codes(self) -> tuple[str, ...]:
-        """Error codes as a sorted multiset; the loop guard's fingerprint."""
+        """Error codes as a sorted multiset, so two verdicts compare by value."""
         return tuple(sorted(i.code for i in self.errors()))
 
 

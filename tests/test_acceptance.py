@@ -297,35 +297,27 @@ def _heal_run(schema, retriever, defect: DefectKind, heal_after: int, budget: in
 
 
 def test_repair_policy_prescribes_the_expected_action_sequences(schema, retriever):
-    R = ActionKind.REGENERATE
-    E = ActionKind.EDGE_RE_RETRIEVE
-    G = ActionKind.GRAPH_RE_EXTRACT
-    flow_sequences = {1: [R], 2: [R, E], 3: [R, E, G], 4: [R, E, G, R]}
-    alignment_sequences = {1: [E], 2: [E, G], 3: [E, G, E], 4: [E, G, E, G]}
-
-    for defect, expected in (
-        (DefectKind.USE_BEFORE_DEF, flow_sequences),
-        (DefectKind.UNKNOWN_METHOD, alignment_sequences),
-    ):
-        for heal_after, actions in expected.items():
+    for defect in (DefectKind.USE_BEFORE_DEF, DefectKind.UNKNOWN_METHOD):
+        for heal_after in (1, 2, 3, 4):
             result = _heal_run(schema, retriever, defect, heal_after, budget=5)
             rerun = _heal_run(schema, retriever, defect, heal_after, budget=5)
             assert result.accepted, (defect, heal_after)
             assert len(result.trajectory.candidates) == heal_after + 1
-            assert [a.kind for a in result.trajectory.actions] == actions, (defect, heal_after)
-            assert [a.kind for a in rerun.trajectory.actions] == actions
-            assert rerun.trajectory.evidence_versions == result.trajectory.evidence_versions
+            # every repair regenerates; only the hints it carries differ
+            assert [a.kind for a in result.trajectory.actions] == (
+                [ActionKind.REGENERATE] * heal_after
+            ), (defect, heal_after)
+            assert rerun.trajectory.actions == result.trajectory.actions
 
-    # a generator that never heals burns the whole budget, and the loop guard
-    # escalates out of the regenerate rut twice along the way
+    # a generator that never heals burns the whole budget, one regeneration a round
     stuck = _heal_run(schema, retriever, DefectKind.USE_BEFORE_DEF, heal_after=99, budget=4)
     assert not stuck.accepted
-    assert [a.kind for a in stuck.trajectory.actions] == [R, E, G, R]
-    assert [a.escalated for a in stuck.trajectory.actions] == [False, True, True, False]
-    assert stuck.trajectory.evidence_versions == [1, 1, 2, 3, 3]
+    assert [a.kind for a in stuck.trajectory.actions] == [ActionKind.REGENERATE] * 4
     # five identical flow-layer verdicts: convergence, stagnation and
-    # ineffectiveness all saturate, and evidence backs 2 of 3 resolved calls,
-    # so combined risk = 0.3 * 1.0 + 0.3 * (1 / 3) = 0.4
+    # ineffectiveness all saturate, and the one retrieval backs 2 of 3
+    # resolved calls (findNet and setWeight, not getBlock), so combined
+    # risk = 0.3 * 1.0 + 0.3 * (1 / 3) = 0.4
+    assert stuck.uncertainty.coverage[:2] == (2, 3)
     assert abs(stuck.uncertainty.combined - 0.4) < TOL
     assert stuck.uncertainty.filtered
 

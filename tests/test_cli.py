@@ -89,7 +89,7 @@ def test_run_reports_runtime_error(tmp_path, capsys):
 def test_run_timeout_exit_code(tmp_path, capsys):
     src = write(tmp_path, "loop.txt", "for i in range(100):\n    x = i\n")
     assert main(["run", src, "--step-budget", "10"]) == 2
-    assert "timeout" in capsys.readouterr().err
+    assert capsys.readouterr().err == "timeout: step budget of 10 exceeded\n"
 
 
 def test_synth_emits_program(capsys):
@@ -247,6 +247,11 @@ def _toy_snapshot_with(design: dict, **document) -> str:
          ["run", "p.txt", "--snapshot", "s.json"]),
         ({"p.txt": CLEAN, "s.json": _toy_snapshot_with({"children": {"getBlock": "b1"}})},
          ["run", "p.txt", "--snapshot", "s.json"]),
+        ({}, ["synth", "--prompt", "Print the weight of net clk", "--budget", "-3"]),
+        ({"p.txt": "print(1)\n"}, ["run", "p.txt", "--step-budget", "-5"]),
+        ({}, ["multistep", "--prompt", "Print the weight of net clk", "--step-budget", "-1"]),
+        ({}, ["bench", "--budget", "-1"]),
+        ({}, ["bench", "--step-budget", "-1"]),
     ],
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
          "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
@@ -254,7 +259,9 @@ def _toy_snapshot_with(design: dict, **document) -> str:
          "verify-graph-dangling-edge", "verify-graph-untyped-object", "score-pred-dangling-edge",
          "score-truth-dangling-edge", "suite-truth-graph-dangling-edge",
          "snapshot-children-list", "snapshot-fields-string", "snapshot-roots-list",
-         "snapshot-child-ids-string"],
+         "snapshot-child-ids-string", "synth-negative-budget", "run-negative-step-budget",
+         "multistep-negative-step-budget", "bench-negative-budget",
+         "bench-negative-step-budget"],
 )
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     paths = {name: write(tmp_path, name, text) for name, text in files.items()}

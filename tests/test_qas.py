@@ -12,7 +12,7 @@ from structsynth.depgraph import DepGraph
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import DefectKind, GenerationRequest, TemplateGenerator, apply_defect
 from structsynth.judges import RuleBasedJudge
-from structsynth.qas.analysis import analyze, infer_types, normalize_statements
+from structsynth.qas.analysis import analyze, infer_types
 from structsynth.qas.lexer import tokenize
 from structsynth.qas.nodes import (
     Assign,
@@ -32,6 +32,7 @@ from structsynth.qas.nodes import (
 from structsynth.qas.parser import MAX_NESTING, NESTING_MESSAGE, Script, SyntaxFailure, parse
 from structsynth.runtime import Session
 from structsynth.schema import TypeRef
+from structsynth.uncertainty import normalize_statements
 from structsynth.verifier import verify_all
 from suites import multis_suite, singles_suite
 
@@ -231,9 +232,9 @@ def test_round_trip_idempotent_on_generated_programs(seed):
     assert module_to_source(again.statements) == once
 
 
-def test_normalize_statements_ignores_formatting():
-    a = parse("x = 1\nif x == 1:\n    y = x + 2\n")
-    b = parse("x  =  1\nif  x == 1 :\n        y = x+2\n")
+def test_normalize_statements_ignores_formatting(schema):
+    a = analyze("x = 1\nif x == 1:\n    y = x + 2\n", schema)
+    b = analyze("x  =  1\nif  x == 1 :\n        y = x+2\n", schema)
     assert normalize_statements(a) == normalize_statements(b)
     assert "y = x + 2" in normalize_statements(a)
 

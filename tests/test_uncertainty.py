@@ -15,6 +15,7 @@ from structsynth.uncertainty import (
     compute_trajectory_signals,
     compute_uncertainty,
     jaccard,
+    normalize_statements,
 )
 from structsynth.verifier import Issue, VerdictReport
 
@@ -143,7 +144,7 @@ def test_jaccard_edge_cases():
 
 
 def test_unparseable_statement_set_falls_back_to_lines(schema):
-    fp = analyze("x = = 1\n  y ==\n", schema).statements
+    fp = normalize_statements(analyze("x = = 1\n  y ==\n", schema))
     assert fp == frozenset({"x = = 1", "y =="})
 
 
