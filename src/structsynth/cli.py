@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -53,7 +54,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     candidate = analyze(_read_source(args.source), schema)
     graph = _read_graph(args.graph) if args.graph else None
     verdict = verify_all(
-        candidate, graph, schema, None, RuleBasedJudge(), args.prompt, max_layer=args.max_layer
+        candidate, graph, schema, RuleBasedJudge(), args.prompt, max_layer=args.max_layer
     )
     if args.json:
         print(json.dumps(_verdict_dict(verdict), indent=2))
@@ -179,16 +180,23 @@ def _cmd_multistep(args: argparse.Namespace) -> int:
     return 0 if outcome.passed else 1
 
 
-def _parse_sweep(text: str) -> list[float]:
+# The most thresholds one --theta-sweep may ask for.
+MAX_THETAS = 1000
+
+
+def _sweep(text: str) -> list[float]:
+    """``--theta-sweep``: START:STOP:STEP, finite, with step > 0 and stop >= start."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise SystemExit(f"bad sweep spec {text!r}; expected start:stop:step")
-    if step <= 0 or hi < lo:
-        raise SystemExit(f"bad sweep spec {text!r}; need step > 0 and stop >= start")
+        raise argparse.ArgumentTypeError(f"{text!r} is not start:stop:step")
+    if not all(math.isfinite(x) for x in (lo, hi, step)) or step <= 0 or hi < lo:
+        raise argparse.ArgumentTypeError(f"{text!r} needs finite values, step > 0, stop >= start")
     thetas = []
     theta = lo
     while theta <= hi + 1e-9:
+        if len(thetas) == MAX_THETAS:
+            raise argparse.ArgumentTypeError(f"{text!r} gives more than {MAX_THETAS} thresholds")
         thetas.append(round(theta, 10))
         theta += step
     return thetas
@@ -251,7 +259,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for record in errors:
             print(f"error in {record.task_id}: {record.error}")
         if args.sweep:
-            for stats in theta_sweep(report.records, _parse_sweep(args.sweep)):
+            for stats in theta_sweep(report.records, args.sweep):
                 precision = "-" if stats.precision is None else f"{stats.precision:.3f}"
                 print(f"theta {stats.theta:.2f}: delivered {stats.delivered:3d}  "
                       f"filtered {stats.filtered_out:3d}  precision {precision}")
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of max layers to compare, e.g. 1,3,4 (default: 4)")
     p.add_argument("--force-exec", action="store_true",
                    help="execute rejected programs too, for verifier quality")
-    p.add_argument("--theta-sweep", dest="sweep", metavar="START:STOP:STEP",
+    p.add_argument("--theta-sweep", dest="sweep", type=_sweep, metavar="START:STOP:STEP",
                    help="uncertainty filter sweep, e.g. 0.1:0.9:0.2")
     p.add_argument("--step-budget", type=int, default=STEP_BUDGET)
     p.add_argument("--json", action="store_true")

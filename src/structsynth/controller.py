@@ -109,7 +109,7 @@ def synthesize(
             candidate = analyzed[source] = analyze(source, schema)
         trajectory.candidates.append(candidate)
         trajectory.verdicts.append(
-            verify_all(candidate, g, schema, evidence, judge, prompt,
+            verify_all(candidate, g, schema, judge, prompt,
                        max_layer=config.max_layer, step_budget=config.step_budget)
         )
 
@@ -120,7 +120,7 @@ def synthesize(
         trajectory.actions.append(action)
         attempt(action.hints)
 
-    report = compute_uncertainty(trajectory.candidates, trajectory.verdicts, schema, evidence)
+    report = compute_uncertainty(trajectory.candidates, trajectory.verdicts, evidence)
     return SynthesisResult(
         candidate=trajectory.candidates[-1],
         verdict=trajectory.verdicts[-1],

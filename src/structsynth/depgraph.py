@@ -9,7 +9,6 @@ structured feedback an extractor can consume on the next round.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -114,27 +113,22 @@ class DepGraph(NamedTuple):
             raise GraphInvariantError(problems)
 
     def _has_cycle(self) -> bool:
-        return len(self.topo_order()) != len(self.nodes)
-
-    def topo_order(self) -> list[str]:
-        """Kahn's algorithm with id-ordered tie-breaking; truncated on cycles."""
+        """Kahn's algorithm: a cycle leaves some node never ready. Needs
+        every edge to name known nodes, as ``check_invariants`` has checked."""
         indeg: dict[str, int] = {n.id: 0 for n in self.nodes}
         adj: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
-            if e.src in adj and e.dst in indeg:
-                adj[e.src].append(e.dst)
-                indeg[e.dst] += 1
-        ready = [i for i, d in sorted(indeg.items()) if d == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
+            adj[e.src].append(e.dst)
+            indeg[e.dst] += 1
+        ready = [i for i, d in indeg.items() if d == 0]
+        done = 0
         while ready:
-            nid = heapq.heappop(ready)
-            order.append(nid)
-            for nxt in adj[nid]:
+            done += 1
+            for nxt in adj[ready.pop()]:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
-        return order
+                    ready.append(nxt)
+        return done != len(self.nodes)
 
     def acquisition_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.ACQUISITION)
@@ -165,7 +159,7 @@ class DepGraph(NamedTuple):
                 GraphNode(
                     id=str(n["id"]),
                     kind=NodeKind(n.get("kind", "object")),
-                    type_name=n.get("type"),
+                    type_name=_optional_str(n, "type"),
                     label=str(n.get("label", "")),
                 )
                 for n in raw["nodes"]
@@ -175,13 +169,20 @@ class DepGraph(NamedTuple):
                     src=str(e["src"]),
                     dst=str(e["dst"]),
                     kind=EdgeKind(e.get("kind", "acquisition")),
-                    via_method=e.get("via"),
+                    via_method=_optional_str(e, "via"),
                 )
                 for e in raw["edges"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ExtractorOutputError(f"bad graph document: {exc}") from exc
         return DepGraph(nodes=nodes, edges=edges)
+
+
+def _optional_str(raw: dict, key: str) -> str | None:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, not {type(value).__name__}")
+    return value
 
 
 def checked_graph(raw, where: str) -> DepGraph:
@@ -357,7 +358,6 @@ MAX_ROUNDS = 3
 class ExtractionResult:
     graph: DepGraph
     report: GraphReport | None
-    rounds_used: int
     validated: bool
 
 
@@ -377,7 +377,7 @@ def extract_graph(
     previous: DepGraph | None = None
     last_report: GraphReport | None = None
     unparseable_streak = 0
-    for rounds in range(1, MAX_ROUNDS + 1):
+    for _ in range(MAX_ROUNDS):
         try:
             hypothesis = extractor.extract(prompt, previous, feedback)
             unparseable_streak = 0
@@ -396,11 +396,11 @@ def extract_graph(
             continue
         last_report = report
         if report.ok:
-            return ExtractionResult(hypothesis, report, rounds, validated=True)
+            return ExtractionResult(hypothesis, report, validated=True)
         feedback = report.feedback
     if previous is None:
         raise ExtractorFailure("extractor produced no usable graph")
-    return ExtractionResult(previous, last_report, MAX_ROUNDS, validated=False)
+    return ExtractionResult(previous, last_report, validated=False)
 
 
 class GraphMetrics(NamedTuple):

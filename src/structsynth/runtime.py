@@ -308,7 +308,6 @@ class Session:
         self._made: dict[str, ObjRef] = {}  # refs of the records this session materialized
         self.step_budget = step_budget
         self.tool_calls = 0
-        self.mutations = 0
         self._auto_n = 0
 
     def object(self, oid: str) -> ObjRecord:
@@ -360,8 +359,6 @@ class Session:
             status, kind, message = ExecStatus.RUNTIME_ERROR, exc.kind, exc.message
         except _OverBudget:
             status, message = ExecStatus.TIMEOUT, f"step budget of {self.step_budget} exceeded"
-        else:
-            self.mutations += interp.mutations
         return ExecutionResult(
             status, tuple(interp.output), kind, message, interp.steps, interp.mutations
         )

@@ -3,8 +3,9 @@
 Layers run in order and stop at the first one that raises an error-severity
 issue; the report records that layer as the failure layer, with 0 meaning the
 program survived every layer it was asked to run. Warnings accumulate across
-layers and never fail a program. Evidence gaps are always warnings: missing
-documentation is a retrieval problem, not proof the call is wrong.
+layers and never fail a program. The verifier reads the program, the task's
+graph and the schema, never the retrieved evidence: how much of the program
+documentation backs is judged once, by ``uncertainty.compute_coverage``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .judges import JudgeContext, JudgeFailure
 from .qas.analysis import Candidate, TypedScript
 from .qas.nodes import expr_to_source
 from .qas.parser import Script, SyntaxFailure
-from .retrieval import EvidenceSet
 from .runtime import STEP_BUDGET, min_steps
 from .schema import ApiSchema, valid_import
 
@@ -35,7 +35,6 @@ L3_NOT_ITERABLE = "L3_NOT_ITERABLE"
 L3_BAD_OPERAND = "L3_BAD_OPERAND"
 L3_UNKNOWN_ENUM = "L3_UNKNOWN_ENUM"
 L3_INVALID_IMPORT = "L3_INVALID_IMPORT"
-L3_NOT_IN_EVIDENCE = "L3_NOT_IN_EVIDENCE"
 L4_JUDGE_UNAVAILABLE = "L4_JUDGE_UNAVAILABLE"
 L4_STEP_BOUND = "L4_STEP_BOUND"
 
@@ -68,13 +67,6 @@ class VerdictReport:
 
     def errors(self) -> tuple[Issue, ...]:
         return tuple(i for i in self.issues if i.severity is Severity.ERROR)
-
-    def warnings(self) -> tuple[Issue, ...]:
-        return tuple(i for i in self.issues if i.severity is Severity.WARNING)
-
-    def codes(self) -> tuple[str, ...]:
-        """Error codes as a sorted multiset, so two verdicts compare by value."""
-        return tuple(sorted(i.code for i in self.errors()))
 
 
 def verify_syntax(script: Script | SyntaxFailure) -> tuple[Issue, ...]:
@@ -136,26 +128,7 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
     return tuple(issues)
 
 
-def _call_edge(g: DepGraph | None, receiver: str, method: str) -> str | None:
-    """Graph region blamed for a call: its own edge, else the receiver's."""
-    if g is None:
-        return None
-    nmap = g.node_map()
-    for e in g.acquisition_edges():
-        if nmap[e.src].type_name == receiver and e.via_method == method:
-            return DepGraph.edge_id(e)
-    for e in g.acquisition_edges():
-        if nmap[e.dst].type_name == receiver:
-            return DepGraph.edge_id(e)
-    return None
-
-
-def verify_api_alignment(
-    ts: TypedScript,
-    schema: ApiSchema,
-    evidence: EvidenceSet | None = None,
-    g: DepGraph | None = None,
-) -> tuple[Issue, ...]:
+def verify_api_alignment(ts: TypedScript, schema: ApiSchema) -> tuple[Issue, ...]:
     """Layer 3: every name exists in the API; every operation gets kinds it supports."""
     issues: list[Issue] = []
     for name in ts.imports:
@@ -173,7 +146,6 @@ def verify_api_alignment(
                     3,
                     f"{base} has no method {cs.method!r}",
                     location=cs.location,
-                    graph_region=_call_edge(g, base, cs.method),
                 )
             )
             continue
@@ -199,16 +171,6 @@ def verify_api_alignment(
                             location=cs.location,
                         )
                     )
-        if evidence is not None and not evidence.covers(base, cs.method):
-            issues.append(
-                Issue(
-                    L3_NOT_IN_EVIDENCE,
-                    3,
-                    f"{base}.{cs.method} is not backed by retrieved documentation",
-                    severity=Severity.WARNING,
-                    location=cs.location,
-                )
-            )
     for op in ts.operations:
         if op.allowed:
             continue
@@ -256,7 +218,6 @@ def verify_all(
     candidate: Candidate,
     graph: DepGraph | None,
     schema: ApiSchema,
-    evidence: EvidenceSet | None = None,
     judge=None,
     prompt: str = "",
     *,
@@ -273,7 +234,7 @@ def verify_all(
     checks = [lambda: verify_syntax(candidate.script)]
     if ts is not None:
         checks.append(lambda: verify_causal(ts, graph, schema))
-        checks.append(lambda: verify_api_alignment(ts, schema, evidence, graph))
+        checks.append(lambda: verify_api_alignment(ts, schema))
         if judge is not None and graph is not None:
             checks.append(
                 lambda: verify_step_bound(candidate.script, step_budget)

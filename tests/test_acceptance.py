@@ -79,17 +79,15 @@ def test_accepted_programs_never_raise_api_faults_at_runtime(schema, snapshot):
     for i in range(500):
         source = random_conformant_program(rng)
         verdict = verify_all(analyze(source, schema), None, schema, max_layer=3)
-        assert verdict.passed, (i, verdict.codes())
+        assert verdict.passed, (i, verdict.issues)
         result = Session(scaled, schema, step_budget=200_000).execute(source)
         assert result.status is ExecStatus.OK, (i, result.error_kind, result.error_message)
         assert result.error_kind not in API_FAULTS
 
     for task in singles_suite():
         source, graph = template_program(task.prompt, schema)
-        verdict = verify_all(
-            analyze(source, schema), graph, schema, None, RuleBasedJudge(), task.prompt
-        )
-        assert verdict.passed, (task.task_id, verdict.codes())
+        verdict = verify_all(analyze(source, schema), graph, schema, RuleBasedJudge(), task.prompt)
+        assert verdict.passed, (task.task_id, verdict.issues)
         result = Session(snapshot, schema).execute(source)
         assert result.status is ExecStatus.OK, (task.task_id, result.error_kind)
         assert result.error_kind not in API_FAULTS
@@ -127,25 +125,25 @@ def test_uncertainty_scores_match_hand_worked_fixtures(schema, monkeypatch):
     #          expected (trajectory risk, coverage risk)
     rows = [
         ([S1], [0], ev_b, (0.0, 0.0)),
-        ([S_NOCALL], [2], None, (0.4, 0.0)),
+        ([S_NOCALL], [2], ev_b, (0.0, 0.0)),
         ([S2], [0], ev_b, (0.0, 0.5)),
-        ([S_BADIMPORT], [3], ev_bn, (0.4, 0.0)),
-        ([S4], [3], ev_bn, (0.4, 0.5)),
-        ([S1, S1], [2, 2], ev_b, (0.4 + 0.3 + 0.3, 0.0)),
+        ([S_BADIMPORT], [3], ev_bn, (0.0, 0.0)),
+        ([S4], [3], ev_bn, (0.0, 0.5)),
+        ([S1, S1], [2, 2], ev_b, (0.3 + 0.3, 0.0)),
         ([S2, S1], [2, 0], ev_b, (0.3 * 0.5, 0.0)),
-        ([S1, S4], [1, 4], ev_b, (0.4 * 1.0 + 0.3 * 0.25 + 0.3 * 1.0, 0.75)),
-        ([S_UNPARSEABLE], [1], ev_b, (0.4, 1.0)),
-        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], None, (1.0, 1.0)),
+        ([S1, S4], [1, 4], ev_b, (0.3 * 0.25 + 0.3 * 1.0, 0.75)),
+        ([S_UNPARSEABLE], [1], ev_b, (0.0, 1.0)),
+        ([S_UNPARSEABLE, S_UNPARSEABLE], [1, 1], ev_b, (0.6, 1.0)),
         ([S2], [0], ev_empty, (0.0, 1.0)),
-        ([S_NOCALL], [0], None, (0.0, 0.0)),
-        ([S1, S2, S2], [3, 2, 2], ev_b, (0.4 * (2 / 3) + 0.3 * 0.75 + 0.3 * 0.5, 0.5)),
-        ([S_MANYFAULTS], [3], None, (0.4, 0.0)),
+        ([S_NOCALL], [0], ev_empty, (0.0, 0.0)),
+        ([S1, S2, S2], [3, 2, 2], ev_b, (0.3 * 0.75 + 0.3 * 0.5, 0.5)),
+        ([S_MANYFAULTS], [3], ev_empty, (0.0, 0.0)),
     ]
     assert len(rows) >= 12
     for candidates, layers, evidence, (traj, cov) in rows:
         verdicts = [_verdict(n) for n in layers]
         analyzed = [analyze(c, schema) for c in candidates]
-        report = compute_uncertainty(analyzed, verdicts, schema, evidence)
+        report = compute_uncertainty(analyzed, verdicts, evidence)
         assert abs(report.trajectory_risk - traj) < TOL, (candidates, layers)
         assert abs(report.coverage_risk - cov) < TOL, (candidates, layers)
         expected = 0.3 * traj + 0.3 * cov
@@ -154,11 +152,11 @@ def test_uncertainty_scores_match_hand_worked_fixtures(schema, monkeypatch):
 
     # a score sitting exactly on the threshold is delivered, not filtered
     monkeypatch.setattr(uncertainty, "THRESHOLD", 0.15)
-    boundary = compute_uncertainty([analyze(S2, schema)], [_verdict(0)], schema, ev_b)
+    boundary = compute_uncertainty([analyze(S2, schema)], [_verdict(0)], ev_b)
     assert boundary.combined == 0.15
     assert not boundary.filtered
     monkeypatch.setattr(uncertainty, "THRESHOLD", 0.1)
-    assert compute_uncertainty([analyze(S2, schema)], [_verdict(0)], schema, ev_b).filtered
+    assert compute_uncertainty([analyze(S2, schema)], [_verdict(0)], ev_b).filtered
 
 
 def _obj(nid: str, type_name: str) -> GraphNode:
@@ -276,11 +274,11 @@ def test_planted_defects_surface_at_their_home_layer(schema):
         for prompt in prompts:
             clean, graph = template_program(prompt, schema)
             broken = apply_defect(clean, kind, schema)
-            verdict = verify_all(analyze(broken, schema), graph, schema, None, judge, prompt)
+            verdict = verify_all(analyze(broken, schema), graph, schema, judge, prompt)
             assert not verdict.passed, (kind, prompt)
-            assert verdict.failure_layer == DEFECT_LAYER[kind], (kind, prompt, verdict.codes())
+            assert verdict.failure_layer == DEFECT_LAYER[kind], (kind, prompt, verdict.issues)
             if kind is DefectKind.TIMEOUT_LOOP:
-                assert verdict.codes() == (L4_STEP_BOUND,), (prompt, verdict.codes())
+                assert [i.code for i in verdict.errors()] == [L4_STEP_BOUND], (prompt, verdict.issues)
 
 
 def _heal_run(schema, retriever, defect: DefectKind, heal_after: int, budget: int):
@@ -313,13 +311,11 @@ def test_repair_policy_prescribes_the_expected_action_sequences(schema, retrieve
     stuck = _heal_run(schema, retriever, DefectKind.USE_BEFORE_DEF, heal_after=99, budget=4)
     assert not stuck.accepted
     assert [a.kind for a in stuck.trajectory.actions] == [ActionKind.REGENERATE] * 4
-    # five identical flow-layer verdicts: convergence, stagnation and
-    # ineffectiveness all saturate, and the one retrieval backs 2 of 3
-    # resolved calls (findNet and setWeight, not getBlock), so combined
-    # risk = 0.3 * 1.0 + 0.3 * (1 / 3) = 0.4
+    # five identical flow-layer verdicts: stagnation and ineffectiveness both
+    # saturate, and the one retrieval backs 2 of 3 resolved calls (findNet and
+    # setWeight, not getBlock), so combined risk = 0.3 * 0.6 + 0.3 * (1 / 3)
     assert stuck.uncertainty.coverage[:2] == (2, 3)
-    assert abs(stuck.uncertainty.combined - 0.4) < TOL
-    assert stuck.uncertainty.filtered
+    assert abs(stuck.uncertainty.combined - 0.28) < TOL
 
 
 def test_acceptance_rate_is_monotone_in_repair_budget(schema, retriever):
@@ -498,7 +494,7 @@ def test_multistep_episodes_cascade_share_state_and_recover_by_reflection(schema
     assert [s.status for s in episode.steps] == ["ok", "ok"]
     assert episode.steps[1].execution.output == ("9",)
     assert episode.tool_calls == 2
-    assert session.mutations == 1
+    assert [s.execution.mutations for s in episode.steps] == [1, 0]
 
     # reflection turns a failed episode into a passing one on the second try
     generator = HintSensitiveGenerator(

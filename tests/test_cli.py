@@ -204,6 +204,16 @@ _DANGLING = json.dumps({
     "edges": [{"src": "d", "dst": "ghost", "kind": "acquisition", "via": "getBlock"}],
 })
 _UNTYPED = json.dumps({"nodes": [{"id": "d", "kind": "object"}], "edges": []})
+# Graphs with a `type` or `via` that is not a string.
+_LIST_TYPE = json.dumps({"nodes": [{"id": "d", "type": ["Design"]}], "edges": []})
+
+
+def _graph_via(via) -> dict:
+    return {"nodes": [{"id": "d", "type": "Design"}, {"id": "b", "type": "Block"}],
+            "edges": [{"src": "d", "dst": "b", "via": via}]}
+
+
+_LIST_VIA = json.dumps(_graph_via(["getBlock"]))
 
 
 def _toy_snapshot_with(design: dict, **document) -> str:
@@ -252,6 +262,13 @@ def _toy_snapshot_with(design: dict, **document) -> str:
         ({}, ["multistep", "--prompt", "Print the weight of net clk", "--step-budget", "-1"]),
         ({}, ["bench", "--budget", "-1"]),
         ({}, ["bench", "--step-budget", "-1"]),
+        ({"p.txt": CLEAN, "g.json": _LIST_VIA}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.json": _LIST_VIA, "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.json": _GRAPH, "t.json": _LIST_TYPE},
+         ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.txt": CLEAN, "g.json": _LIST_TYPE}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"s.json": json.dumps({"tasks": [{**_SUITE_TASK, "truth_graph": _graph_via({"m": 1})}]})},
+         ["bench", "--suite", "s.json", "--no-multis"]),
     ],
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
          "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
@@ -261,7 +278,8 @@ def _toy_snapshot_with(design: dict, **document) -> str:
          "snapshot-children-list", "snapshot-fields-string", "snapshot-roots-list",
          "snapshot-child-ids-string", "synth-negative-budget", "run-negative-step-budget",
          "multistep-negative-step-budget", "bench-negative-budget",
-         "bench-negative-step-budget"],
+         "bench-negative-step-budget", "verify-graph-list-via", "score-pred-list-via",
+         "score-truth-list-type", "verify-graph-list-type", "suite-truth-graph-object-via"],
 )
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     paths = {name: write(tmp_path, name, text) for name, text in files.items()}
@@ -381,6 +399,25 @@ def test_bench_layers_must_be_a_comma_list_of_layers(capsys, layers):
     err = capsys.readouterr().err
     assert "argument --layers" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["0.5:0.1:0.1", "0:inf:0.5", "nan:1:0.1", "0:1:0", "0:1:-0.1",
+                                  "0:1", "a:b:c", "0:1000:0.5"])
+def test_bench_theta_sweep_is_rejected_before_any_task_runs(capsys, monkeypatch, spec):
+    monkeypatch.setattr("structsynth.cli.run_bench", lambda *a, **k: pytest.fail("bench ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--theta-sweep", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "argument --theta-sweep" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bench_theta_sweep_allows_up_to_a_thousand_thresholds():
+    thetas = build_parser().parse_args(["bench", "--theta-sweep", "0:999:1"]).sweep
+    assert thetas == [float(i) for i in range(1000)]
 
 
 def test_bench_layers_defaults_to_the_full_pipeline():

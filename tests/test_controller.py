@@ -192,7 +192,7 @@ def test_synthesize_rejects_a_program_over_the_step_budget_at_layer_four(
     assert result.accepted is accepted
     if not accepted:
         assert result.verdict.failure_layer == 4
-        assert result.verdict.codes() == (L4_STEP_BOUND,)
+        assert [i.code for i in result.verdict.errors()] == [L4_STEP_BOUND]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])

@@ -11,6 +11,7 @@ from structsynth.depgraph import (
     DepGraph,
     EdgeKind,
     ExtractorFailure,
+    ExtractorOutputError,
     Feedback,
     GraphEdge,
     GraphInvariantError,
@@ -89,6 +90,13 @@ def test_invariants_accept_spine():
             ),
             "cycle",
         ),
+        (
+            DepGraph(
+                (obj("a", "Design"), obj("b", "Block"), obj("c", "Net")),
+                (acq("a", "b"), acq("b", "c"), acq("c", "b")),
+            ),
+            "cycle",
+        ),
     ],
 )
 def test_invariant_violations(graph, fragment):
@@ -107,20 +115,34 @@ def test_invariants_report_all_problems_at_once():
     assert len(err.value.problems) == 3
 
 
-def test_topo_order_breaks_ties_by_id():
-    g = DepGraph(
-        nodes=(obj("z", "Net"), obj("a", "Design"), obj("m", "Block")),
-        edges=(acq("a", "z"),),
-    )
-    assert g.topo_order() == ["a", "m", "z"]
-
-
 def test_dict_round_trip():
     g = DepGraph(
         nodes=(obj("d", "Design"), GraphNode("act", NodeKind.ACTION, label="setWeight(2)")),
         edges=(dep("d", "act"),),
     )
     assert DepGraph.from_dict(g.to_dict()) == g
+
+
+@pytest.mark.parametrize("key, node, edge", [
+    ("type", {"type": ["Design"]}, {}),
+    ("type", {"type": 7}, {}),
+    ("via", {}, {"via": ["getBlock"]}),
+    ("via", {}, {"via": {"m": 1}}),
+])
+def test_from_dict_rejects_a_type_or_via_that_is_not_a_string(key, node, edge):
+    raw = {
+        "nodes": [{"id": "d", "type": "Design", **node}, {"id": "b", "type": "Block"}],
+        "edges": [{"src": "d", "dst": "b", "via": "getBlock", **edge}],
+    }
+    with pytest.raises(ExtractorOutputError, match=f"'{key}' must be a string"):
+        DepGraph.from_dict(raw)
+
+
+def test_from_dict_reads_a_null_type_or_via_as_absent():
+    raw = {"nodes": [{"id": "d", "type": None}, {"id": "b", "type": "Block"}],
+           "edges": [{"src": "d", "dst": "b", "via": None}]}
+    assert DepGraph.from_dict(raw) == DepGraph((obj("d", None), obj("b", "Block")),
+                                               (acq("d", "b"),))
 
 
 def test_edge_id_includes_via():
@@ -221,7 +243,7 @@ def test_extract_graph_accepts_first_valid(schema):
     ex = ScriptedExtractor([spine()])
     result = extract_graph("p", ex, schema)
     assert result.validated
-    assert result.rounds_used == 1
+    assert len(ex.calls) == 1
 
 
 def test_extract_graph_feeds_back_and_retries(schema):
@@ -229,7 +251,7 @@ def test_extract_graph_feeds_back_and_retries(schema):
     ex = ScriptedExtractor([bad, spine()])
     result = extract_graph("p", ex, schema)
     assert result.validated
-    assert result.rounds_used == 2
+    assert len(ex.calls) == 2
     _, second_feedback = ex.calls[1]
     assert any(f.code == "hallucinated_type" for f in second_feedback)
 
@@ -253,7 +275,19 @@ def test_extract_graph_unparseable_streak_resets(schema):
     ex = ScriptedExtractor(["junk", spine()])
     result = extract_graph("p", ex, schema)
     assert result.validated
-    assert result.rounds_used == 2
+    assert len(ex.calls) == 2
+
+
+def test_extract_graph_counts_a_mistyped_graph_document_as_unparseable(schema):
+    mistyped = {"nodes": [{"id": "d", "type": "Design"}, {"id": "b", "type": "Block"}],
+                "edges": [{"src": "d", "dst": "b", "via": ["getBlock"]}]}
+    ex = ScriptedExtractor([mistyped, spine()])
+    result = extract_graph("p", ex, schema)
+    assert result.validated and result.graph == spine()
+    _, second_feedback = ex.calls[1]
+    assert [f.code for f in second_feedback] == ["unparseable"]
+    with pytest.raises(ExtractorFailure):
+        extract_graph("p", ScriptedExtractor([mistyped]), schema)
 
 
 def test_extract_graph_returns_last_when_rounds_exhausted(schema):
@@ -261,7 +295,7 @@ def test_extract_graph_returns_last_when_rounds_exhausted(schema):
     ex = ScriptedExtractor([bad])
     result = extract_graph("p", ex, schema)
     assert not result.validated
-    assert result.rounds_used == len(ex.calls) == MAX_ROUNDS
+    assert len(ex.calls) == MAX_ROUNDS
     assert result.graph == bad
 
 

@@ -78,4 +78,4 @@ def test_synthesis_records_repr_as_pinned(schema, retriever):
                  result.candidate.typed.call_sites, result.evidence.hits, result.uncertainty)
         digest.update(repr(parts).encode())
     assert len(tasks) == 46
-    assert digest.hexdigest()[:16] == "ec3f6cf5cfc9c738"
+    assert digest.hexdigest()[:16] == "014afcc8ab0e9433"

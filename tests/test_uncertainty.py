@@ -48,37 +48,17 @@ FOUR_CALLS = (
 def test_clean_single_candidate_scores_zero(schema):
     source = "block = design.getBlock()\n"
     candidates = [analyze(source, schema)]
-    report = compute_uncertainty(candidates, [verdict(0)], schema, evidence=None)
+    report = compute_uncertainty(candidates, [verdict(0)], evidence_over("Design.getBlock"))
     assert report.combined == 0.0
     assert report.trajectory_risk == 0.0
     assert report.coverage_risk == 0.0
     assert not report.filtered
 
 
-def test_no_repairs_with_failure_keeps_full_convergence_risk(schema):
-    ts = compute_trajectory_signals([analyze("x = 1\n", schema)], [verdict(2, "A")])
-    assert ts.convergence == 1.0
-    assert ts.stagnation == 0.0
-    assert ts.ineffectiveness == 0.0
-
-
-def test_full_repair_zeroes_convergence(schema):
-    sources = [analyze(s, schema) for s in ("x = 1\n", "y = 2\n")]
-    ts = compute_trajectory_signals(sources, [verdict(2), verdict(0)])
-    assert abs(ts.convergence - 0.0) < TOL
-
-
-def test_worsening_layer_clamps_convergence_to_one(schema):
-    sources = [analyze(s, schema) for s in ("x = 1\n", "y = 2\n")]
-    ts = compute_trajectory_signals(sources, [verdict(1), verdict(4)])
-    assert ts.convergence == 1.0
-
-
 def test_three_step_descent(schema):
     sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(3), verdict(0)]
     ts = compute_trajectory_signals(sources, verdicts)
-    assert abs(ts.convergence - 0.0) < TOL
     assert abs(ts.ineffectiveness - 0.0) < TOL
 
 
@@ -86,7 +66,6 @@ def test_partial_descent_and_flat_step(schema):
     sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(4), verdict(2)]
     ts = compute_trajectory_signals(sources, verdicts)
-    assert abs(ts.convergence - 0.5) < TOL
     assert abs(ts.ineffectiveness - 0.5) < TOL
 
 
@@ -97,7 +76,6 @@ def test_stagnation_is_mean_consecutive_jaccard(schema):
     verdicts = [verdict(2), verdict(2), verdict(2)]
     ts = compute_trajectory_signals(sources, verdicts)
     assert abs(ts.stagnation - (1.0 + 1.0 / 3.0) / 2.0) < TOL
-    assert ts.convergence == 1.0
     assert ts.ineffectiveness == 1.0
 
 
@@ -111,30 +89,25 @@ def test_trajectory_requires_one_verdict_per_candidate(schema):
 
 def test_unparseable_source_scores_worst(schema):
     broken = analyze("x = = 1\n", schema)
-    cov = compute_coverage(broken, schema, None)
+    cov = compute_coverage(broken, evidence_over("Design.getBlock"))
     assert cov == CoverageSignals(0, 0, 0.0)
 
 
 def test_coverage_fraction(schema):
     ev = evidence_over("Design.getBlock", "Block.getNets")
-    cov = compute_coverage(analyze(FOUR_CALLS, schema), schema, ev)
+    cov = compute_coverage(analyze(FOUR_CALLS, schema), ev)
     assert cov == CoverageSignals(2, 4, 0.5)
 
 
 def test_coverage_without_eligible_calls_is_confident(schema):
-    cov = compute_coverage(analyze("x = 1\n", schema), schema, evidence_over())
+    cov = compute_coverage(analyze("x = 1\n", schema), evidence_over())
     assert cov == CoverageSignals(0, 0, 1.0)
-
-
-def test_coverage_without_evidence_is_confident(schema):
-    src = "block = design.getBlock()\nnets = block.getNets()\n"
-    assert compute_coverage(analyze(src, schema), schema, None) == CoverageSignals(0, 2, 1.0)
 
 
 def test_coverage_ignores_unknown_methods(schema):
     src = "block = design.getBlock()\nblock.getBogus()\n"
     ev = evidence_over("Design.getBlock")
-    assert compute_coverage(analyze(src, schema), schema, ev) == CoverageSignals(1, 1, 1.0)
+    assert compute_coverage(analyze(src, schema), ev) == CoverageSignals(1, 1, 1.0)
 
 
 def test_jaccard_edge_cases():
@@ -149,20 +122,24 @@ def test_unparseable_statement_set_falls_back_to_lines(schema):
 
 
 def test_combined_weighted_sum(schema):
-    source = "import foo\n" + FOUR_CALLS
+    sources = [analyze(s, schema) for s in ("a = 1\n", "a = 1\nb = 2\n", FOUR_CALLS)]
     ev = evidence_over("Design.getBlock", "Block.getNets")
-    report = compute_uncertainty([analyze(source, schema)], [verdict(3, "A")], schema, ev)
-    assert abs(report.trajectory_risk - 0.4) < TOL
+    report = compute_uncertainty(sources, [verdict(3), verdict(2), verdict(0)], ev)
+    # stagnation (1/2 + 0) / 2, ineffectiveness 0 of 2 repairs; 2 of 4 calls covered
+    assert abs(report.trajectory_risk - 0.3 * 0.25) < TOL
     assert abs(report.coverage_risk - 0.5) < TOL
-    assert abs(report.combined - 0.27) < TOL
+    assert abs(report.combined - (0.3 * 0.075 + 0.3 * 0.5)) < TOL
     assert not report.filtered
 
 
 def test_combined_crosses_threshold_when_uncovered(schema):
-    source = "import foo\n" + FOUR_CALLS
-    candidates = [analyze(source, schema)]
-    report = compute_uncertainty(candidates, [verdict(3, "A")], schema, evidence_over())
-    assert abs(report.combined - 0.42) < TOL
+    # an accepted program, re-emitted twice before it passed, with no call covered
+    candidates = [analyze(FOUR_CALLS, schema)] * 3
+    report = compute_uncertainty(candidates, [verdict(3), verdict(3), verdict(0)],
+                                 evidence_over())
+    assert report.trajectory == (1.0, 0.5)
+    # 0.3 * (0.3 * 1.0 + 0.3 * 0.5) + 0.3 * (1 - 0)
+    assert abs(report.combined - 0.435) < TOL
     assert report.filtered
 
 
@@ -171,20 +148,11 @@ def test_at_threshold_is_delivered(schema, monkeypatch):
     ev = evidence_over("Design.getBlock")
     candidates = [analyze(source, schema)]
     monkeypatch.setattr(uncertainty, "THRESHOLD", 0.15)
-    at = compute_uncertainty(candidates, [verdict(0)], schema, ev)
+    at = compute_uncertainty(candidates, [verdict(0)], ev)
     assert at.combined == 0.15
     assert not at.filtered
     monkeypatch.setattr(uncertainty, "THRESHOLD", 0.1)
-    assert compute_uncertainty(candidates, [verdict(0)], schema, ev).filtered
-
-
-def test_weight_triples_sum_to_one():
-    trajectory = (
-        uncertainty.CONVERGENCE_WEIGHT,
-        uncertainty.STAGNATION_WEIGHT,
-        uncertainty.INEFFECTIVENESS_WEIGHT,
-    )
-    assert abs(sum(trajectory) - 1.0) < TOL
+    assert compute_uncertainty(candidates, [verdict(0)], ev).filtered
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,13 +165,13 @@ def test_signals_stay_in_unit_interval(schema, layers, seeds):
     layers, seeds = layers[:n], seeds[:n]
     sources = [analyze(f"x{s} = {s}\n", schema) for s in seeds]
     verdicts = [verdict(layer) for layer in layers]
-    report = compute_uncertainty(sources, verdicts, schema, None)
-    assert report.combined <= uncertainty.TRAJECTORY_WEIGHT + uncertainty.COVERAGE_WEIGHT
+    report = compute_uncertainty(sources, verdicts, evidence_over())
+    assert report.trajectory_risk <= 0.6 + TOL
+    assert report.combined <= 0.48 + TOL
     for value in (
         report.trajectory_risk,
         report.coverage_risk,
         report.combined,
-        report.trajectory.convergence,
         report.trajectory.stagnation,
         report.trajectory.ineffectiveness,
     ):

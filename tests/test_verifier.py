@@ -31,7 +31,6 @@ from structsynth.verifier import (
     L3_BAD_ATTRIBUTE,
     L3_BAD_OPERAND,
     L3_INVALID_IMPORT,
-    L3_NOT_IN_EVIDENCE,
     L3_NOT_ITERABLE,
     L3_UNKNOWN_ENUM,
     L3_UNKNOWN_METHOD,
@@ -48,6 +47,15 @@ CLEAN = (
     "if net != None:\n"
     "    print(net.getName())\n"
 )
+
+
+def error_codes(verdict) -> tuple[str, ...]:
+    """The verdict's error codes as a sorted multiset, so verdicts compare by value."""
+    return tuple(sorted(i.code for i in verdict.errors()))
+
+
+def warning_codes(verdict) -> set[str]:
+    return {i.code for i in verdict.issues if i.severity is Severity.WARNING}
 
 
 def spine() -> DepGraph:
@@ -79,28 +87,28 @@ def test_syntax_error_stops_at_layer_one(schema):
     assert not verdict.passed
     assert verdict.failure_layer == 1
     assert verdict.layers_run == (1,)
-    assert verdict.codes() == (L1_SYNTAX,)
+    assert error_codes(verdict) == (L1_SYNTAX,)
     assert verdict.errors()[0].location is not None
 
 
 def test_undefined_use_fails_layer_two(schema):
     verdict = verify_all(analyze("ghost.getName()\n", schema), None, schema)
     assert verdict.failure_layer == 2
-    assert L2_USE_BEFORE_DEF in verdict.codes()
+    assert L2_USE_BEFORE_DEF in error_codes(verdict)
 
 
 def test_unguarded_nullable_call_fails_layer_two(schema):
     src = 'block = design.getBlock()\nnet = block.findNet("clk")\nnet.setWeight(2)\n'
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 2
-    assert L2_NULL_UNGUARDED in verdict.codes()
+    assert L2_NULL_UNGUARDED in error_codes(verdict)
 
 
 def test_unguarded_nullable_attribute_read_fails_layer_two(schema):
     src = 'block = design.getBlock()\nnet = block.findNet("clk")\nprint(net.weight)\n'
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 2
-    assert L2_NULL_UNGUARDED in verdict.codes()
+    assert L2_NULL_UNGUARDED in error_codes(verdict)
 
 
 def test_unrealized_edge_fails_layer_two_with_region(schema):
@@ -117,7 +125,7 @@ def test_out_of_order_realization_fails_layer_two(schema):
     src = 'net = blk.findNet("clk")\nblk = design.getBlock()\n'
     verdict = verify_all(analyze(src, schema), spine(), schema)
     assert verdict.failure_layer == 2
-    assert verdict.codes() == (L2_EDGE_UNREALIZED, L2_USE_BEFORE_DEF)
+    assert error_codes(verdict) == (L2_EDGE_UNREALIZED, L2_USE_BEFORE_DEF)
     (unrealized,) = (i for i in verdict.errors() if i.code == L2_EDGE_UNREALIZED)
     assert unrealized.message == "no call realizes Block->Net via findNet"
 
@@ -143,47 +151,34 @@ def test_unknown_method_fails_layer_three(schema):
     src = "block = design.getBlock()\nblock.frobnicate()\n"
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
-    assert L3_UNKNOWN_METHOD in verdict.codes()
-
-
-def test_unknown_method_blames_graph_region(schema):
-    # Graph must be fully realized so layer 2 passes and layer 3 runs.
-    g = DepGraph(
-        nodes=(GraphNode("d", NodeKind.OBJECT, "Design"),
-               GraphNode("b", NodeKind.OBJECT, "Block")),
-        edges=(GraphEdge("d", "b", EdgeKind.ACQUISITION, "getBlock"),),
-    )
-    src = "block = design.getBlock()\nblock.frobnicate()\n"
-    verdict = verify_all(analyze(src, schema), g, schema)
-    issue = next(i for i in verdict.errors() if i.code == L3_UNKNOWN_METHOD)
-    assert issue.graph_region == "d->b#getBlock"
+    assert L3_UNKNOWN_METHOD in error_codes(verdict)
 
 
 def test_bad_arity_fails_layer_three(schema):
     src = "block = design.getBlock()\nblock.findNet()\n"
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
-    assert L3_BAD_ARITY in verdict.codes()
+    assert L3_BAD_ARITY in error_codes(verdict)
 
 
 def test_bad_attribute_fails_layer_three(schema):
     src = "block = design.getBlock()\nfor net in block.getNets():\n    print(net.ghost)\n"
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
-    assert L3_BAD_ATTRIBUTE in verdict.codes()
+    assert L3_BAD_ATTRIBUTE in error_codes(verdict)
 
 
 def test_invalid_import_fails_layer_three(schema):
     verdict = verify_all(analyze("import pandas\nx = 1\n", schema), None, schema)
     assert verdict.failure_layer == 3
-    assert L3_INVALID_IMPORT in verdict.codes()
+    assert L3_INVALID_IMPORT in error_codes(verdict)
 
 
 def test_unknown_enum_fails_layer_three(schema):
     src = "import odb\nx = odb.PlacementStatus.WIBBLE\n"
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
-    assert L3_UNKNOWN_ENUM in verdict.codes()
+    assert L3_UNKNOWN_ENUM in error_codes(verdict)
 
 
 # Programs that name an import, enum constant or method the schema lacks, with
@@ -205,7 +200,7 @@ FABRICATED = {
 def test_layer_three_reports_every_fabricated_name(schema, src, codes):
     verdict = verify_all(analyze(src, schema), None, schema)
     assert verdict.failure_layer == 3
-    assert verdict.codes() == codes
+    assert error_codes(verdict) == codes
 
 
 def test_len_of_scalar_fails_layer_three(schema):
@@ -220,7 +215,7 @@ def test_len_of_string_passes_layer_three_as_it_runs(schema, snapshot):
     assert Session(snapshot, schema).execute(src).output == ("3",)
     verdict = verify_all(analyze("print(len(5))\n", schema), None, schema)
     assert verdict.failure_layer == 3
-    assert verdict.codes() == (L3_BAD_ARITY,)
+    assert error_codes(verdict) == (L3_BAD_ARITY,)
 
 
 _GUARDED_NET = 'block = design.getBlock()\nnet = block.findNet("clk")\nif net != None:\n'
@@ -288,7 +283,7 @@ def test_layer_three_rejects_what_fails_at_runtime(peer_schema, peer_snapshot, s
                                                   runtime_kind):
     verdict = verify_all(analyze(src, peer_schema), None, peer_schema)
     assert verdict.failure_layer == int(code[1])
-    assert verdict.codes() == (code,)
+    assert error_codes(verdict) == (code,)
     assert Session(peer_snapshot, peer_schema).execute(src).error_kind == runtime_kind
 
 
@@ -314,7 +309,7 @@ ELSE_BRANCHES = [
 @pytest.mark.parametrize("src, codes, outcome", [b[1:] for b in ELSE_BRANCHES],
                          ids=[b[0] for b in ELSE_BRANCHES])
 def test_else_branch_verdict_agrees_with_the_runtime(schema, snapshot, src, codes, outcome):
-    assert verify_all(analyze(src, schema), None, schema).codes() == codes
+    assert error_codes(verify_all(analyze(src, schema), None, schema)) == codes
     result = Session(snapshot, schema).execute(src)
     assert (result.error_kind or result.status.value) == outcome
 
@@ -336,7 +331,7 @@ def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
     for name in params:
         for arg in args:
             src = f"{loop}    net.set{name.title()}({arg})\n"
-            codes = verify_all(analyze(src, schema), None, schema).codes()
+            codes = error_codes(verify_all(analyze(src, schema), None, schema))
             result = Session(snapshot, schema).execute(src)
             assert codes in ((), (L3_BAD_ARG_TYPE,)), src
             assert (codes == ()) == (result.status is ExecStatus.OK), src
@@ -347,37 +342,22 @@ def test_layer_three_argument_check_agrees_with_the_runtime(snapshot):
                         ("bool", "True"), ("status", "odb.PlacementStatus.FIRM"), ("net", "net")}
     # x is an int on one path and a string on the other, so it may fail the check.
     merged = f"x = 1\nif x > 0:\n    x = \"a\"\n{loop}    net.setInt(x)\n"
-    assert verify_all(analyze(merged, schema), None, schema).codes() == (L3_BAD_ARG_TYPE,)
+    assert error_codes(verify_all(analyze(merged, schema), None, schema)) == (L3_BAD_ARG_TYPE,)
     assert Session(snapshot, schema).execute(merged).error_kind == "TypeError"
-
-
-def test_evidence_gap_is_warning_only(schema, retriever):
-    evidence = retriever.retrieve("zzz nothing matches", k=5)
-    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, evidence=evidence)
-    assert verdict.passed
-    warning_codes = {w.code for w in verdict.warnings()}
-    assert L3_NOT_IN_EVIDENCE in warning_codes
-
-
-def test_evidence_coverage_silences_warning(schema, retriever):
-    evidence = retriever.retrieve("block net find name weight design", k=8)
-    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, evidence=evidence)
-    covered = {w.code for w in verdict.warnings()}
-    assert L3_NOT_IN_EVIDENCE not in covered
 
 
 def test_judge_rejection_fails_layer_four(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=False, findings=(Finding("L4_X", "wrong"),))])
     verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.failure_layer == 4
-    assert verdict.codes() == ("L4_X",)
+    assert error_codes(verdict) == ("L4_X",)
 
 
 def test_step_bound_runs_before_a_plugged_in_judge(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=True)])
     spinning = CLEAN + "for i in range(30):\n    x = i\n"  # 3 + 1 + 30 * 2 = 64 steps
     verdict = verify_all(analyze(spinning, schema), spine(), schema, judge=judge, step_budget=63)
-    assert (verdict.failure_layer, verdict.codes()) == (4, (L4_STEP_BOUND,))
+    assert (verdict.failure_layer, error_codes(verdict)) == (4, (L4_STEP_BOUND,))
     assert verdict.layers_run == (1, 2, 3, 4)
     assert judge._cursor == 0  # the judge never ran
     assert verify_all(analyze(spinning, schema), spine(), schema, judge=judge,
@@ -391,14 +371,14 @@ def test_judge_ok_findings_become_warnings(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=True, findings=(Finding("L4_NOTE", "style"),))])
     verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.passed
-    assert {w.code for w in verdict.warnings()} == {"L4_NOTE"}
+    assert warning_codes(verdict) == {"L4_NOTE"}
 
 
 def test_judge_crash_is_warning(schema):
     judge = ScriptedJudge([])  # empty script raises JudgeFailure
     verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.passed
-    assert {w.code for w in verdict.warnings()} == {L4_JUDGE_UNAVAILABLE}
+    assert warning_codes(verdict) == {L4_JUDGE_UNAVAILABLE}
 
 
 def test_layer_four_skipped_without_judge_or_graph(schema):
@@ -428,7 +408,7 @@ def test_layer_stop_means_later_layers_never_run(schema):
 def test_codes_fingerprint_is_sorted_multiset(schema):
     src = "ghost.getName()\nwraith.getName()\n"
     verdict = verify_all(analyze(src, schema), None, schema)
-    assert verdict.codes() == (L2_USE_BEFORE_DEF, L2_USE_BEFORE_DEF)
+    assert error_codes(verdict) == (L2_USE_BEFORE_DEF, L2_USE_BEFORE_DEF)
 
 
 def test_rule_based_judge_requires_mutation_for_actions(schema):
@@ -453,7 +433,7 @@ def test_rule_based_judge_requires_mutation_for_actions(schema):
     )
     verdict = verify_all(analyze(reads_only, schema), g, schema, judge=RuleBasedJudge())
     assert verdict.failure_layer == 4
-    assert verdict.codes() == ("L4_INCOMPLETE",)
+    assert error_codes(verdict) == ("L4_INCOMPLETE",)
 
 
 def test_rule_based_judge_requires_output_for_queries(schema):
@@ -467,21 +447,18 @@ def test_rule_based_judge_requires_output_for_queries(schema):
     )
     verdict = verify_all(analyze(silent, schema), g, schema, judge=RuleBasedJudge())
     assert verdict.failure_layer == 4
-    assert verdict.codes() == ("L4_NO_OUTPUT",)
+    assert error_codes(verdict) == ("L4_NO_OUTPUT",)
 
 
-def test_warnings_never_set_failure_layer(schema, retriever):
-    evidence = retriever.retrieve("zzz", k=5)
+def test_warnings_never_set_failure_layer(schema):
     judge = ScriptedJudge([JudgeVerdict(ok=True, findings=(Finding("L4_NOTE", "n"),))])
-    verdict = verify_all(
-        analyze(CLEAN, schema), spine(), schema, evidence=evidence, judge=judge
-    )
+    verdict = verify_all(analyze(CLEAN, schema), spine(), schema, judge=judge)
     assert verdict.passed
     assert verdict.failure_layer == 0
-    assert len(verdict.warnings()) >= 1
+    assert warning_codes(verdict) == {"L4_NOTE"}
 
 
-# Rows of the verdict table below, as (passed, failure_layer, layers_run, codes()).
+# Rows of the verdict table below, as (passed, failure_layer, layers_run, error_codes).
 VERDICT_SAMPLE = {
     "set-weight-01/clean/L4/full": (True, 0, (1, 2, 3, 4), ()),
     "set-weight-01/clean/L4/no-graph": (True, 0, (1, 2, 3), ()),
@@ -518,10 +495,9 @@ def test_verdict_table_of_planted_suite_programs_is_pinned(schema):
             for variant, graph, j in (("full", task_graph, judge),
                                       ("no-judge", task_graph, None),
                                       ("no-graph", None, judge)):
-                v = verify_all(candidate, graph, schema, None, j, task.prompt,
-                               max_layer=max_layer)
+                v = verify_all(candidate, graph, schema, j, task.prompt, max_layer=max_layer)
                 key = f"{task.task_id}/{name}/L{max_layer}/{variant}"
-                rows[key] = (v.passed, v.failure_layer, v.layers_run, v.codes())
+                rows[key] = (v.passed, v.failure_layer, v.layers_run, error_codes(v))
     assert len(rows) == 6072
     assert {k: rows[k] for k in VERDICT_SAMPLE} == VERDICT_SAMPLE
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
