@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
 from .bench import load_multi_suite, load_suite, run_bench, theta_sweep
 from .controller import SynthesisConfig, synthesize
 from .depgraph import DepGraph, ExtractorFailure, checked_graph, extract_graph, graph_metrics
+from .depgraph import validate_graph
 from .extractors import PatternTableExtractor
 from .fixtures import fixture_path, toy_retriever, toy_schema, toy_snapshot
 from .generators import GeneratorFailure, TemplateGenerator
@@ -53,6 +55,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     candidate = analyze(_read_source(args.source), schema)
     graph = _read_graph(args.graph) if args.graph else None
+    if graph is not None and not (report := validate_graph(graph, schema)).ok:
+        findings = "; ".join(f"{f.code}: {f.message}" for f in report.feedback)
+        raise ParseError(f"graph {args.graph} does not validate: {findings}")
     verdict = verify_all(
         candidate, graph, schema, RuleBasedJudge(), args.prompt, max_layer=args.max_layer
     )
@@ -84,17 +89,13 @@ def _verdict_dict(verdict: VerdictReport) -> dict:
 
 def _cmd_extract_graph(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    extractor = PatternTableExtractor(schema)
     try:
-        result = extract_graph(args.prompt, extractor, schema)
+        graph = extract_graph(args.prompt, PatternTableExtractor(schema), schema)
     except ExtractorFailure as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result.graph.to_dict(), indent=2))
-    if result.report is not None and not result.report.ok:
-        for fb in result.report.feedback:
-            print(f"note {fb.target or '-'} {fb.code}: {fb.message}", file=sys.stderr)
-    return 0 if result.validated else 1
+    print(json.dumps(graph.to_dict(), indent=2))
+    return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -389,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout closed early, as in ``| head``: point it at devnull so the
+        # flush at exit cannot raise again (Python's "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def synthesize(
 ) -> SynthesisResult:
     """Full single-task loop: extract, retrieve, generate, verify, repair."""
     seed = (Feedback("", "reflection", reflection_hint),) if reflection_hint else ()
-    g = extract_graph(prompt, extractor, schema, seed_feedback=seed).graph
+    g = extract_graph(prompt, extractor, schema, seed_feedback=seed)
     evidence = retriever.retrieve(prompt)
     base_hints = (reflection_hint,) if reflection_hint else ()
 

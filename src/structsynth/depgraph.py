@@ -10,7 +10,6 @@ structured feedback an extractor can consume on the next round.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Protocol
 
@@ -26,7 +25,7 @@ class GraphInvariantError(Exception):
 
 
 class ExtractorFailure(Exception):
-    """The extractor produced unparseable output twice in a row."""
+    """Extraction ended without a graph that validated against the schema."""
 
 
 class ExtractorOutputError(ParseError):
@@ -157,19 +156,19 @@ class DepGraph(NamedTuple):
         try:
             nodes = tuple(
                 GraphNode(
-                    id=str(n["id"]),
+                    id=_string(n, "id", required=True),
                     kind=NodeKind(n.get("kind", "object")),
-                    type_name=_optional_str(n, "type"),
-                    label=str(n.get("label", "")),
+                    type_name=_string(n, "type"),
+                    label=_string(n, "label") or "",
                 )
                 for n in raw["nodes"]
             )
             edges = tuple(
                 GraphEdge(
-                    src=str(e["src"]),
-                    dst=str(e["dst"]),
+                    src=_string(e, "src", required=True),
+                    dst=_string(e, "dst", required=True),
                     kind=EdgeKind(e.get("kind", "acquisition")),
-                    via_method=_optional_str(e, "via"),
+                    via_method=_string(e, "via"),
                 )
                 for e in raw["edges"]
             )
@@ -178,9 +177,10 @@ class DepGraph(NamedTuple):
         return DepGraph(nodes=nodes, edges=edges)
 
 
-def _optional_str(raw: dict, key: str) -> str | None:
-    value = raw.get(key)
-    if value is not None and not isinstance(value, str):
+def _string(raw: dict, key: str, required: bool = False) -> str | None:
+    """A string field; an optional one reads as None when missing or null."""
+    value = raw[key] if required else raw.get(key)
+    if not isinstance(value, str) and (required or value is not None):
         raise TypeError(f"{key!r} must be a string, not {type(value).__name__}")
     return value
 
@@ -350,15 +350,8 @@ class GraphExtractor(Protocol):
     ) -> DepGraph: ...
 
 
-# Extraction rounds before the last hypothesis is returned unvalidated.
+# Extraction rounds before the task is refused.
 MAX_ROUNDS = 3
-
-
-@dataclass
-class ExtractionResult:
-    graph: DepGraph
-    report: GraphReport | None
-    validated: bool
 
 
 def extract_graph(
@@ -366,16 +359,16 @@ def extract_graph(
     extractor: GraphExtractor,
     schema: ApiSchema,
     seed_feedback: tuple[Feedback, ...] = (),
-) -> ExtractionResult:
+) -> DepGraph:
     """Iteratively extract a graph until it validates or rounds run out.
 
     Returns the first hypothesis whose report shows no hallucinated nodes and
-    no invalid edges; otherwise the last hypothesis, flagged unvalidated.
-    Raises ExtractorFailure after two consecutive unparseable responses.
+    no invalid edges. Raises ExtractorFailure after two consecutive
+    unparseable responses, or when no round validated; its message names
+    the last round's feedback.
     """
     feedback: tuple[Feedback, ...] = seed_feedback
     previous: DepGraph | None = None
-    last_report: GraphReport | None = None
     unparseable_streak = 0
     for _ in range(MAX_ROUNDS):
         try:
@@ -384,23 +377,20 @@ def extract_graph(
         except ExtractorOutputError as exc:
             unparseable_streak += 1
             if unparseable_streak >= 2:
-                raise ExtractorFailure(f"extractor output unparseable twice: {exc}") from exc
+                raise ExtractorFailure(f"extractor gave no graph twice in a row: {exc}") from exc
             feedback = (Feedback("", "unparseable", str(exc)),)
             continue
         previous = hypothesis
         try:
             report = validate_graph(hypothesis, schema)
         except GraphInvariantError as exc:
-            last_report = None
             feedback = tuple(Feedback("", "graph_invariant", p) for p in exc.problems)
             continue
-        last_report = report
         if report.ok:
-            return ExtractionResult(hypothesis, report, validated=True)
+            return hypothesis
         feedback = report.feedback
-    if previous is None:
-        raise ExtractorFailure("extractor produced no usable graph")
-    return ExtractionResult(previous, last_report, validated=False)
+    findings = "; ".join(f"{f.code}: {f.message}" for f in feedback)
+    raise ExtractorFailure(f"no graph validated in {MAX_ROUNDS} rounds ({findings})")
 
 
 class GraphMetrics(NamedTuple):

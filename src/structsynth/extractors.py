@@ -13,6 +13,7 @@ import re
 from .depgraph import (
     DepGraph,
     EdgeKind,
+    ExtractorOutputError,
     Feedback,
     GraphEdge,
     GraphNode,
@@ -78,6 +79,7 @@ class PatternTableExtractor:
 
     Deterministic and feedback-blind: the table is already consistent with
     the API it was written for, so refinement feedback is accepted but unused.
+    A prompt no pattern matches raises ExtractorOutputError: no default contract.
     """
 
     def __init__(self, schema: ApiSchema):
@@ -90,7 +92,7 @@ class PatternTableExtractor:
             m = pattern.search(prompt)
             if m:
                 return build(m)
-        return _all_of("Net", "getNets", "getName")
+        raise ExtractorOutputError(f"no pattern matches the prompt {prompt!r}")
 
 
 def _build_set_weight(m: re.Match) -> DepGraph:

@@ -63,17 +63,14 @@ def normalize_statements(candidate: Candidate) -> frozenset[str]:
     if isinstance(script, SyntaxFailure):
         return frozenset(line.strip() for line in candidate.source.splitlines() if line.strip())
     out: set[str] = set()
-
-    def walk(statements: tuple[Stmt, ...]) -> None:
-        for s in statements:
+    blocks: list[tuple[Stmt, ...]] = [script.statements]
+    while blocks:
+        for s in blocks.pop():
             out.add(stmt_header(s))
             if isinstance(s, ForStmt):
-                walk(s.body)
+                blocks.append(s.body)
             elif isinstance(s, IfStmt):
-                walk(s.body)
-                walk(s.orelse)
-
-    walk(script.statements)
+                blocks.extend((s.body, s.orelse))
     return frozenset(out)
 
 
@@ -92,7 +89,10 @@ def compute_trajectory_signals(
     repairs = len(verdicts) - 1
     if repairs == 0:
         return TrajectorySignals(0.0, 0.0)
-    sets = [normalize_statements(c) for c in candidates]
+    # A re-emitted program is the same candidate, so each set is built once.
+    distinct = {c.source: c for c in candidates}
+    normal = {source: normalize_statements(c) for source, c in distinct.items()}
+    sets = [normal[c.source] for c in candidates]
     sims = [jaccard(a, b) for a, b in zip(sets, sets[1:])]
     flat = sum(1 for a, b in zip(verdicts, verdicts[1:]) if b.failure_layer >= a.failure_layer)
     return TrajectorySignals(sum(sims) / len(sims), flat / repairs)

@@ -30,6 +30,17 @@ from structsynth.judges import RuleBasedJudge
 from structsynth.runtime import Session
 
 
+# Prompts no pattern of the extractor matches: each task must be refused.
+OUT_OF_SCOPE_PROMPTS = (
+    "Delete instance u3",
+    "Rename net clk to clock",
+    "Create a net named n9",
+    "Set the weight of instance u1 to 4",
+    "Print the names of all vias",
+    "Mark instance u1 as fixed",
+)
+
+
 def singles_suite() -> list[TaskSpec]:
     return load_suite(fixture_path("suite/singles.json"))
 

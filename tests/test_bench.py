@@ -27,7 +27,7 @@ from structsynth.generators import (
 )
 from structsynth.judges import RuleBasedJudge
 from structsynth.runtime import Session
-from suites import depth_quality, multis_suite, record, singles_suite
+from suites import OUT_OF_SCOPE_PROMPTS, depth_quality, multis_suite, record, singles_suite
 
 
 def perfect_metrics() -> GraphMetrics:
@@ -170,6 +170,22 @@ def test_run_task_generator_collapse_is_error_record(schema, retriever, snapshot
     assert rec.uncertainty == 1.0
     assert rec.filtered
     assert not rec.accepted
+
+
+@pytest.mark.parametrize("prompt", OUT_OF_SCOPE_PROMPTS)
+def test_run_task_refuses_a_prompt_no_pattern_matches(schema, retriever, snapshot, prompt):
+    rec = run_task(
+        TaskSpec("t", prompt, "action"),
+        schema,
+        retriever,
+        PatternTableExtractor(schema),
+        TemplateGenerator(schema),
+        RuleBasedJudge(),
+        lambda: Session(snapshot, schema),
+    )
+    assert "no pattern matches the prompt" in rec.error
+    assert not rec.accepted and rec.filtered
+    assert rec.exec_status is None and rec.tool_calls == 0
 
 
 def test_verifier_quality_counts():

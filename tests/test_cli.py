@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,19 @@ def write(tmp_path, name, text):
     path.write_text(text)
     return str(path)
 
+
+# A program that walks a block's instances as if they were nets.
+_NETS_FROM_INSTS = (
+    "block = design.getBlock()\n"
+    "for net in block.getInsts():\n"
+    "    print(net.getName())\n"
+)
+# A contract that parses but does not validate: Block.getInsts returns Inst, not Net.
+_INVALID_CONTRACT = json.dumps({
+    "nodes": [{"id": "d", "type": "Design"}, {"id": "b", "type": "Block"},
+              {"id": "n", "type": "Net", "label": "show=getName"}],
+    "edges": [{"src": "d", "dst": "b", "via": "getBlock"}, {"src": "b", "dst": "n", "via": "getInsts"}],
+})
 
 # The task graph of a program that takes the design's block.
 BLOCK_GRAPH = {
@@ -73,6 +89,19 @@ def test_verify_with_explicit_graph(tmp_path, capsys):
     assert main(["verify", src, "--graph", gpath]) == 0
 
 
+def test_verify_refuses_a_graph_that_does_not_validate(tmp_path, capsys):
+    src = write(tmp_path, "prog.txt", _NETS_FROM_INSTS)
+    gpath = write(tmp_path, "graph.json", _INVALID_CONTRACT)
+    assert main(["verify", src, "--graph", gpath, "--prompt", "Print the names of all nets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: graph {gpath} does not validate: "
+        "invalid_transition: Block.getInsts returns Inst, not Net; "
+        "unreachable_type: Net is real but no valid acquisition path reaches it\n"
+    )
+
+
 def test_run_prints_program_output(tmp_path, capsys):
     src = write(tmp_path, "prog.txt", CLEAN)
     assert main(["run", src]) == 0
@@ -97,6 +126,22 @@ def test_synth_emits_program(capsys):
     captured = capsys.readouterr()
     assert "net.setWeight(3)" in captured.out
     assert "accepted: True" in captured.err
+
+
+def test_synth_refuses_a_prompt_no_pattern_matches(capsys):
+    assert main(["synth", "--prompt", "Delete instance u3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("synthesis failed: ")
+    assert "no pattern matches the prompt 'Delete instance u3'" in captured.err
+
+
+def test_extract_graph_refuses_a_prompt_no_pattern_matches(capsys):
+    assert main(["extract-graph", "--prompt", "Delete instance u3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("extraction failed: ")
+    assert "no pattern matches the prompt" in captured.err
 
 
 def test_extract_graph_emits_json(capsys):
@@ -183,6 +228,25 @@ def test_unreadable_schema_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
+    graph = write(tmp_path, "g.json", json.dumps(BLOCK_GRAPH))
+    with open(tmp_path / "out", "wb") as raw:
+        pipe = _ClosedPipe(raw)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["score", "--pred", graph, "--truth", graph]) == 1
+        monkeypatch.undo()
+        # stdout now writes to devnull, so the flush at exit cannot raise again.
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main([])
@@ -214,6 +278,10 @@ def _graph_via(via) -> dict:
 
 
 _LIST_VIA = json.dumps(_graph_via(["getBlock"]))
+# Graphs with an `id` or `label` that is not a string.
+_INT_ID = json.dumps({"nodes": [{"id": 5, "type": "Design"}], "edges": []})
+_OBJECT_LABEL = json.dumps({"nodes": [{"id": "d", "type": "Design", "label": {"name": "clk"}}],
+                            "edges": []})
 
 
 def _toy_snapshot_with(design: dict, **document) -> str:
@@ -269,6 +337,12 @@ def _toy_snapshot_with(design: dict, **document) -> str:
         ({"p.txt": CLEAN, "g.json": _LIST_TYPE}, ["verify", "p.txt", "--graph", "g.json"]),
         ({"s.json": json.dumps({"tasks": [{**_SUITE_TASK, "truth_graph": _graph_via({"m": 1})}]})},
          ["bench", "--suite", "s.json", "--no-multis"]),
+        ({"p.json": _INT_ID, "t.json": _GRAPH}, ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.json": _GRAPH, "t.json": _OBJECT_LABEL},
+         ["score", "--pred", "p.json", "--truth", "t.json"]),
+        ({"p.txt": CLEAN, "g.json": _OBJECT_LABEL}, ["verify", "p.txt", "--graph", "g.json"]),
+        ({"p.txt": _NETS_FROM_INSTS, "g.json": _INVALID_CONTRACT},
+         ["verify", "p.txt", "--graph", "g.json", "--prompt", "Print the names of all nets"]),
     ],
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
          "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
@@ -279,7 +353,9 @@ def _toy_snapshot_with(design: dict, **document) -> str:
          "snapshot-child-ids-string", "synth-negative-budget", "run-negative-step-budget",
          "multistep-negative-step-budget", "bench-negative-budget",
          "bench-negative-step-budget", "verify-graph-list-via", "score-pred-list-via",
-         "score-truth-list-type", "verify-graph-list-type", "suite-truth-graph-object-via"],
+         "score-truth-list-type", "verify-graph-list-type", "suite-truth-graph-object-via",
+         "score-pred-int-id", "score-truth-object-label", "verify-graph-object-label",
+         "verify-graph-invalid-contract"],
 )
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, files, argv):
     paths = {name: write(tmp_path, name, text) for name, text in files.items()}

@@ -8,6 +8,7 @@ import pytest
 
 from doubles import ScriptedExtractor, ScriptedGenerator
 from structsynth.controller import ActionKind, SynthesisConfig, synthesize
+from structsynth.depgraph import DepGraph, ExtractorFailure, MAX_ROUNDS
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
     DefectKind,
@@ -21,6 +22,7 @@ from structsynth.retrieval import Retriever
 from structsynth.runtime import min_steps
 from structsynth.uncertainty import THRESHOLD
 from structsynth.verifier import L4_STEP_BOUND
+from suites import OUT_OF_SCOPE_PROMPTS
 
 
 @dataclass
@@ -239,3 +241,37 @@ def test_synthesize_parses_and_types_each_candidate_once(schema, retriever, monk
     assert [v.failure_layer for v in result.trajectory.verdicts] == [1, 2, 0]
     # One parse per candidate, one inference per parseable candidate.
     assert calls == {"parse": 3, "infer_types": 2}
+
+
+@pytest.mark.parametrize("prompt", OUT_OF_SCOPE_PROMPTS)
+def test_a_prompt_no_pattern_matches_is_refused_before_generation(schema, retriever, prompt):
+    gen = ScriptedGenerator(["print(1)\n"])
+    with pytest.raises(ExtractorFailure, match="no pattern matches the prompt"):
+        synthesize(prompt, schema, retriever, PatternTableExtractor(schema), gen, RuleBasedJudge())
+    assert gen.requests == []
+
+
+def _all_nets_graph(net_type: str, via: str) -> DepGraph:
+    """The graph of "Print the names of all nets" with the given net type and net edge."""
+    return DepGraph.from_dict({
+        "nodes": [{"id": "design", "type": "Design"}, {"id": "block", "type": "Block"},
+                  {"id": "net", "type": net_type, "label": "show=getName"}],
+        "edges": [{"src": "design", "dst": "block", "via": "getBlock"},
+                  {"src": "block", "dst": "net", "via": via}],
+    })
+
+
+@pytest.mark.parametrize("graph, code", [
+    (_all_nets_graph("Net", "getInsts"), "invalid_transition: Block.getInsts returns Inst"),
+    (_all_nets_graph("Wire", "getNets"), "hallucinated_type: type 'Wire' is not in the API"),
+], ids=["invalid-transition", "hallucinated-type"])
+def test_a_graph_that_never_validates_is_refused_before_generation(
+    schema, retriever, graph, code
+):
+    extractor = ScriptedExtractor([graph])
+    gen = ScriptedGenerator(["print(1)\n"])
+    with pytest.raises(ExtractorFailure, match=code):
+        synthesize("Print the names of all nets", schema, retriever, extractor, gen,
+                   RuleBasedJudge())
+    assert len(extractor.calls) == MAX_ROUNDS
+    assert gen.requests == []

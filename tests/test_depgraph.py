@@ -138,6 +138,23 @@ def test_from_dict_rejects_a_type_or_via_that_is_not_a_string(key, node, edge):
         DepGraph.from_dict(raw)
 
 
+@pytest.mark.parametrize("key, node, edge", [
+    ("id", {"id": 5}, {}),
+    ("id", {"id": None}, {}),
+    ("label", {"label": {"name": "clk"}}, {}),
+    ("label", {"label": 3}, {}),
+    ("src", {}, {"src": ["d"]}),
+    ("dst", {}, {"dst": 7}),
+])
+def test_from_dict_rejects_an_id_label_src_or_dst_that_is_not_a_string(key, node, edge):
+    raw = {
+        "nodes": [{"id": "d", "type": "Design", **node}, {"id": "b", "type": "Block"}],
+        "edges": [{"src": "d", "dst": "b", "via": "getBlock", **edge}],
+    }
+    with pytest.raises(ExtractorOutputError, match=f"'{key}' must be a string"):
+        DepGraph.from_dict(raw)
+
+
 def test_from_dict_reads_a_null_type_or_via_as_absent():
     raw = {"nodes": [{"id": "d", "type": None}, {"id": "b", "type": "Block"}],
            "edges": [{"src": "d", "dst": "b", "via": None}]}
@@ -241,16 +258,14 @@ def test_validate_reachability_needs_ok_edges(schema):
 
 def test_extract_graph_accepts_first_valid(schema):
     ex = ScriptedExtractor([spine()])
-    result = extract_graph("p", ex, schema)
-    assert result.validated
+    assert extract_graph("p", ex, schema) == spine()
     assert len(ex.calls) == 1
 
 
 def test_extract_graph_feeds_back_and_retries(schema):
     bad = DepGraph(nodes=(obj("d", "Design"), obj("w", "Widget")), edges=(acq("d", "w"),))
     ex = ScriptedExtractor([bad, spine()])
-    result = extract_graph("p", ex, schema)
-    assert result.validated
+    assert extract_graph("p", ex, schema) == spine()
     assert len(ex.calls) == 2
     _, second_feedback = ex.calls[1]
     assert any(f.code == "hallucinated_type" for f in second_feedback)
@@ -259,8 +274,7 @@ def test_extract_graph_feeds_back_and_retries(schema):
 def test_extract_graph_invariant_errors_become_feedback(schema):
     broken = DepGraph((obj("a", "Design"),), (acq("a", "ghost"),))
     ex = ScriptedExtractor([broken, spine()])
-    result = extract_graph("p", ex, schema)
-    assert result.validated
+    assert extract_graph("p", ex, schema) == spine()
     _, second_feedback = ex.calls[1]
     assert any(f.code == "graph_invariant" for f in second_feedback)
 
@@ -273,8 +287,7 @@ def test_extract_graph_two_unparseable_responses_fail(schema):
 
 def test_extract_graph_unparseable_streak_resets(schema):
     ex = ScriptedExtractor(["junk", spine()])
-    result = extract_graph("p", ex, schema)
-    assert result.validated
+    assert extract_graph("p", ex, schema) == spine()
     assert len(ex.calls) == 2
 
 
@@ -282,21 +295,19 @@ def test_extract_graph_counts_a_mistyped_graph_document_as_unparseable(schema):
     mistyped = {"nodes": [{"id": "d", "type": "Design"}, {"id": "b", "type": "Block"}],
                 "edges": [{"src": "d", "dst": "b", "via": ["getBlock"]}]}
     ex = ScriptedExtractor([mistyped, spine()])
-    result = extract_graph("p", ex, schema)
-    assert result.validated and result.graph == spine()
+    assert extract_graph("p", ex, schema) == spine()
     _, second_feedback = ex.calls[1]
     assert [f.code for f in second_feedback] == ["unparseable"]
     with pytest.raises(ExtractorFailure):
         extract_graph("p", ScriptedExtractor([mistyped]), schema)
 
 
-def test_extract_graph_returns_last_when_rounds_exhausted(schema):
+def test_extract_graph_fails_naming_the_last_feedback_when_rounds_run_out(schema):
     bad = DepGraph(nodes=(obj("d", "Design"), obj("w", "Widget")), edges=(acq("d", "w"),))
     ex = ScriptedExtractor([bad])
-    result = extract_graph("p", ex, schema)
-    assert not result.validated
+    with pytest.raises(ExtractorFailure, match="hallucinated_type: type 'Widget' is not in"):
+        extract_graph("p", ex, schema)
     assert len(ex.calls) == MAX_ROUNDS
-    assert result.graph == bad
 
 
 def test_extract_graph_seed_feedback_reaches_first_call(schema):

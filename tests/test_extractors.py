@@ -64,13 +64,6 @@ def test_name_phrasing_is_tolerated(schema):
     assert plain.to_dict() == named.to_dict() == called.to_dict()
 
 
-def test_unmatched_prompt_falls_back_to_listing_nets(schema):
-    g = PatternTableExtractor(schema).extract("Do something inscrutable", None, ())
-    types = {n.type_name for n in g.nodes}
-    assert types == {"Design", "Block", "Net"}
-    assert any(e.via_method == "getNets" for e in g.edges)
-
-
 def test_extractor_ignores_feedback_but_stays_deterministic(schema):
     from structsynth.depgraph import Feedback
 

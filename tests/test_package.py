@@ -47,7 +47,6 @@ with open(sys.argv[1], "w") as out:
 DATACLASSES = {
     "structsynth.controller.SynthesisResult",
     "structsynth.controller.Trajectory",
-    "structsynth.depgraph.ExtractionResult",
     "structsynth.generators.FaultInjectionGenerator",
     "structsynth.generators._RenderCtx",
     "structsynth.orchestrator.EpisodeResult",

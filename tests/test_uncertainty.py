@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,52 @@ def test_jaccard_edge_cases():
 def test_unparseable_statement_set_falls_back_to_lines(schema):
     fp = normalize_statements(analyze("x = = 1\n  y ==\n", schema))
     assert fp == frozenset({"x = = 1", "y =="})
+
+
+NESTED = (
+    "block = design.getBlock()\n"
+    "for inst in block.getInsts():\n"
+    '    if inst.getName() == "u1":\n'
+    "        print(inst.getName())\n"
+    "    else:\n"
+    "        for net in block.getNets():\n"
+    "            print(net.weight)\n"
+)
+
+
+def test_statement_set_holds_every_nested_statement_once(schema):
+    assert normalize_statements(analyze(NESTED, schema)) == frozenset({
+        "block = design.getBlock()",
+        "for inst in block.getInsts():",
+        'if inst.getName() == "u1":',
+        "print(inst.getName())",
+        "for net in block.getNets():",
+        "print(net.weight)",
+    })
+
+
+def test_scoring_a_repaired_trajectory_leaves_no_reference_cycles(schema):
+    first, healed = analyze(NESTED + "ghost()\n", schema), analyze(NESTED, schema)
+    candidates, verdicts = [first, first, healed], [verdict(3), verdict(3), verdict(0)]
+    evidence = evidence_over("Design.getBlock", "Block.getInsts")
+    gc.collect()
+    gc.disable()
+    try:
+        compute_uncertainty(candidates, verdicts, evidence)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_each_distinct_candidate_is_normalized_once(schema, monkeypatch):
+    first, healed = analyze("a = 1\n", schema), analyze("b = 2\n", schema)
+    seen = []
+    original = uncertainty.normalize_statements
+    monkeypatch.setattr(uncertainty, "normalize_statements",
+                        lambda c: seen.append(c) or original(c))
+    ts = compute_trajectory_signals([first, first, healed], [verdict(3), verdict(3), verdict(0)])
+    assert seen == [first, healed]
+    assert ts.stagnation == 0.5
 
 
 def test_combined_weighted_sum(schema):

@@ -140,8 +140,7 @@ def test_loop_carried_acquisition_passes_layer_two(schema, snapshot):
         '        net = blk.findNet("clk")\n'
         "    blk = design.getBlock()\n"
     )
-    graph = extract_graph("Print the weight of net clk", PatternTableExtractor(schema),
-                          schema).graph
+    graph = extract_graph("Print the weight of net clk", PatternTableExtractor(schema), schema)
     verdict = verify_all(analyze(src, schema), graph, schema, max_layer=3)
     assert verdict.passed and verdict.layers_run == (1, 2, 3)
     assert Session(snapshot, schema).execute(src).status is ExecStatus.OK
