@@ -70,6 +70,8 @@ def load_multi_suite(path: str | Path) -> list[MultiTaskSpec]:
     for i, item in enumerate(_read_tasks(path, "steps")):
         if not _strings(item["steps"]):
             raise ParseError(f"suite {path}: task {i} needs 'steps' as a list of strings")
+        if not item["steps"]:
+            raise ParseError(f"suite {path}: task {i} has no steps")
         tasks.append(MultiTaskSpec(task_id=str(item["id"]), steps=tuple(item["steps"])))
     return tasks
 

@@ -176,7 +176,7 @@ def _cmd_multistep(args: argparse.Namespace) -> int:
         if step.detail:
             print(f"  {step.detail}")
     if outcome.second is not None:
-        print(f"reflected with {len(outcome.hints)} hint(s)")
+        print(f"reflected on step(s) {', '.join(str(i + 1) for i in sorted(outcome.hints))}")
     print(f"passed: {outcome.passed} (tool calls: {outcome.total_tool_calls})")
     return 0 if outcome.passed else 1
 
@@ -204,11 +204,14 @@ def _sweep(text: str) -> list[float]:
 
 
 def _layer_list(text: str) -> list[int]:
-    """``--layers``: a comma list of verifier depths, each from 1 to 4."""
+    """``--layers``: a comma list of distinct verifier depths, each from 1 to 4."""
     parts = text.split(",")
     if not all(p.strip() in ("1", "2", "3", "4") for p in parts):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of layers 1 to 4")
-    return [int(p) for p in parts]
+    layers = [int(p) for p in parts]
+    if len(set(layers)) != len(layers):
+        raise argparse.ArgumentTypeError(f"{text!r} names a layer more than once")
+    return layers
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -46,11 +46,6 @@ class EpisodeResult:
         return None
 
 
-class StepHint(NamedTuple):
-    step_index: int
-    hint: str
-
-
 def run_episode(
     task_id: str,
     prompts: Sequence[str],
@@ -113,26 +108,22 @@ class RuleBasedReflector:
     The earliest failing step is the root. Its verifier errors become hints
     for that step; unrealized acquisition edges additionally produce hints
     naming the source type, aimed at any earlier step whose graph already
-    produced objects of that type.
+    produced objects of that type. A root that errored (extraction refused,
+    or the generator collapsed) has no verdict and no execution to diagnose,
+    so it gets no hints and the episode is not retried.
     """
 
-    def reflect(self, episode: EpisodeResult) -> tuple[StepHint, ...]:
+    def reflect(self, episode: EpisodeResult) -> dict[int, str]:
+        """Each step's hints, joined by ``"; "`` in the order they are found."""
         root = episode.first_failure()
-        if root is None:
-            return ()
-        hints: list[StepHint] = []
+        if root is None or episode.steps[root].synthesis is None:
+            return {}
         outcome = episode.steps[root]
-        if outcome.synthesis is None:
-            hints.append(StepHint(root, outcome.detail or "step errored; simplify"))
-            return tuple(hints)
         verdict = outcome.synthesis.verdict
-        for issue in verdict.errors():
-            hints.append(StepHint(root, f"{issue.code}: {issue.message}"))
+        found = {root: [f"{issue.code}: {issue.message}" for issue in verdict.errors()]}
         if outcome.status == "exec_failed" and outcome.execution is not None:
-            hints.append(
-                StepHint(root, f"runtime failure {outcome.execution.error_kind}: "
+            found[root].append(f"runtime failure {outcome.execution.error_kind}: "
                                f"{outcome.execution.error_message}")
-            )
         g = outcome.synthesis.graph
         nmap = g.node_map()
         unrealized_srcs = set()
@@ -147,22 +138,17 @@ class RuleBasedReflector:
                 continue
             for n in prior.graph.nodes:
                 if n.kind is NodeKind.OBJECT and n.type_name in unrealized_srcs:
-                    hints.append(
-                        StepHint(
-                            i,
-                            f"step {root + 1} needs a {n.type_name}; keep its "
-                            "acquisition explicit",
-                        )
+                    found.setdefault(i, []).append(
+                        f"step {root + 1} needs a {n.type_name}; keep its acquisition explicit"
                     )
-        return tuple(hints)
+        return {i: "; ".join(hints) for i, hints in found.items() if hints}
 
 
 @dataclass
 class ReflectionOutcome:
     first: EpisodeResult
     second: EpisodeResult | None
-    hints: tuple[StepHint, ...]
-    total_tool_calls: int
+    hints: dict[int, str]
 
     @property
     def final(self) -> EpisodeResult:
@@ -171,6 +157,10 @@ class ReflectionOutcome:
     @property
     def passed(self) -> bool:
         return self.final.passed
+
+    @property
+    def total_tool_calls(self) -> int:
+        return self.first.tool_calls + (self.second.tool_calls if self.second is not None else 0)
 
 
 def run_with_reflection(
@@ -190,18 +180,11 @@ def run_with_reflection(
         task_id, prompts, schema, retriever, extractor, generator, judge,
         session_factory(), config,
     )
-    if first.passed or reflector is None:
-        return ReflectionOutcome(first, None, (), first.tool_calls)
-    hints = reflector.reflect(first)
+    hints = {} if first.passed or reflector is None else reflector.reflect(first)
     if not hints:
-        return ReflectionOutcome(first, None, (), first.tool_calls)
-    merged: dict[int, str] = {}
-    for h in hints:
-        merged[h.step_index] = (
-            f"{merged[h.step_index]}; {h.hint}" if h.step_index in merged else h.hint
-        )
+        return ReflectionOutcome(first, None, {})
     second = run_episode(
         task_id, prompts, schema, retriever, extractor, generator, judge,
-        session_factory(), config, hints=merged,
+        session_factory(), config, hints=hints,
     )
-    return ReflectionOutcome(first, second, hints, first.tool_calls + second.tool_calls)
+    return ReflectionOutcome(first, second, hints)

@@ -1,8 +1,9 @@
 """Closed-form uncertainty scoring over a finished synthesis attempt.
 
-Two risk axes: trajectory-level signals from how the repair loop behaved,
-in [0, 0.6], and evidence coverage of the calls the program makes, in
-[0, 1]. A weighted sum gives the combined uncertainty, in [0, 0.48];
+Three signals, each in [0, 1]: stagnation and ineffectiveness read off how
+the repair loop behaved, and coverage, the share of the program's calls
+that retrieved evidence backs. A weighted sum of the two trajectory signals
+and the uncovered share gives the combined uncertainty, in [0, 0.48];
 anything above the threshold should be filtered rather than delivered.
 Stagnation compares the statement sets of consecutive candidates, so those
 sets are built only for a trajectory that had a repair.
@@ -31,22 +32,10 @@ STAGNATION_WEIGHT, INEFFECTIVENESS_WEIGHT = 0.3, 0.3
 THRESHOLD = 0.35
 
 
-class TrajectorySignals(NamedTuple):
+class UncertaintyReport(NamedTuple):
     stagnation: float
     ineffectiveness: float
-
-
-class CoverageSignals(NamedTuple):
-    covered_calls: int
-    total_calls: int
-    coverage_confidence: float
-
-
-class UncertaintyReport(NamedTuple):
-    trajectory: TrajectorySignals
-    coverage: CoverageSignals
-    trajectory_risk: float
-    coverage_risk: float
+    coverage: float
     combined: float
     filtered: bool
 
@@ -82,36 +71,36 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 def compute_trajectory_signals(
     candidates: Sequence[Candidate], verdicts: Sequence[VerdictReport]
-) -> TrajectorySignals:
-    """Risk read off the repair loop: stagnation and ineffectiveness."""
+) -> tuple[float, float]:
+    """Risk read off the repair loop: (stagnation, ineffectiveness)."""
     if len(candidates) != len(verdicts) or not verdicts:
         raise ValueError("need one verdict per candidate")
     repairs = len(verdicts) - 1
     if repairs == 0:
-        return TrajectorySignals(0.0, 0.0)
+        return 0.0, 0.0
     # A re-emitted program is the same candidate, so each set is built once.
     distinct = {c.source: c for c in candidates}
     normal = {source: normalize_statements(c) for source, c in distinct.items()}
     sets = [normal[c.source] for c in candidates]
     sims = [jaccard(a, b) for a, b in zip(sets, sets[1:])]
     flat = sum(1 for a, b in zip(verdicts, verdicts[1:]) if b.failure_layer >= a.failure_layer)
-    return TrajectorySignals(sum(sims) / len(sims), flat / repairs)
+    return sum(sims) / len(sims), flat / repairs
 
 
-def compute_coverage(candidate: Candidate, evidence: EvidenceSet) -> CoverageSignals:
+def compute_coverage(candidate: Candidate, evidence: EvidenceSet) -> float:
     """Fraction of the calls type inference resolved to a schema method that
     retrieved documentation backs. This is the one place the package judges
     evidence coverage."""
     ts = candidate.typed
     if ts is None:
-        return CoverageSignals(0, 0, 0.0)
+        return 0.0
     eligible = [cs for cs in ts.call_sites if cs.returns is not None]
     if not eligible:
-        return CoverageSignals(0, 0, 1.0)
+        return 1.0
     covered = sum(
         1 for cs in eligible if evidence.covers(cs.receiver_type.base, cs.method)
     )
-    return CoverageSignals(covered, len(eligible), covered / len(eligible))
+    return covered / len(eligible)
 
 
 def compute_uncertainty(
@@ -120,20 +109,8 @@ def compute_uncertainty(
     evidence: EvidenceSet,
 ) -> UncertaintyReport:
     """Score a finished attempt; the final candidate is the delivered program."""
-    final = candidates[-1]
-    trajectory = compute_trajectory_signals(candidates, verdicts)
-    coverage = compute_coverage(final, evidence)
-    trajectory_risk = (
-        STAGNATION_WEIGHT * trajectory.stagnation
-        + INEFFECTIVENESS_WEIGHT * trajectory.ineffectiveness
-    )
-    coverage_risk = 1.0 - coverage.coverage_confidence
-    combined = TRAJECTORY_WEIGHT * trajectory_risk + COVERAGE_WEIGHT * coverage_risk
-    return UncertaintyReport(
-        trajectory=trajectory,
-        coverage=coverage,
-        trajectory_risk=trajectory_risk,
-        coverage_risk=coverage_risk,
-        combined=combined,
-        filtered=combined > THRESHOLD,
-    )
+    stagnation, ineffectiveness = compute_trajectory_signals(candidates, verdicts)
+    coverage = compute_coverage(candidates[-1], evidence)
+    trajectory = STAGNATION_WEIGHT * stagnation + INEFFECTIVENESS_WEIGHT * ineffectiveness
+    combined = TRAJECTORY_WEIGHT * trajectory + COVERAGE_WEIGHT * (1.0 - coverage)
+    return UncertaintyReport(stagnation, ineffectiveness, coverage, combined, combined > THRESHOLD)

@@ -14,7 +14,7 @@ from structsynth.generators import (
     apply_defect,
 )
 from structsynth.judges import JudgeContext, JudgeFailure, JudgeVerdict
-from structsynth.orchestrator import EpisodeResult, StepHint
+from structsynth.orchestrator import EpisodeResult
 from structsynth.runtime import ExecStatus, ExecutionResult, Session
 from structsynth.schema import ApiSchema
 
@@ -97,11 +97,11 @@ class ScriptedGenerator:
 
 @dataclass
 class ScriptedReflector:
-    """Replays a fixed hint set regardless of what failed."""
+    """Replays a fixed hint map regardless of what failed."""
 
-    hints: tuple[StepHint, ...]
+    hints: dict[int, str]
 
-    def reflect(self, episode: EpisodeResult) -> tuple[StepHint, ...]:
+    def reflect(self, episode: EpisodeResult) -> dict[int, str]:
         return self.hints
 
 

@@ -190,6 +190,34 @@ def test_multistep_carries_state(capsys):
     assert "passed: True" in out
 
 
+def test_multistep_no_reflection_skips_the_retry(capsys):
+    # with no steps to spend, "List all nets" fails L4 on every pass
+    argv = ["multistep", "--prompt", "List all nets", "--step-budget", "0"]
+    for extra, reflected in (([], True), (["--no-reflection"], False)):
+        assert main(argv + extra) == 1
+        out = capsys.readouterr().out
+        assert "failed at layer 4" in out
+        lines = [line for line in out.splitlines() if "reflected" in line]
+        assert lines == (["reflected on step(s) 1"] if reflected else [])
+        assert "passed: False (tool calls: 0)" in out
+
+
+def test_bench_force_exec_runs_a_rejected_program(tmp_path, capsys):
+    suite = {"tasks": [{"id": "s1", "prompt": "List all nets", "kind": "query"}]}
+    path = write(tmp_path, "suite.json", json.dumps(suite))
+    argv = ["bench", "--suite", path, "--no-multis", "--json", "--step-budget", "0"]
+    assert main(argv + ["--force-exec"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    record = doc["records"][0]
+    assert (record["accepted"], record["exec_forced"]) == (False, True)
+    assert (record["exec_status"], record["tool_calls"]) == ("timeout", 1)
+    assert doc["pass_rate"] == 0.0
+    # without the flag the rejected program never runs
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert (record["exec_status"], record["exec_forced"], record["tool_calls"]) == (None, False, 0)
+
+
 def test_bench_json_on_custom_suite(tmp_path, capsys):
     suite = {
         "tasks": [
@@ -305,6 +333,10 @@ def _toy_snapshot_with(design: dict, **document) -> str:
         ({"s.json": json.dumps({"tasks": [_SUITE_TASK]}),
           "m.json": json.dumps({"tasks": [{"id": "m1"}]})},
          ["bench", "--suite", "s.json", "--multis", "m.json"]),
+        ({"s.json": json.dumps({"tasks": [_SUITE_TASK]}),
+          "m.json": json.dumps({"tasks": [{"id": "m1", "steps": ["List all nets"]},
+                                          {"id": "e", "steps": []}]})},
+         ["bench", "--suite", "s.json", "--multis", "m.json"]),
         ({"p.txt": CLEAN, "g.json": "{not json"}, ["verify", "p.txt", "--graph", "g.json"]),
         ({"p.txt": CLEAN, "g.json": json.dumps({"nodes": []})},
          ["verify", "p.txt", "--graph", "g.json"]),
@@ -345,7 +377,7 @@ def _toy_snapshot_with(design: dict, **document) -> str:
          ["verify", "p.txt", "--graph", "g.json", "--prompt", "Print the names of all nets"]),
     ],
     ids=["suite-task-without-id", "suite-task-without-prompt", "suite-task-not-an-object",
-         "bad-truth-graph", "multi-without-steps", "verify-graph-not-json",
+         "bad-truth-graph", "multi-without-steps", "multi-empty-steps", "verify-graph-not-json",
          "verify-graph-without-edges", "score-not-json", "score-graph-without-edges",
          "verify-graph-dangling-edge", "verify-graph-untyped-object", "score-pred-dangling-edge",
          "score-truth-dangling-edge", "suite-truth-graph-dangling-edge",
@@ -467,7 +499,14 @@ def test_wrongly_shaped_member_is_reported_not_raised(tmp_path, capsys, name, te
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("layers", ["abc", "0", "5", "1,,3", "", "-1", "3.0"])
+def test_multi_suite_task_without_steps_names_its_index(tmp_path):
+    tasks = [{"id": "m1", "steps": ["List all nets"]}, {"id": "e", "steps": []}]
+    path = write(tmp_path, "m.json", json.dumps({"tasks": tasks}))
+    with pytest.raises(ParseError, match="task 1 has no steps"):
+        load_multi_suite(path)
+
+
+@pytest.mark.parametrize("layers", ["abc", "0", "5", "1,,3", "", "-1", "3.0", "4,4", "1,3,1"])
 def test_bench_layers_must_be_a_comma_list_of_layers(capsys, layers):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--layers", layers])

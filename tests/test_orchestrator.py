@@ -18,7 +18,6 @@ from structsynth.generators import (
 from structsynth.judges import RuleBasedJudge
 from structsynth.orchestrator import (
     RuleBasedReflector,
-    StepHint,
     run_episode,
     run_with_reflection,
 )
@@ -159,7 +158,7 @@ def test_scripted_reflection_retries_once(schema, retriever, snapshot):
         generator,
         RuleBasedJudge(),
         lambda: Session(snapshot, schema),
-        reflector=ScriptedReflector(hints=(StepHint(0, "decompose the task"),)),
+        reflector=ScriptedReflector(hints={0: "decompose the task"}),
     )
     assert not outcome.first.passed
     assert outcome.second is not None
@@ -179,11 +178,12 @@ def test_no_reflection_when_first_pass_succeeds(schema, retriever, snapshot):
         TemplateGenerator(schema),
         RuleBasedJudge(),
         lambda: Session(snapshot, schema),
-        reflector=ScriptedReflector(hints=(StepHint(0, "never used"),)),
+        reflector=ScriptedReflector(hints={0: "never used"}),
     )
     assert outcome.first.passed
     assert outcome.second is None
-    assert outcome.hints == ()
+    assert outcome.hints == {}
+    assert outcome.total_tool_calls == outcome.first.tool_calls
 
 
 def test_no_retry_without_hints(schema, retriever, snapshot):
@@ -199,7 +199,7 @@ def test_no_retry_without_hints(schema, retriever, snapshot):
         generator,
         RuleBasedJudge(),
         lambda: Session(snapshot, schema),
-        reflector=ScriptedReflector(hints=()),
+        reflector=ScriptedReflector(hints={}),
         config=SynthesisConfig(budget=1),
     )
     assert not outcome.passed
@@ -207,25 +207,20 @@ def test_no_retry_without_hints(schema, retriever, snapshot):
 
 
 def test_hints_for_same_step_merge(schema, retriever, snapshot):
-    generator = HintSensitiveGenerator(
-        TemplateGenerator(schema), "beta", DefectKind.USE_BEFORE_DEF, schema
-    )
-    outcome = run_with_reflection(
-        "m4",
-        ["Set the weight of net clk to 3"],
+    failed = episode(
+        ["Print the weight of net clk"],
         schema,
         retriever,
-        PatternTableExtractor(schema),
-        generator,
-        RuleBasedJudge(),
-        lambda: Session(snapshot, schema),
-        reflector=ScriptedReflector(
-            hints=(StepHint(0, "alpha"), StepHint(0, "beta"))
-        ),
-        config=SynthesisConfig(budget=1),
+        Session(snapshot, schema),
+        generator=ScriptedGenerator(sources=["print(ghost)\nprint(phantom)\n"]),
+        config=SynthesisConfig(budget=0),
     )
-    assert outcome.second is not None
-    assert outcome.second.passed
+    errors = failed.steps[0].synthesis.verdict.errors()
+    assert [e.code for e in errors] == ["L2_USE_BEFORE_DEF"] * 2 + ["L2_EDGE_UNREALIZED"] * 2
+    # one entry for the step: its hints joined in the order the verdict lists them
+    assert RuleBasedReflector().reflect(failed) == {
+        0: "; ".join(f"{e.code}: {e.message}" for e in errors)
+    }
 
 
 def test_rule_based_reflector_surfaces_verifier_errors(schema, retriever, snapshot):
@@ -241,9 +236,8 @@ def test_rule_based_reflector_surfaces_verifier_errors(schema, retriever, snapsh
         config=SynthesisConfig(budget=1),
     )
     hints = RuleBasedReflector().reflect(failed)
-    assert hints
-    assert all(h.step_index == 0 for h in hints)
-    assert any(h.hint.startswith("L2_USE_BEFORE_DEF") for h in hints)
+    assert list(hints) == [0]
+    assert hints[0].startswith("L2_USE_BEFORE_DEF")
 
 
 def test_rule_based_reflector_reports_runtime_failure(schema, retriever, snapshot):
@@ -251,8 +245,7 @@ def test_rule_based_reflector_reports_runtime_failure(schema, retriever, snapsho
     failed = episode(
         ["Set the weight of net clk to 3"], schema, retriever, session
     )
-    hints = RuleBasedReflector().reflect(failed)
-    assert any(h.hint.startswith("runtime failure Crash") for h in hints)
+    assert RuleBasedReflector().reflect(failed) == {0: "runtime failure Crash: injected crash"}
 
 
 def test_rule_based_reflector_blames_earlier_step(schema, retriever, snapshot):
@@ -269,8 +262,8 @@ def test_rule_based_reflector_blames_earlier_step(schema, retriever, snapshot):
     )
     assert failed.first_failure() == 1
     hints = RuleBasedReflector().reflect(failed)
-    assert any(h.step_index == 1 and "L2_EDGE_UNREALIZED" in h.hint for h in hints)
-    assert any(h.step_index == 0 and "needs a Block" in h.hint for h in hints)
+    assert "L2_EDGE_UNREALIZED" in hints[1]
+    assert hints[0] == "step 2 needs a Block; keep its acquisition explicit"
 
 
 def test_rule_based_reflector_quiet_on_success(schema, retriever, snapshot):
@@ -280,7 +273,7 @@ def test_rule_based_reflector_quiet_on_success(schema, retriever, snapshot):
         retriever,
         Session(snapshot, schema),
     )
-    assert RuleBasedReflector().reflect(passed) == ()
+    assert RuleBasedReflector().reflect(passed) == {}
 
 
 def test_rule_based_reflector_handles_error_steps(schema, retriever, snapshot):
@@ -291,6 +284,31 @@ def test_rule_based_reflector_handles_error_steps(schema, retriever, snapshot):
         Session(snapshot, schema),
         generator=ScriptedGenerator(sources=[""]),
     )
-    hints = RuleBasedReflector().reflect(failed)
-    assert len(hints) == 1
-    assert hints[0].step_index == 0
+    # an errored step has no verdict and no execution to reflect on
+    assert failed.steps[0].status == "error"
+    assert RuleBasedReflector().reflect(failed) == {}
+
+
+def test_no_retry_after_a_refused_first_step(schema, retriever, snapshot):
+    class CountingExtractor(PatternTableExtractor):
+        calls = 0
+
+        def extract(self, prompt, previous, feedback):
+            CountingExtractor.calls += 1
+            return super().extract(prompt, previous, feedback)
+
+    outcome = run_with_reflection(
+        "m5",
+        ["Delete instance u3", "Print the weight of net clk"],
+        schema,
+        retriever,
+        CountingExtractor(schema),
+        TemplateGenerator(schema),
+        RuleBasedJudge(),
+        lambda: Session(snapshot, schema),
+        reflector=RuleBasedReflector(),
+    )
+    assert [s.status for s in outcome.first.steps] == ["error", "skipped"]
+    assert outcome.second is None
+    assert outcome.hints == {}
+    assert CountingExtractor.calls == 2  # two rounds with no graph refuse the step; no rerun

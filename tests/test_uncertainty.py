@@ -12,7 +12,6 @@ from structsynth import uncertainty
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.uncertainty import (
-    CoverageSignals,
     compute_coverage,
     compute_trajectory_signals,
     compute_uncertainty,
@@ -51,24 +50,21 @@ def test_clean_single_candidate_scores_zero(schema):
     source = "block = design.getBlock()\n"
     candidates = [analyze(source, schema)]
     report = compute_uncertainty(candidates, [verdict(0)], evidence_over("Design.getBlock"))
-    assert report.combined == 0.0
-    assert report.trajectory_risk == 0.0
-    assert report.coverage_risk == 0.0
-    assert not report.filtered
+    assert report == (0.0, 0.0, 1.0, 0.0, False)
 
 
 def test_three_step_descent(schema):
     sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(3), verdict(0)]
-    ts = compute_trajectory_signals(sources, verdicts)
-    assert abs(ts.ineffectiveness - 0.0) < TOL
+    _, ineffectiveness = compute_trajectory_signals(sources, verdicts)
+    assert abs(ineffectiveness - 0.0) < TOL
 
 
 def test_partial_descent_and_flat_step(schema):
     sources = [analyze(s, schema) for s in ("a = 1\n", "b = 2\n", "c = 3\n")]
     verdicts = [verdict(4), verdict(4), verdict(2)]
-    ts = compute_trajectory_signals(sources, verdicts)
-    assert abs(ts.ineffectiveness - 0.5) < TOL
+    _, ineffectiveness = compute_trajectory_signals(sources, verdicts)
+    assert abs(ineffectiveness - 0.5) < TOL
 
 
 def test_stagnation_is_mean_consecutive_jaccard(schema):
@@ -76,9 +72,9 @@ def test_stagnation_is_mean_consecutive_jaccard(schema):
         analyze(s, schema) for s in ("a = 1\nb = 2\n", "a = 1\nb = 2\n", "a = 1\nc = 3\n")
     ]
     verdicts = [verdict(2), verdict(2), verdict(2)]
-    ts = compute_trajectory_signals(sources, verdicts)
-    assert abs(ts.stagnation - (1.0 + 1.0 / 3.0) / 2.0) < TOL
-    assert ts.ineffectiveness == 1.0
+    stagnation, ineffectiveness = compute_trajectory_signals(sources, verdicts)
+    assert abs(stagnation - (1.0 + 1.0 / 3.0) / 2.0) < TOL
+    assert ineffectiveness == 1.0
 
 
 def test_trajectory_requires_one_verdict_per_candidate(schema):
@@ -91,25 +87,22 @@ def test_trajectory_requires_one_verdict_per_candidate(schema):
 
 def test_unparseable_source_scores_worst(schema):
     broken = analyze("x = = 1\n", schema)
-    cov = compute_coverage(broken, evidence_over("Design.getBlock"))
-    assert cov == CoverageSignals(0, 0, 0.0)
+    assert compute_coverage(broken, evidence_over("Design.getBlock")) == 0.0
 
 
 def test_coverage_fraction(schema):
     ev = evidence_over("Design.getBlock", "Block.getNets")
-    cov = compute_coverage(analyze(FOUR_CALLS, schema), ev)
-    assert cov == CoverageSignals(2, 4, 0.5)
+    assert compute_coverage(analyze(FOUR_CALLS, schema), ev) == 0.5
 
 
 def test_coverage_without_eligible_calls_is_confident(schema):
-    cov = compute_coverage(analyze("x = 1\n", schema), evidence_over())
-    assert cov == CoverageSignals(0, 0, 1.0)
+    assert compute_coverage(analyze("x = 1\n", schema), evidence_over()) == 1.0
 
 
 def test_coverage_ignores_unknown_methods(schema):
     src = "block = design.getBlock()\nblock.getBogus()\n"
     ev = evidence_over("Design.getBlock")
-    assert compute_coverage(analyze(src, schema), ev) == CoverageSignals(1, 1, 1.0)
+    assert compute_coverage(analyze(src, schema), ev) == 1.0
 
 
 def test_jaccard_edge_cases():
@@ -164,9 +157,11 @@ def test_each_distinct_candidate_is_normalized_once(schema, monkeypatch):
     original = uncertainty.normalize_statements
     monkeypatch.setattr(uncertainty, "normalize_statements",
                         lambda c: seen.append(c) or original(c))
-    ts = compute_trajectory_signals([first, first, healed], [verdict(3), verdict(3), verdict(0)])
+    stagnation, _ = compute_trajectory_signals(
+        [first, first, healed], [verdict(3), verdict(3), verdict(0)]
+    )
     assert seen == [first, healed]
-    assert ts.stagnation == 0.5
+    assert stagnation == 0.5
 
 
 def test_combined_weighted_sum(schema):
@@ -174,8 +169,9 @@ def test_combined_weighted_sum(schema):
     ev = evidence_over("Design.getBlock", "Block.getNets")
     report = compute_uncertainty(sources, [verdict(3), verdict(2), verdict(0)], ev)
     # stagnation (1/2 + 0) / 2, ineffectiveness 0 of 2 repairs; 2 of 4 calls covered
-    assert abs(report.trajectory_risk - 0.3 * 0.25) < TOL
-    assert abs(report.coverage_risk - 0.5) < TOL
+    assert abs(report.stagnation - 0.25) < TOL
+    assert report.ineffectiveness == 0.0
+    assert report.coverage == 0.5
     assert abs(report.combined - (0.3 * 0.075 + 0.3 * 0.5)) < TOL
     assert not report.filtered
 
@@ -185,7 +181,7 @@ def test_combined_crosses_threshold_when_uncovered(schema):
     candidates = [analyze(FOUR_CALLS, schema)] * 3
     report = compute_uncertainty(candidates, [verdict(3), verdict(3), verdict(0)],
                                  evidence_over())
-    assert report.trajectory == (1.0, 0.5)
+    assert report[:3] == (1.0, 0.5, 0.0)
     # 0.3 * (0.3 * 1.0 + 0.3 * 0.5) + 0.3 * (1 - 0)
     assert abs(report.combined - 0.435) < TOL
     assert report.filtered
@@ -214,13 +210,6 @@ def test_signals_stay_in_unit_interval(schema, layers, seeds):
     sources = [analyze(f"x{s} = {s}\n", schema) for s in seeds]
     verdicts = [verdict(layer) for layer in layers]
     report = compute_uncertainty(sources, verdicts, evidence_over())
-    assert report.trajectory_risk <= 0.6 + TOL
     assert report.combined <= 0.48 + TOL
-    for value in (
-        report.trajectory_risk,
-        report.coverage_risk,
-        report.combined,
-        report.trajectory.stagnation,
-        report.trajectory.ineffectiveness,
-    ):
+    for value in (report.stagnation, report.ineffectiveness, report.coverage, report.combined):
         assert 0.0 <= value <= 1.0
