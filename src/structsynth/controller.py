@@ -115,8 +115,7 @@ def synthesize(
 
     attempt(base_hints)
     while not trajectory.verdicts[-1].passed and len(trajectory.actions) < config.budget:
-        errors = tuple(f"{i.code}: {i.message}" for i in trajectory.verdicts[-1].errors())
-        action = Action(ActionKind.REGENERATE, base_hints + errors)
+        action = Action(ActionKind.REGENERATE, base_hints + trajectory.verdicts[-1].diagnosis())
         trajectory.actions.append(action)
         attempt(action.hints)
 

@@ -69,12 +69,6 @@ class DepGraph(NamedTuple):
         base = f"{edge.src}->{edge.dst}"
         return f"{base}#{edge.via_method}" if edge.via_method else base
 
-    def find_edge(self, edge_id: str) -> GraphEdge | None:
-        for e in self.edges:
-            if DepGraph.edge_id(e) == edge_id:
-                return e
-        return None
-
     def check_invariants(self) -> None:
         """Raise GraphInvariantError listing every structural problem found."""
         problems: list[str] = []

@@ -245,18 +245,18 @@ class DefectKind(Enum):
     TIMEOUT_LOOP = "timeout_loop"
 
 
-# Verification layer each defect class is expected to surface at.
-DEFECT_LAYER: dict[DefectKind, int] = {
-    DefectKind.SYNTAX: 1,
-    DefectKind.USE_BEFORE_DEF: 2,
-    DefectKind.MISSING_ACQUISITION: 2,
-    DefectKind.NULL_UNGUARDED: 2,
-    DefectKind.UNKNOWN_METHOD: 3,
-    DefectKind.BAD_ENUM: 3,
-    DefectKind.ARITY: 3,
-    DefectKind.MISSING_OUTPUT: 4,
-    DefectKind.MISSING_ACTION: 4,
-    DefectKind.TIMEOUT_LOOP: 4,
+# The verifier code each defect class is planted to raise: its home code.
+DEFECT_CODE: dict[DefectKind, str] = {
+    DefectKind.SYNTAX: "L1_SYNTAX",
+    DefectKind.USE_BEFORE_DEF: "L2_USE_BEFORE_DEF",
+    DefectKind.MISSING_ACQUISITION: "L2_EDGE_UNREALIZED",
+    DefectKind.NULL_UNGUARDED: "L2_NULL_UNGUARDED",
+    DefectKind.UNKNOWN_METHOD: "L3_UNKNOWN_METHOD",
+    DefectKind.BAD_ENUM: "L3_UNKNOWN_ENUM",
+    DefectKind.ARITY: "L3_BAD_ARITY",
+    DefectKind.MISSING_OUTPUT: "L4_NO_OUTPUT",
+    DefectKind.MISSING_ACTION: "L4_INCOMPLETE",
+    DefectKind.TIMEOUT_LOOP: "L4_STEP_BOUND",
 }
 
 
@@ -369,10 +369,12 @@ def apply_defect(source: str, kind: DefectKind, schema: ApiSchema) -> str:
 
 @dataclass
 class FaultInjectionGenerator:
-    """Wraps a generator, injecting one defect until enough repairs happened.
+    """Wraps a generator, injecting one defect until its diagnosis has come often enough.
 
-    The defect persists for heal_after repair rounds: identical defective
-    output each time, so a repair loop's rounds and verdicts are fully
+    A stand-in rule for a model that repairs from feedback: the defect heals
+    after heal_after requests whose hints carry its home code, and a bare
+    retry changes nothing. Until then the output is the same defective
+    program each time, so a repair loop's rounds and verdicts are fully
     deterministic.
     """
 
@@ -383,7 +385,8 @@ class FaultInjectionGenerator:
     repairs_seen: int = 0
 
     def generate(self, request: GenerationRequest) -> str:
-        if request.previous is not None:
+        code = DEFECT_CODE[self.defect]
+        if any(code in hint for hint in request.hints):
             self.repairs_seen += 1
         clean = self.base.generate(request)
         if self.repairs_seen >= self.heal_after:

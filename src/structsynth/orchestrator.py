@@ -3,8 +3,8 @@
 Steps run in order against a single live session, so earlier mutations are
 visible to later steps. The first failing step terminates the episode; the
 remaining steps are skipped outright. A failed episode may be retried once:
-a reflector turns the failure into per-step hints and the whole episode
-reruns from scratch on a fresh session.
+a reflector turns the first failure's diagnosis into hints and the whole
+episode reruns from scratch on a fresh session.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .controller import SynthesisConfig, SynthesisResult, synthesize
-from .depgraph import ExtractorFailure, GraphExtractor, NodeKind
+from .depgraph import ExtractorFailure, GraphExtractor
 from .generators import GeneratorFailure
 from .retrieval import Retriever
 from .runtime import ExecStatus, ExecutionResult, Session
 from .schema import ApiSchema
-from .verifier import L2_EDGE_UNREALIZED
 
 
 class StepOutcome(NamedTuple):
@@ -103,45 +102,26 @@ def run_episode(
 
 
 class RuleBasedReflector:
-    """Turns a failed episode into per-step hints for the retry pass.
+    """Turns a failed episode into hints for its first failing step's retry.
 
-    The earliest failing step is the root. Its verifier errors become hints
-    for that step; unrealized acquisition edges additionally produce hints
-    naming the source type, aimed at any earlier step whose graph already
-    produced objects of that type. A root that errored (extraction refused,
-    or the generator collapsed) has no verdict and no execution to diagnose,
-    so it gets no hints and the episode is not retried.
+    The hints are that step's diagnosis: its verdict's error lines, then its
+    runtime failure. Each step is verified on its own, so a hint to any other
+    step could not change the root's verdict. A root that errored (extraction
+    refused, or the generator collapsed) has no verdict and no execution to
+    diagnose, so it gets no hints and the episode is not retried.
     """
 
     def reflect(self, episode: EpisodeResult) -> dict[int, str]:
-        """Each step's hints, joined by ``"; "`` in the order they are found."""
+        """``{root: its hints joined by "; "}``, or ``{}`` with nothing to diagnose."""
         root = episode.first_failure()
         if root is None or episode.steps[root].synthesis is None:
             return {}
         outcome = episode.steps[root]
-        verdict = outcome.synthesis.verdict
-        found = {root: [f"{issue.code}: {issue.message}" for issue in verdict.errors()]}
-        if outcome.status == "exec_failed" and outcome.execution is not None:
-            found[root].append(f"runtime failure {outcome.execution.error_kind}: "
-                               f"{outcome.execution.error_message}")
-        g = outcome.synthesis.graph
-        nmap = g.node_map()
-        unrealized_srcs = set()
-        for issue in verdict.errors():
-            if issue.code == L2_EDGE_UNREALIZED and issue.graph_region:
-                edge = g.find_edge(issue.graph_region)
-                if edge is not None:
-                    unrealized_srcs.add(nmap[edge.src].type_name)
-        for i in range(root):
-            prior = episode.steps[i].synthesis
-            if prior is None:
-                continue
-            for n in prior.graph.nodes:
-                if n.kind is NodeKind.OBJECT and n.type_name in unrealized_srcs:
-                    found.setdefault(i, []).append(
-                        f"step {root + 1} needs a {n.type_name}; keep its acquisition explicit"
-                    )
-        return {i: "; ".join(hints) for i, hints in found.items() if hints}
+        hints = list(outcome.synthesis.verdict.diagnosis())
+        ex = outcome.execution
+        if ex is not None:
+            hints.append(f"runtime failure {ex.error_kind or ex.status.value}: {ex.error_message}")
+        return {root: "; ".join(hints)}
 
 
 @dataclass

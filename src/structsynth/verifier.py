@@ -68,6 +68,10 @@ class VerdictReport:
     def errors(self) -> tuple[Issue, ...]:
         return tuple(i for i in self.issues if i.severity is Severity.ERROR)
 
+    def diagnosis(self) -> tuple[str, ...]:
+        """One ``CODE: message`` line per error: the form repair hints take."""
+        return tuple(f"{i.code}: {i.message}" for i in self.errors())
+
 
 def verify_syntax(script: Script | SyntaxFailure) -> tuple[Issue, ...]:
     """Layer 1: one issue per parse error."""

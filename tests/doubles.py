@@ -1,22 +1,18 @@
 """Test doubles for the pipeline's plug-in points: canned extractors, generators,
-judges and reflectors that replay fixed answers, and a session whose tool calls
-all crash, so tests can drive the loop around each stage deterministically."""
+judges and a reflector that replay fixed answers, and a session whose tool calls
+all crash, so tests can drive the loop around each stage deterministically.
+Planted defects need no double: the package's ``FaultInjectionGenerator``
+plants them and heals on their diagnosis."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from structsynth.depgraph import DepGraph, ExtractorOutputError, Feedback
-from structsynth.generators import (
-    DefectKind,
-    GenerationRequest,
-    GeneratorFailure,
-    apply_defect,
-)
+from structsynth.generators import GenerationRequest, GeneratorFailure
 from structsynth.judges import JudgeContext, JudgeFailure, JudgeVerdict
 from structsynth.orchestrator import EpisodeResult
 from structsynth.runtime import ExecStatus, ExecutionResult, Session
-from structsynth.schema import ApiSchema
 
 
 @dataclass
@@ -60,22 +56,6 @@ class ScriptedExtractor:
         if isinstance(item, dict):
             return DepGraph.from_dict(item)
         raise ExtractorOutputError(f"unparseable extractor response: {item!r}")
-
-
-@dataclass
-class HintSensitiveGenerator:
-    """Produces a defective program unless a hint mentioning the cue arrives."""
-
-    base: object
-    cue: str
-    defect: DefectKind
-    schema: ApiSchema
-
-    def generate(self, request: GenerationRequest) -> str:
-        clean = self.base.generate(request)
-        if any(self.cue in h for h in request.hints):
-            return clean
-        return apply_defect(clean, self.defect, self.schema)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import time
 
-from doubles import HintSensitiveGenerator, ScriptedGenerator, ScriptedReflector
+from doubles import ScriptedGenerator
 from programs import random_conformant_program
 from structsynth.bench import TaskSpec, filter_metrics, run_bench
 from structsynth.controller import ActionKind, SynthesisConfig, synthesize
@@ -24,14 +24,14 @@ from structsynth.depgraph import (
 from structsynth.extractors import PatternTableExtractor
 from structsynth.fixtures import make_scaled_snapshot
 from structsynth.generators import (
-    DEFECT_LAYER,
+    DEFECT_CODE,
     DefectKind,
     FaultInjectionGenerator,
     TemplateGenerator,
     apply_defect,
 )
 from structsynth.judges import RuleBasedJudge
-from structsynth.orchestrator import run_episode, run_with_reflection
+from structsynth.orchestrator import RuleBasedReflector, run_episode, run_with_reflection
 from structsynth.qas.analysis import analyze
 from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
 from structsynth.runtime import ExecStatus, Session
@@ -249,37 +249,32 @@ def test_graph_scores_match_hand_worked_confusion_counts(schema):
         assert ab.exact_match == ba.exact_match
 
 
-BASE_PROMPTS = ["Set weight of net clk to 2", "Print the weight of net rst", "Mark instance u1 as placed"]
-FINDNET_PROMPTS = ["Set weight of net clk to 2", "Print the weight of net rst", "Set the weight of net data to 7"]
-QUERY_PROMPTS = ["Print the weight of net clk", "List all nets", "Count the nets"]
-ACTION_PROMPTS = ["Set weight of net clk to 2", "Mark instance u1 as placed", "Set the weight of net data to 7"]
-
-
 def test_planted_defects_surface_at_their_home_layer(schema):
-    prompts_for = {
-        DefectKind.SYNTAX: BASE_PROMPTS,
-        DefectKind.USE_BEFORE_DEF: BASE_PROMPTS,
-        DefectKind.MISSING_ACQUISITION: BASE_PROMPTS,
-        DefectKind.NULL_UNGUARDED: FINDNET_PROMPTS,
-        DefectKind.UNKNOWN_METHOD: BASE_PROMPTS,
-        DefectKind.BAD_ENUM: BASE_PROMPTS,
-        DefectKind.ARITY: BASE_PROMPTS,
-        DefectKind.MISSING_OUTPUT: QUERY_PROMPTS,
-        DefectKind.MISSING_ACTION: ACTION_PROMPTS,
-        DefectKind.TIMEOUT_LOOP: QUERY_PROMPTS + ACTION_PROMPTS,
-    }
-    assert set(prompts_for) == set(DefectKind)
+    # Each kind planted into each suite program. Wherever the plant changes
+    # the program, the verdict rejects it with the kind's home code, at the
+    # layer the verdict failed. The kinds that drop a None guard, a print or
+    # a mutating call apply only to programs that have one.
+    applies = dict.fromkeys(DefectKind, 0)
     judge = RuleBasedJudge()
-    for kind, prompts in prompts_for.items():
-        assert len(prompts) >= 3
-        for prompt in prompts:
-            clean, graph = template_program(prompt, schema)
-            broken = apply_defect(clean, kind, schema)
-            verdict = verify_all(analyze(broken, schema), graph, schema, judge, prompt)
-            assert not verdict.passed, (kind, prompt)
-            assert verdict.failure_layer == DEFECT_LAYER[kind], (kind, prompt, verdict.issues)
+    for task in singles_suite():
+        clean, graph = template_program(task.prompt, schema)
+        for kind in DefectKind:
+            planted = apply_defect(clean, kind, schema)
+            if planted == clean:
+                continue
+            applies[kind] += 1
+            verdict = verify_all(analyze(planted, schema), graph, schema, judge, task.prompt)
+            home = [i for i in verdict.errors() if i.code == DEFECT_CODE[kind]]
+            assert home, (kind, task.prompt, verdict.issues)
+            assert home[0].layer == verdict.failure_layer, (kind, task.prompt, verdict.issues)
             if kind is DefectKind.TIMEOUT_LOOP:
-                assert [i.code for i in verdict.errors()] == [L4_STEP_BOUND], (prompt, verdict.issues)
+                assert [i.code for i in verdict.errors()] == [L4_STEP_BOUND], verdict.issues
+    assert applies == {
+        **dict.fromkeys(DefectKind, 46),
+        DefectKind.NULL_UNGUARDED: 14,
+        DefectKind.MISSING_OUTPUT: 28,
+        DefectKind.MISSING_ACTION: 18,
+    }
 
 
 def _heal_run(schema, retriever, defect: DefectKind, heal_after: int, budget: int):
@@ -497,11 +492,11 @@ def test_multistep_episodes_cascade_share_state_and_recover_by_reflection(schema
     assert episode.tool_calls == 2
     assert [s.execution.mutations for s in episode.steps] == [1, 0]
 
-    # reflection turns a failed episode into a passing one on the second try
-    generator = HintSensitiveGenerator(
-        TemplateGenerator(schema), "keep its acquisition", DefectKind.USE_BEFORE_DEF, schema
+    # reflection turns a failed episode into a passing one on the second try:
+    # with no repair budget, only the reflected diagnosis reaches the generator
+    generator = FaultInjectionGenerator(
+        TemplateGenerator(schema), DefectKind.USE_BEFORE_DEF, schema, heal_after=1
     )
-    reflector = ScriptedReflector(hints={0: "keep its acquisition explicit"})
     outcome = run_with_reflection(
         "reflect",
         ["List all nets"],
@@ -511,11 +506,11 @@ def test_multistep_episodes_cascade_share_state_and_recover_by_reflection(schema
         generator,
         judge,
         lambda: Session(snapshot, schema),
-        reflector,
+        RuleBasedReflector(),
         SynthesisConfig(budget=0),
     )
     assert not outcome.first.passed
-    assert outcome.hints
+    assert list(outcome.hints) == [0] and outcome.hints[0].startswith("L2_USE_BEFORE_DEF: ")
     assert outcome.second is not None and outcome.second.passed
     assert outcome.passed
 

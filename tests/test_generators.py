@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from doubles import HintSensitiveGenerator, ScriptedGenerator
+from doubles import ScriptedGenerator
 from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import (
-    DEFECT_LAYER,
+    DEFECT_CODE,
     DefectKind,
     FaultInjectionGenerator,
     GenerationRequest,
@@ -123,22 +123,16 @@ def test_fault_injection_heals_after_repairs(schema):
     faulty = FaultInjectionGenerator(base, DefectKind.SYNTAX, schema, heal_after=2)
     first = faulty.generate(GenerationRequest(prompt="", graph=g))
     assert not isinstance(parse(first), Script)
-    second = faulty.generate(GenerationRequest(prompt="", graph=g, previous=first))
-    assert not isinstance(parse(second), Script)
-    third = faulty.generate(GenerationRequest(prompt="", graph=g, previous=second))
-    assert isinstance(parse(third), Script)
-
-
-def test_hint_sensitive_generator(schema):
-    base = TemplateGenerator(schema)
-    g = extract(schema, "Print the weight of net clk")
-    hinted = HintSensitiveGenerator(base, "be careful", DefectKind.USE_BEFORE_DEF, schema)
-    broken = hinted.generate(GenerationRequest(prompt="", graph=g))
-    assert verify_all(analyze(broken, schema), None, schema).failure_layer == 2
-    clean = hinted.generate(
-        GenerationRequest(prompt="", graph=g, hints=("please be careful here",))
+    # a repair whose hints do not carry the defect's home code is a bare retry
+    bare = faulty.generate(
+        GenerationRequest(prompt="", graph=g, hints=("L2_USE_BEFORE_DEF: x",), previous=first)
     )
-    assert verify_all(analyze(clean, schema), None, schema).passed
+    assert bare == first
+    diagnosis = ("L1_SYNTAX: unexpected '='",)
+    second = faulty.generate(GenerationRequest(prompt="", graph=g, hints=diagnosis, previous=first))
+    assert not isinstance(parse(second), Script)
+    third = faulty.generate(GenerationRequest(prompt="", graph=g, hints=diagnosis, previous=second))
+    assert isinstance(parse(third), Script)
 
 
 def test_scripted_generator_replays_and_logs(schema):
@@ -164,6 +158,7 @@ def test_apply_defect_changes_source(schema, kind):
 
 @pytest.mark.parametrize("kind", list(DefectKind))
 def test_defect_layer_table(schema, kind):
+    # the kind's home code is among the verdict's errors, at its failure layer
     prompt = {
         DefectKind.NULL_UNGUARDED: "Set the weight of net clk to 3",
         DefectKind.MISSING_ACTION: "Mark instance u1 as placed",
@@ -174,4 +169,5 @@ def test_defect_layer_table(schema, kind):
     broken = apply_defect(gen(schema, g), kind, schema)
     candidate = analyze(broken, schema)
     verdict = verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt=prompt)
-    assert verdict.failure_layer == DEFECT_LAYER[kind]
+    home = [i for i in verdict.errors() if i.code == DEFECT_CODE[kind]]
+    assert home and home[0].layer == verdict.failure_layer
