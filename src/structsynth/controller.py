@@ -1,6 +1,7 @@
 """Repair controller: the synthesis loop.
 
-The graph is extracted and the evidence retrieved once per task. Each repair
+The graph is extracted once per task, and the evidence retrieved once for it:
+the cards of the calls the graph names, not of the prompt's words. Each repair
 regenerates, passing the verifier's diagnosis: the reflection hint, if any,
 and the error lines of the last verdict. What repairs a program is the
 content of that feedback, not the kind of action taken (Self-Debugging,
@@ -86,7 +87,7 @@ def synthesize(
     """Full single-task loop: extract, retrieve, generate, verify, repair."""
     seed = (Feedback("", "reflection", reflection_hint),) if reflection_hint else ()
     g = extract_graph(prompt, extractor, schema, seed_feedback=seed)
-    evidence = retriever.retrieve(prompt)
+    evidence = retriever.retrieve(g, schema)
     base_hints = (reflection_hint,) if reflection_hint else ()
 
     trajectory = Trajectory()

@@ -4,7 +4,12 @@ A graph hypothesizes which objects a task needs (object nodes), how they are
 acquired from one another (acquisition edges), and what is done to them
 (action nodes fed by dependency edges, optionally through condition nodes).
 Validation checks every node and edge against the schema and produces
-structured feedback an extractor can consume on the next round.
+structured feedback an extractor can consume on the next round. A validated
+graph is the task's contract: ``DepGraph.calls`` lists the API paths it
+names, and ``DepGraph.realizers`` is the one rule for which calls realize an
+acquisition edge, read by layer 2, the generator and ``calls``. Object and
+condition labels hold ``key=value`` tokens, which only ``parse_label``
+reads; an action label spells its call.
 """
 
 from __future__ import annotations
@@ -126,6 +131,55 @@ class DepGraph(NamedTuple):
     def acquisition_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.ACQUISITION)
 
+    def realizers(self, edge: GraphEdge, schema: ApiSchema) -> tuple[str, ...]:
+        """The methods that realize an acquisition edge, by name: its ``via``,
+        or else every method of the source type that returns the target type."""
+        if edge.via_method is not None:
+            return (edge.via_method,)
+        nmap = self.node_map()
+        decl = schema.type_decl(nmap[edge.src].type_name or "")
+        if decl is None:
+            return ()
+        dst = nmap[edge.dst].type_name
+        return tuple(sorted(m for m, sig in decl.methods.items() if sig.returns.base == dst))
+
+    def calls(self, schema: ApiSchema) -> tuple[str, ...]:
+        """Every ``Type.member`` path the contract names, in graph order, once each.
+
+        That is each acquisition edge's realizers, each action's spelled call,
+        the getter of each key a condition tests (``name=`` gives ``getName``)
+        and each ``show=`` member other than ``count``. An action or condition
+        belongs to the objects it depends on, directly or through condition
+        nodes; one with no object ancestor names no call.
+        """
+        nmap = self.node_map()
+        parents: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for e in self.edges:
+            if e.kind is EdgeKind.DEPENDENCY:
+                parents[e.dst].append(e.src)
+
+        def owners(nid: str):
+            for pid in parents[nid]:
+                parent = nmap[pid]
+                if parent.kind is NodeKind.OBJECT:
+                    yield parent.type_name
+                elif parent.kind is NodeKind.CONDITION:
+                    yield from owners(pid)
+
+        paths = [f"{nmap[e.src].type_name}.{m}"
+                 for e in self.acquisition_edges() for m in self.realizers(e, schema)]
+        for n in self.nodes:
+            if n.kind is NodeKind.OBJECT:
+                shown = parse_label(n.label).get("show", "").split("|")
+                paths.extend(f"{n.type_name}.{m}" for m in shown if m and m != "count")
+                continue
+            if n.kind is NodeKind.CONDITION:
+                members = [f"get{key[:1].upper()}{key[1:]}" for key in parse_label(n.label)]
+            else:
+                members = [n.label.split("(")[0].strip()]
+            paths.extend(f"{t}.{m}" for t in owners(n.id) for m in members if m)
+        return tuple(dict.fromkeys(paths))
+
     def to_dict(self) -> dict:
         nodes = []
         for n in self.nodes:
@@ -169,6 +223,16 @@ class DepGraph(NamedTuple):
         except (KeyError, TypeError, ValueError) as exc:
             raise ExtractorOutputError(f"bad graph document: {exc}") from exc
         return DepGraph(nodes=nodes, edges=edges)
+
+
+def parse_label(label: str) -> dict[str, str]:
+    """The ``key=value`` tokens of a node label; tokens without ``=`` are skipped."""
+    out: dict[str, str] = {}
+    for token in label.split():
+        if "=" in token:
+            key, _, value = token.partition("=")
+            out[key] = value
+    return out
 
 
 def _string(raw: dict, key: str, required: bool = False) -> str | None:

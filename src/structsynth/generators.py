@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
+from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind, parse_label
 from .qas import nodes as qn
 from .qas.analysis import infer_types
 from .qas.parser import SyntaxFailure, parse
@@ -45,15 +45,6 @@ def _ident(raw: str) -> str:
     if name[0].isdigit() or name in _KEYWORDS:
         name = "v_" + name
     return name
-
-
-def _parse_label(label: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in label.split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            out[key] = value
-    return out
 
 
 class TemplateGenerator:
@@ -113,13 +104,13 @@ class TemplateGenerator:
         pad = "    " * indent
         node = ctx.nmap[nid]
         v = ctx.names[nid]
-        label = _parse_label(node.label)
+        label = parse_label(node.label)
         conds = [d for d in ctx.dep_children[nid] if ctx.nmap[d].kind is NodeKind.CONDITION]
         acts = [d for d in ctx.dep_children[nid] if ctx.nmap[d].kind is NodeKind.ACTION]
         show = label.get("show")
         if conds:
             for cid in conds:
-                wanted = _parse_label(ctx.nmap[cid].label).get("name", "")
+                wanted = parse_label(ctx.nmap[cid].label).get("name", "")
                 ctx.lines.append(f'{pad}if {v}.getName() == "{wanted}":')
                 body_start = len(ctx.lines)
                 for aid in ctx.dep_children[cid]:
@@ -155,14 +146,14 @@ class TemplateGenerator:
         src_v = ctx.names[e.src]
         dst = ctx.nmap[e.dst]
         dst_v = ctx.names[e.dst]
-        src_t = ctx.nmap[e.src].type_name or ""
-        method = e.via_method or self._pick_method(src_t, dst.type_name or "")
-        sig = self.schema.method(src_t, method) if method else None
-        if method is None:
+        methods = ctx.g.realizers(e, self.schema)
+        if not methods:
             return
-        args = self._args_for(sig, _parse_label(dst.label).get("name"))
+        method = methods[0]
+        sig = self.schema.method(ctx.nmap[e.src].type_name or "", method)
+        args = self._args_for(sig, parse_label(dst.label).get("name"))
         call = f"{src_v}.{method}({args})"
-        counting = _parse_label(dst.label).get("show") == "count"
+        counting = parse_label(dst.label).get("show") == "count"
         if sig is not None and sig.returns.many:
             if counting:
                 ctx.lines.append(f"{pad}count = 0")
@@ -186,15 +177,6 @@ class TemplateGenerator:
         else:
             ctx.lines.append(f"{pad}{dst_v} = {call}")
             self._render_node(e.dst, indent, ctx)
-
-    def _pick_method(self, src_t: str, dst_t: str) -> str | None:
-        decl = self.schema.type_decl(src_t)
-        if decl is None:
-            return None
-        for mname in sorted(decl.methods):
-            if decl.methods[mname].returns.base == dst_t:
-                return mname
-        return None
 
     def _args_for(self, sig: MethodSig | None, name_label: str | None) -> str:
         if sig is None or sig.arity == 0:

@@ -1,10 +1,13 @@
 """Closed-form uncertainty scoring over a finished synthesis attempt.
 
 Three signals, each in [0, 1]: stagnation and ineffectiveness read off how
-the repair loop behaved, and coverage, the share of the program's calls
-that retrieved evidence backs. A weighted sum of the two trajectory signals
-and the uncovered share gives the combined uncertainty, in [0, 0.48];
-anything above the threshold should be filtered rather than delivered.
+the repair loop behaved, and coverage, the share of the program's resolved
+calls that the evidence backs. The evidence is the cards of the calls the
+task's graph names, so coverage falls below 1 only where the program calls
+outside its contract or the corpus lacks a card for a call the contract
+names. A weighted sum of the two trajectory signals and the uncovered
+share gives the combined uncertainty, in [0, 0.48]; anything above the
+threshold should be filtered rather than delivered.
 Stagnation compares the statement sets of consecutive candidates, so those
 sets are built only for a trajectory that had a repair.
 
@@ -89,7 +92,7 @@ def compute_trajectory_signals(
 
 def compute_coverage(candidate: Candidate, evidence: EvidenceSet) -> float:
     """Fraction of the calls type inference resolved to a schema method that
-    retrieved documentation backs. This is the one place the package judges
+    a card in the evidence backs. This is the one place the package judges
     evidence coverage."""
     ts = candidate.typed
     if ts is None:

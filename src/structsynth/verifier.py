@@ -82,17 +82,6 @@ def verify_syntax(script: Script | SyntaxFailure) -> tuple[Issue, ...]:
     return ()
 
 
-def _realized(ts: TypedScript, src: str, dst: str, via: str | None) -> bool:
-    """True when a call on a ``src`` receiver realizes the acquisition edge:
-    a call of ``via`` when the edge names one, else a call returning ``dst``."""
-    return any(
-        cs.receiver_type.base == src
-        and (cs.method == via if via is not None
-             else cs.returns is not None and cs.returns.base == dst)
-        for cs in ts.call_sites
-    )
-
-
 def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tuple[Issue, ...]:
     """Layer 2: definedness, nullability discipline, and graph realization."""
     issues: list[Issue] = []
@@ -119,7 +108,9 @@ def verify_causal(ts: TypedScript, g: DepGraph | None, schema: ApiSchema) -> tup
         nmap = g.node_map()
         for e in g.acquisition_edges():
             src, dst = nmap[e.src].type_name, nmap[e.dst].type_name
-            if not _realized(ts, src, dst, e.via_method):
+            methods = g.realizers(e, schema)
+            if not any(cs.receiver_type.base == src and cs.method in methods
+                       for cs in ts.call_sites):
                 via = f" via {e.via_method}" if e.via_method else ""
                 issues.append(
                     Issue(

@@ -33,7 +33,7 @@ from structsynth.generators import (
 from structsynth.judges import RuleBasedJudge
 from structsynth.orchestrator import RuleBasedReflector, run_episode, run_with_reflection
 from structsynth.qas.analysis import analyze
-from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
+from structsynth.retrieval import ApiDoc, EvidenceSet
 from structsynth.runtime import ExecStatus, Session
 from structsynth import uncertainty
 from structsynth.uncertainty import compute_uncertainty
@@ -104,7 +104,7 @@ def _verdict(layer: int) -> VerdictReport:
 
 def _evidence(*paths: str) -> EvidenceSet:
     docs = tuple(ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(paths))
-    return EvidenceSet(query="q", hits=tuple(Hit(d.doc_id, 1.0) for d in docs), docs=docs)
+    return EvidenceSet(paths=paths, docs=docs)
 
 
 S1 = "block = design.getBlock()\n"
@@ -308,10 +308,10 @@ def test_repair_policy_prescribes_the_expected_action_sequences(schema, retrieve
     assert not stuck.accepted
     assert [a.kind for a in stuck.trajectory.actions] == [ActionKind.REGENERATE] * 4
     # five identical flow-layer verdicts: stagnation and ineffectiveness both
-    # saturate, and the one retrieval backs 2 of 3 resolved calls (findNet and
-    # setWeight, not getBlock), so combined risk = 0.3 * 0.6 + 0.3 * (1 / 3)
-    assert abs(stuck.uncertainty.coverage - 2 / 3) < TOL
-    assert abs(stuck.uncertainty.combined - 0.28) < TOL
+    # saturate, and the contract's cards back all 3 resolved calls (getBlock,
+    # findNet and setWeight), so combined risk = 0.3 * 0.6 + 0.3 * 0
+    assert stuck.uncertainty.coverage == 1.0
+    assert abs(stuck.uncertainty.combined - 0.18) < TOL
 
 
 def test_acceptance_rate_is_monotone_in_repair_budget(schema, retriever):

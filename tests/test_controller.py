@@ -27,18 +27,18 @@ from suites import OUT_OF_SCOPE_PROMPTS
 
 @dataclass
 class CountingRetriever:
-    """Forwards to a real retriever and logs each call as (method, query)."""
+    """Forwards to a real retriever and logs each call as (method, its first argument)."""
 
     inner: Retriever
-    calls: list[tuple[str, str]] = field(default_factory=list)
+    calls: list[tuple[str, object]] = field(default_factory=list)
 
-    def retrieve(self, query, *args, **kwargs):
-        self.calls.append(("retrieve", query))
-        return self.inner.retrieve(query, *args, **kwargs)
+    def retrieve(self, graph, schema):
+        self.calls.append(("retrieve", graph))
+        return self.inner.retrieve(graph, schema)
 
-    def refresh(self, evidence, focus_query, *args, **kwargs):
-        self.calls.append(("refresh", focus_query))
-        return self.inner.refresh(evidence, focus_query, *args, **kwargs)
+    def refresh(self, evidence, paths):
+        self.calls.append(("refresh", evidence))
+        return self.inner.refresh(evidence, paths)
 
 
 def test_synthesize_clean_task_accepts_immediately(schema, retriever):
@@ -130,7 +130,7 @@ def test_synthesize_extracts_and_retrieves_once_however_many_repairs(schema, ret
     assert result.accepted
     assert len(result.trajectory.actions) == 3
     assert len(extractor.calls) == 1
-    assert counting.calls == [("retrieve", prompt)]
+    assert counting.calls == [("retrieve", result.graph)]
 
 
 def test_each_repair_sends_the_reflection_hint_and_the_last_verdicts_errors(
@@ -275,3 +275,20 @@ def test_a_graph_that_never_validates_is_refused_before_generation(
                    RuleBasedJudge())
     assert len(extractor.calls) == MAX_ROUNDS
     assert gen.requests == []
+
+
+def test_an_action_under_an_ownerless_condition_names_no_call(schema, retriever):
+    """A condition node with no incoming edge validates; the action under it
+    has no object to be called on, so the contract names no call for it."""
+    prompt = "Print the names of all nets"
+    base = PatternTableExtractor(schema).extract(prompt, None, ()).to_dict()
+    g = DepGraph.from_dict({
+        "nodes": base["nodes"] + [{"id": "cond", "kind": "condition", "label": "name=clk"},
+                                  {"id": "act", "kind": "action", "label": "setWeight(2)"}],
+        "edges": base["edges"] + [{"src": "cond", "dst": "act", "kind": "dependency"}],
+    })
+    result = synthesize(prompt, schema, retriever, ScriptedExtractor([g]),
+                        TemplateGenerator(schema), RuleBasedJudge())
+    assert result.graph is g
+    assert result.evidence.paths == ("Design.getBlock", "Block.getNets", "Net.getName")
+    assert result.uncertainty.coverage == 1.0

@@ -22,6 +22,10 @@ from structsynth.depgraph import (
     graph_metrics,
     validate_graph,
 )
+from structsynth.extractors import PatternTableExtractor
+from structsynth.generators import GenerationRequest, TemplateGenerator
+from structsynth.qas.analysis import analyze
+from structsynth.verifier import L2_EDGE_UNREALIZED, verify_causal
 
 
 def obj(nid: str, type_name: str) -> GraphNode:
@@ -441,3 +445,34 @@ def test_metrics_self_comparison_is_perfect(g):
     assert m.node_f1 == 1.0
     assert m.edge_f1 == 1.0
     assert m.exact_match
+
+
+# ---- the contract's calls ----
+
+
+def test_a_via_less_edge_is_realized_by_every_method_returning_its_target(schema):
+    g = DepGraph(spine().nodes, (acq("d", "b", "getBlock"), acq("b", "n")))
+    assert g.realizers(g.edges[1], schema) == ("findNet", "getNets")
+    assert g.calls(schema) == ("Design.getBlock", "Block.findNet", "Block.getNets")
+
+    def unrealized(source: str) -> list[str]:
+        issues = verify_causal(analyze(source, schema).typed, g, schema)
+        return [i.graph_region for i in issues if i.code == L2_EDGE_UNREALIZED]
+
+    assert unrealized('block = design.getBlock()\nnet = block.findNet("clk")\n') == []
+    assert unrealized("block = design.getBlock()\nnets = block.getNets()\n") == []
+    assert unrealized("block = design.getBlock()\ninsts = block.getInsts()\n") == ["b->n"]
+    # the generator renders the first realizer by name
+    source = TemplateGenerator(schema).generate(GenerationRequest("p", g))
+    assert source == 'b = design.getBlock()\nn = b.findNet("x")\n'
+
+
+@pytest.mark.parametrize("prompt, calls", [
+    ("Set the weight of net clk to 3", ("Design.getBlock", "Block.findNet", "Net.setWeight")),
+    ("Mark instance u1 as placed",
+     ("Design.getBlock", "Block.getInsts", "Inst.getName", "Inst.setPlacementStatus")),
+    ("Print the weight of net clk", ("Design.getBlock", "Block.findNet", "Net.weight")),
+    ("Count the nets", ("Design.getBlock", "Block.getNets")),
+])
+def test_calls_name_each_edge_action_condition_and_shown_member(schema, prompt, calls):
+    assert PatternTableExtractor(schema).extract(prompt, None, ()).calls(schema) == calls

@@ -24,7 +24,7 @@ RECORDS = {
     "qas.analysis": ("CallSite", "Candidate", "Operation", "UndefinedUse"),
     "qas.lexer": ("LexIssue", "Token"),
     "qas.parser": ("SyntaxFailure", "SyntaxIssue"),
-    "retrieval": ("ApiDoc", "EvidenceSet", "Hit"),
+    "retrieval": ("ApiDoc", "EvidenceSet"),
     "runtime": ("ExecutionResult",),
     "schema": ("ApiSchema", "MethodSig", "Param", "TypeRef", "Violation"),
     "uncertainty": ("UncertaintyReport",),
@@ -66,7 +66,7 @@ def test_nodes_compare_and_hash_by_class_and_payload():
 def test_synthesis_records_repr_as_pinned(schema, retriever):
     """``repr`` of the parts of ``synthesize``'s result that are records, for
     every suite prompt: graph nodes and edges, the verdict's issues, the call
-    sites, the evidence hits and the uncertainty report. Fields that are
+    sites, the evidence and the uncertainty report. Fields that are
     frozensets are left out, since their order follows the hash seed.
     """
     digest = hashlib.sha256()
@@ -75,7 +75,7 @@ def test_synthesis_records_repr_as_pinned(schema, retriever):
         result = synthesize(task.prompt, schema, retriever, PatternTableExtractor(schema),
                             TemplateGenerator(schema), RuleBasedJudge())
         parts = (result.graph.nodes, result.graph.edges, result.verdict.issues,
-                 result.candidate.typed.call_sites, result.evidence.hits, result.uncertainty)
+                 result.candidate.typed.call_sites, result.evidence, result.uncertainty)
         digest.update(repr(parts).encode())
     assert len(tasks) == 46
-    assert digest.hexdigest()[:16] == "6e0ef20f5a9d6613"
+    assert digest.hexdigest()[:16] == "21c6acbd3a0e7d93"

@@ -1,54 +1,39 @@
 from __future__ import annotations
 
 import json
-import math
-import re
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from structsynth.fixtures import fixture_path
-from structsynth.retrieval import ApiDoc, Retriever, load_corpus, tokenize
+from structsynth.depgraph import DepGraph
+from structsynth.extractors import PatternTableExtractor
+from structsynth.fixtures import toy_corpus
+from structsynth.qas.analysis import analyze
+from structsynth.retrieval import ApiDoc, EvidenceSet, Retriever, load_corpus
 from structsynth.schema import ParseError
+from structsynth.uncertainty import compute_coverage
+from suites import multis_suite, singles_suite, template_program
 
 
-def naive_scores(corpus_path, query: str) -> dict[str, float]:
-    """Independent reimplementation of the scoring convention, from raw JSON."""
-    raw = json.loads(open(corpus_path).read())["docs"]
-    texts = {
-        d["id"]: " ".join((d["api_path"], d["text"], " ".join(d.get("tags", []))))
-        for d in raw
-    }
-    toks = {i: re.findall(r"[a-z0-9]+", t.lower()) for i, t in texts.items()}
-    n = len(raw)
-    df: Counter[str] = Counter()
-    for tlist in toks.values():
-        df.update(set(tlist))
-    idf = {t: math.log((1 + n) / (1 + d)) + 1 for t, d in df.items()}
-    out = {}
-    qcounts = Counter(re.findall(r"[a-z0-9]+", query.lower()))
-    for doc_id, tlist in toks.items():
-        counts = Counter(tlist)
-        weights = {t: c * idf[t] for t, c in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        score = 0.0
-        for t, c in qcounts.items():
-            if t in weights and norm:
-                score += c * idf[t] * (weights[t] / norm)
-        out[doc_id] = score
-    return out
+# Two named nets, both found by name and both weighted: the contract names
+# Block.findNet and Net.setWeight twice each.
+TWO_NETS = DepGraph.from_dict({
+    "nodes": [{"id": "design", "type": "Design"}, {"id": "block", "type": "Block"},
+              {"id": "clk", "type": "Net", "label": "name=clk"},
+              {"id": "rst", "type": "Net", "label": "name=rst"},
+              {"id": "w1", "kind": "action", "label": "setWeight(2)"},
+              {"id": "w2", "kind": "action", "label": "setWeight(3)"}],
+    "edges": [{"src": "design", "dst": "block", "via": "getBlock"},
+              {"src": "block", "dst": "clk", "via": "findNet"},
+              {"src": "block", "dst": "rst", "via": "findNet"},
+              {"src": "clk", "dst": "w1", "kind": "dependency"},
+              {"src": "rst", "dst": "w2", "kind": "dependency"}],
+})
 
 
-def test_tokenize():
-    assert tokenize("Block.findNet returns None!") == ["block", "findnet", "returns", "none"]
-    assert tokenize("") == []
-
-
-def test_load_corpus_counts(retriever):
-    assert len(retriever.docs) == 8
-    paths = {d.doc_id: d.api_path for d in retriever.docs}
+def test_load_corpus_counts():
+    docs = toy_corpus()
+    assert len(docs) == 8
+    paths = {d.doc_id: d.api_path for d in docs}
     assert paths["b-findnet"] == "Block.findNet"
 
 
@@ -60,96 +45,63 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path):
         load_corpus(path)
 
 
-def test_snippet_is_not_indexed():
+def test_snippet_is_not_indexed(schema):
+    """A card is found by its API path alone, never by its text or snippet."""
     docs = (
-        ApiDoc("a", "T.one", "alpha", snippet="zebra zebra zebra"),
-        ApiDoc("b", "T.two", "beta"),
+        ApiDoc("a", "Design.getBlock", "Block.findNet", snippet="block.findNet(\"clk\")"),
+        ApiDoc("b", "Net.setWeight", "beta"),
     )
-    r = Retriever(docs)
-    assert r.retrieve("zebra").hits == ()
+    ev = Retriever(docs).retrieve(TWO_NETS, schema)
+    assert [d.doc_id for d in ev.docs] == ["a", "b"]
+    assert not ev.covers("Block", "findNet")
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        "find a net by name",
-        "set the weight of a net",
-        "all instances in the block",
-        "placement status placed",
-    ],
-)
-def test_scores_match_independent_oracle(retriever, query):
-    oracle = naive_scores(fixture_path("toy_corpus.json"), query)
-    hits = retriever.retrieve(query, k=len(retriever.docs)).hits
-    assert sorted(h.doc_id for h in hits) == sorted(d for d, s in oracle.items() if s > 0)
-    for hit in hits:
-        assert hit.score == pytest.approx(oracle[hit.doc_id], abs=1e-9)
-
-
-def test_top_hit_find_net(retriever):
-    ev = retriever.retrieve("find a net by name", k=3)
-    assert ev.hits[0].doc_id == "b-findnet"
-    assert ev.version == 1
-
-
-def test_top_hit_set_weight(retriever):
-    ev = retriever.retrieve("set the routing weight of a net", k=3)
-    assert ev.hits[0].doc_id == "n-setweight"
-
-
-def test_hits_sorted_and_positive(retriever):
-    ev = retriever.retrieve("net block instance weight", k=8)
-    scores = [h.score for h in ev.hits]
-    assert scores == sorted(scores, reverse=True)
-    assert all(s > 0 for s in scores)
-
-
-def test_retrieve_respects_k_and_exclude(retriever):
-    full = retriever.retrieve("net", k=2)
-    assert len(full.hits) <= 2
-    without = retriever.retrieve("net", k=8, exclude=frozenset({full.hits[0].doc_id}))
-    assert full.hits[0].doc_id not in without.doc_ids()
-
-
-def test_evidence_covers(retriever):
-    ev = retriever.retrieve("find a net by name", k=3)
+def test_evidence_covers(schema, retriever):
+    g = PatternTableExtractor(schema).extract("Set the weight of net clk to 3", None, ())
+    ev = retriever.retrieve(g, schema)
     assert ev.covers("Block", "findNet")
     assert not ev.covers("Design", "frobnicate")
 
 
-def test_refresh_merges_and_bumps_version(retriever):
-    ev = retriever.retrieve("find a net by name", k=2)
-    refreshed = retriever.refresh(ev, "placement status of an instance", k=2)
-    assert refreshed.version == 2
-    assert refreshed.query == "placement status of an instance"
-    # old hits stay in front, nothing is dropped
-    assert refreshed.hits[: len(ev.hits)] == ev.hits
-    assert ev.doc_ids() <= refreshed.doc_ids()
-    # the focused search cannot re-add held docs
-    assert len(refreshed.hits) == len(refreshed.doc_ids())
+def test_retrieve_lists_the_contract_in_order_once_each(schema, retriever):
+    ev = retriever.retrieve(TWO_NETS, schema)
+    assert ev.paths == ("Design.getBlock", "Block.findNet", "Net.setWeight")
+    assert [d.doc_id for d in ev.docs] == ["d-getblock", "b-findnet", "n-setweight"]
 
 
-def test_refresh_on_exhausted_corpus_adds_nothing(retriever):
-    ev = retriever.retrieve("net block instance weight placement name design", k=8)
-    refreshed = retriever.refresh(ev, "net block weight", k=8)
-    assert refreshed.doc_ids() == ev.doc_ids()
-    assert refreshed.version == ev.version + 1
+def test_a_path_with_no_card_is_uncovered(schema):
+    ev = Retriever((ApiDoc("n", "Net.setWeight", "set"),)).retrieve(TWO_NETS, schema)
+    assert ev.paths == ("Design.getBlock", "Block.findNet", "Net.setWeight")
+    assert [d.doc_id for d in ev.docs] == ["n"]
+    assert not ev.covers("Design", "getBlock")
+    assert ev.covers("Net", "setWeight")
 
 
-_WORDS = st.lists(
-    st.sampled_from(["net", "block", "weight", "placement", "find", "name", "zzz"]),
-    min_size=1,
-    max_size=6,
-)
+def test_two_cards_on_one_path_both_come_back_in_corpus_order(schema):
+    docs = (ApiDoc("w2", "Net.setWeight", "second"), ApiDoc("b", "Design.getBlock", "top"),
+            ApiDoc("w1", "Net.setWeight", "first"))
+    ev = Retriever(docs).retrieve(TWO_NETS, schema)
+    assert [d.doc_id for d in ev.docs] == ["b", "w2", "w1"]
 
 
-@settings(max_examples=50, deadline=None)
-@given(_WORDS)
-def test_retrieval_is_pure(retriever, words):
-    query = " ".join(words)
-    first = retriever.retrieve(query, k=4)
-    second = retriever.retrieve(query, k=4)
-    assert first == second
-    assert len(first.hits) <= 4
-    for h in first.hits:
-        assert h.score > 0
+def test_refresh_widens_by_the_cards_of_new_paths_only(retriever):
+    ev = retriever.refresh(EvidenceSet((), ()), ["Design.getBlock"])
+    assert [d.doc_id for d in ev.docs] == ["d-getblock"]
+    wider = retriever.refresh(ev, ["Block.getNets", "Design.getBlock", "Block.getNets", "T.none"])
+    assert wider.paths == ("Design.getBlock", "Block.getNets", "T.none")
+    assert [d.doc_id for d in wider.docs] == ["d-getblock", "b-getnets"]
+    assert retriever.refresh(wider, wider.paths) == wider
+
+
+def test_the_contract_backs_every_resolved_call_of_each_clean_program(schema, retriever):
+    prompts = [t.prompt for t in singles_suite()] + [p for t in multis_suite() for p in t.steps]
+    assert len(prompts) == 75
+    for prompt in prompts:
+        source, g = template_program(prompt, schema)
+        candidate = analyze(source, schema)
+        calls, evidence = g.calls(schema), retriever.retrieve(g, schema)
+        for cs in candidate.typed.call_sites:
+            if cs.returns is not None:
+                assert f"{cs.receiver_type.base}.{cs.method}" in calls, (prompt, cs.method)
+                assert evidence.covers(cs.receiver_type.base, cs.method), (prompt, cs.method)
+        assert compute_coverage(candidate, evidence) == 1.0, prompt

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from structsynth import uncertainty
 from structsynth.qas.analysis import analyze
-from structsynth.retrieval import ApiDoc, EvidenceSet, Hit
+from structsynth.retrieval import ApiDoc, EvidenceSet
 from structsynth.uncertainty import (
     compute_coverage,
     compute_trajectory_signals,
@@ -34,8 +34,7 @@ def evidence_over(*paths: str) -> EvidenceSet:
     docs = tuple(
         ApiDoc(doc_id=f"doc{i}", api_path=p, text=p) for i, p in enumerate(paths)
     )
-    hits = tuple(Hit(d.doc_id, 1.0) for d in docs)
-    return EvidenceSet(query="q", hits=hits, docs=docs)
+    return EvidenceSet(paths=paths, docs=docs)
 
 
 FOUR_CALLS = (
