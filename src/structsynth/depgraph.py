@@ -7,9 +7,12 @@ Validation checks every node and edge against the schema and produces
 structured feedback an extractor can consume on the next round. A validated
 graph is the task's contract: ``DepGraph.calls`` lists the API paths it
 names, and ``DepGraph.realizers`` is the one rule for which calls realize an
-acquisition edge, read by layer 2, the generator and ``calls``. Object and
-condition labels hold ``key=value`` tokens, which only ``parse_label``
-reads; an action label spells its call.
+acquisition edge, read by layer 2, the generator and ``calls``. Labels carry
+the rest: an object's ``name=clk show=getName|weight|count``, a condition's
+``key=value`` tests and an action's spelled call, ``setWeight(2)``.
+``DepGraph.elements`` is their one reader; ``calls``, validation and the
+generator read its resolved elements, never a label. A literal in a label is
+read by the script lexer's own token rule (``qas.lexer.one_token``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from collections import deque
 from enum import Enum
 from typing import NamedTuple, Protocol
 
-from .schema import ApiSchema, ParseError
+from . import kinds
+from .qas.lexer import one_token
+from .qas.nodes import MAX_INT_DIGITS
+from .schema import ApiSchema, ParseError, TypeRef
 
 
 class GraphInvariantError(Exception):
@@ -62,6 +68,26 @@ class GraphEdge(NamedTuple):
     via_method: str | None = None
 
 
+class LabelElement(NamedTuple):
+    """One label token resolved against the schema, by ``DepGraph.elements``.
+
+    ``role``: ``name``, ``count``, ``show`` (a method) or ``read`` (an attribute)
+    on an object; ``test`` for a condition's ``key=value`` (one naming no member
+    if it tests nothing); ``call`` for an action. ``owner`` is the object node
+    it applies to, if any, and ``member`` what it names there. ``literal`` is
+    source text: the quoted name, the tested value or the call's arguments
+    (None if unreadable or untested). ``guard`` is the condition a call holds
+    under, None for a call made on its object directly.
+    """
+
+    node: str
+    owner: str | None
+    role: str
+    member: str | None
+    literal: tuple[str, ...] | None = ()
+    guard: str | None = None
+
+
 class DepGraph(NamedTuple):
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
@@ -81,15 +107,15 @@ class DepGraph(NamedTuple):
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             problems.append(f"duplicate node ids: {dupes}")
-        known = set(ids)
         for n in self.nodes:
             if n.kind is NodeKind.OBJECT and not n.type_name:
                 problems.append(f"object node {n.id!r} has no type name")
-        nmap = {n.id: n for n in self.nodes}
-        indeg: dict[str, int] = {i: 0 for i in known}
+        nmap = self.node_map()
+        indeg: dict[str, int] = {i: 0 for i in nmap}
+        adj: dict[str, list[str]] = {i: [] for i in nmap}
         seen_edges: set[tuple[str, str, EdgeKind, str | None]] = set()
         for e in self.edges:
-            if e.src not in known or e.dst not in known:
+            if e.src not in nmap or e.dst not in nmap:
                 problems.append(f"edge {e.src}->{e.dst} references a missing node")
                 continue
             key = (e.src, e.dst, e.kind, e.via_method)
@@ -97,6 +123,7 @@ class DepGraph(NamedTuple):
                 problems.append(f"duplicate edge {e.src}->{e.dst} ({e.kind.value})")
             seen_edges.add(key)
             indeg[e.dst] += 1
+            adj[e.src].append(e.dst)
             if e.kind is EdgeKind.ACQUISITION:
                 src_kind = nmap[e.src].kind
                 dst_kind = nmap[e.dst].kind
@@ -105,19 +132,9 @@ class DepGraph(NamedTuple):
         for n in self.nodes:
             if n.kind is NodeKind.ACTION and indeg.get(n.id, 0) == 0:
                 problems.append(f"action node {n.id!r} has no incoming dependency")
-        if not problems and self._has_cycle():
-            problems.append("graph contains a cycle")
         if problems:
             raise GraphInvariantError(problems)
-
-    def _has_cycle(self) -> bool:
-        """Kahn's algorithm: a cycle leaves some node never ready. Needs
-        every edge to name known nodes, as ``check_invariants`` has checked."""
-        indeg: dict[str, int] = {n.id: 0 for n in self.nodes}
-        adj: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.src].append(e.dst)
-            indeg[e.dst] += 1
+        # Kahn's algorithm, over the edges just counted: a cycle leaves some node never ready.
         ready = [i for i, d in indeg.items() if d == 0]
         done = 0
         while ready:
@@ -126,7 +143,8 @@ class DepGraph(NamedTuple):
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     ready.append(nxt)
-        return done != len(self.nodes)
+        if done != len(self.nodes):
+            raise GraphInvariantError(["graph contains a cycle"])
 
     def acquisition_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if e.kind is EdgeKind.ACQUISITION)
@@ -143,41 +161,56 @@ class DepGraph(NamedTuple):
         dst = nmap[edge.dst].type_name
         return tuple(sorted(m for m, sig in decl.methods.items() if sig.returns.base == dst))
 
-    def calls(self, schema: ApiSchema) -> tuple[str, ...]:
-        """Every ``Type.member`` path the contract names, in graph order, once each.
-
-        That is each acquisition edge's realizers, each action's spelled call,
-        the getter of each key a condition tests (``name=`` gives ``getName``)
-        and each ``show=`` member other than ``count``. An action or condition
-        belongs to the objects it depends on, directly or through condition
-        nodes; one with no object ancestor names no call.
-        """
+    def elements(self, schema: ApiSchema) -> tuple[LabelElement, ...]:
+        """Every label token resolved, in graph order: an action's or condition's
+        once for each object (and condition) it applies to (``_owners``), or
+        once with no owner."""
         nmap = self.node_map()
-        parents: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        parents: dict[str, list[str]] = {}
         for e in self.edges:
             if e.kind is EdgeKind.DEPENDENCY:
-                parents[e.dst].append(e.src)
-
-        def owners(nid: str):
-            for pid in parents[nid]:
-                parent = nmap[pid]
-                if parent.kind is NodeKind.OBJECT:
-                    yield parent.type_name
-                elif parent.kind is NodeKind.CONDITION:
-                    yield from owners(pid)
-
-        paths = [f"{nmap[e.src].type_name}.{m}"
-                 for e in self.acquisition_edges() for m in self.realizers(e, schema)]
+                parents.setdefault(e.dst, []).append(e.src)
+        out: list[LabelElement] = []
         for n in self.nodes:
             if n.kind is NodeKind.OBJECT:
-                shown = parse_label(n.label).get("show", "").split("|")
-                paths.extend(f"{n.type_name}.{m}" for m in shown if m and m != "count")
+                tname, tokens = n.type_name or "", parse_label(n.label)
+                if "name" in tokens:
+                    out.append(LabelElement(n.id, n.id, "name", None, (f'"{tokens["name"]}"',)))
+                for m in tokens["show"].split("|") if "show" in tokens else ():
+                    if m == "count":
+                        out.append(LabelElement(n.id, n.id, "count", None))
+                    elif m:
+                        method = schema.method(tname, m) is not None
+                        role = "show" if method or schema.attribute(tname, m) is None else "read"
+                        out.append(LabelElement(n.id, n.id, role, m))
                 continue
-            if n.kind is NodeKind.CONDITION:
-                members = [f"get{key[:1].upper()}{key[1:]}" for key in parse_label(n.label)]
-            else:
-                members = [n.label.split("(")[0].strip()]
-            paths.extend(f"{t}.{m}" for t in owners(n.id) for m in members if m)
+            tests = parse_label(n.label) if n.kind is NodeKind.CONDITION else {}
+            for owner, guard in _owners(n, parents, nmap) or [(None, None)]:
+                if n.kind is NodeKind.ACTION:
+                    out.append(LabelElement(n.id, owner, "call", *_spelled_call(n.label), guard))
+                    continue
+                owner_type = nmap[owner].type_name or "" if owner is not None else ""
+                if not tests:
+                    out.append(LabelElement(n.id, owner, "test", None, None))
+                for key, value in tests.items():
+                    getter = f"get{key[:1].upper()}{key[1:]}"
+                    sig = schema.method(owner_type, getter)
+                    # The value as source text: quoted for a string, Enum.CONST for an enum.
+                    base = sig.returns.base if sig is not None else ""
+                    literal = f'"{value}"' if base == "string" else value
+                    literal = f"{base}.{value}" if base in schema.enums else literal
+                    out.append(LabelElement(n.id, owner, "test", getter, (literal,)))
+        return tuple(out)
+
+    def calls(self, schema: ApiSchema) -> tuple[str, ...]:
+        """Every ``Type.member`` path the contract names, in graph order, once each:
+        each acquisition edge's realizers, then the member of each label element
+        that has an owner and names one."""
+        nmap = self.node_map()
+        paths = [f"{nmap[e.src].type_name}.{m}"
+                 for e in self.acquisition_edges() for m in self.realizers(e, schema)]
+        paths.extend(f"{nmap[el.owner].type_name}.{el.member}" for el in self.elements(schema)
+                     if el.owner is not None and el.member)
         return tuple(dict.fromkeys(paths))
 
     def to_dict(self) -> dict:
@@ -235,6 +268,34 @@ def parse_label(label: str) -> dict[str, str]:
     return out
 
 
+def _owners(
+    node: GraphNode, parents: dict[str, list[str]], nmap: dict[str, GraphNode]
+) -> list[tuple[str, str | None]]:
+    """The objects an action or condition applies to, each with the condition an
+    action holds under there (None when it depends on the object directly), once
+    each. A condition applies to the objects it depends on, and a condition on a
+    condition to nothing; one condition holds every test. An action that also
+    depends on one of an object's conditions holds only under that condition."""
+    found: list[tuple[str, str | None]] = []
+    for pid in parents.get(node.id, ()):
+        if nmap[pid].kind is NodeKind.OBJECT:
+            found.append((pid, None))
+        elif nmap[pid].kind is NodeKind.CONDITION and node.kind is NodeKind.ACTION:
+            found.extend((q, pid) for q in parents.get(pid, ()) if nmap[q].kind is NodeKind.OBJECT)
+    guarded = {q for q, cid in found if cid is not None}
+    return list(dict.fromkeys((q, cid) for q, cid in found if cid is not None or q not in guarded))
+
+
+def _spelled_call(label: str) -> tuple[str, tuple[str, ...] | None]:
+    """An action label's method and argument texts; None for no call's spelling."""
+    head, paren, rest = label.partition("(")
+    inner, close, tail = rest.rpartition(")")
+    if paren and (not close or tail.strip()):
+        return head.strip(), None
+    inner = inner.strip()
+    return head.strip(), tuple(a.strip() for a in inner.split(",")) if inner else ()
+
+
 def _string(raw: dict, key: str, required: bool = False) -> str | None:
     """A string field; an optional one reads as None when missing or null."""
     value = raw[key] if required else raw.get(key)
@@ -264,11 +325,7 @@ class Feedback(NamedTuple):
 
 
 class GraphReport(NamedTuple):
-    """Validation outcome: one feedback entry per finding.
-
-    ``ok`` is false when an object node's type is hallucinated or an
-    acquisition edge is invalid; an unreachable real type is advisory.
-    """
+    """Validation outcome: one feedback entry per finding; ``ok`` when there is none."""
 
     feedback: tuple[Feedback, ...]
     ok: bool
@@ -307,20 +364,21 @@ def _shortest_paths(rel: dict[str, set[str]], src: str, dst: str) -> list[list[s
 
 
 def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
-    """Check every node and edge of g against the schema.
+    """Check every node, edge and label element of g against the schema.
 
     Object nodes are valid when their type is declared and grounded by an
     acquisition path from a root type; undeclared types are hallucinated;
     declared-but-ungrounded nodes are real types whose acquisition is missing.
+    Each label element must name a member of its owner's type that takes its
+    literal (``_element_finding``). Every finding is an error.
     """
     g.check_invariants()
     nmap = g.node_map()
     rel = _relation_graph(schema)
     feedback: list[Feedback] = []
 
-    acquisitions = g.acquisition_edges()
     valid_edges: list[GraphEdge] = []
-    for e in acquisitions:
+    for e in g.acquisition_edges():
         eid = DepGraph.edge_id(e)
         src_t = nmap[e.src].type_name or ""
         dst_t = nmap[e.dst].type_name or ""
@@ -361,12 +419,10 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
                 nxt.append(e.dst)
         frontier = nxt
 
-    ok = len(valid_edges) == len(acquisitions)
     for n in g.nodes:
         if n.kind is not NodeKind.OBJECT:
             continue
         if n.type_name not in schema.types:
-            ok = False
             feedback.append(
                 Feedback(n.id, "hallucinated_type", f"type {n.type_name!r} is not in the API")
             )
@@ -378,8 +434,92 @@ def validate_graph(g: DepGraph, schema: ApiSchema) -> GraphReport:
                     f"{n.type_name} is real but no valid acquisition path reaches it",
                 )
             )
+    for el in g.elements(schema):
+        finding = _element_finding(g, el, nmap, schema)
+        if finding is not None:
+            feedback.append(Feedback(el.node, *finding))
+    # An action under two conditions of one object is two elements, but one finding.
+    return GraphReport(feedback=tuple(dict.fromkeys(feedback)), ok=not feedback)
 
-    return GraphReport(feedback=tuple(feedback), ok=ok)
+
+def _element_finding(
+    g: DepGraph, el: LabelElement, nmap: dict[str, GraphNode], schema: ApiSchema
+) -> tuple[str, str] | None:
+    """What is wrong with one label element, as (code, message); None if nothing.
+
+    The owner's member must exist: a method (an attribute for ``read``), and
+    an action's must mutate. A condition must test something. A call's
+    arguments, a condition's value and a name must be literals the member's
+    signature accepts, read by L3's rule (``kinds.accepts``). ``count`` needs
+    a collection to count: the edge acquiring its node returns many.
+    """
+    if el.owner is None:
+        return "no_owner", f"{nmap[el.node].kind.value} {el.node!r} has no object node to act on"
+    if el.role == "test" and el.member is None:
+        return "no_test", f"condition {el.node!r} tests no key=value"
+    tname = nmap[el.owner].type_name or ""
+    if tname not in schema.types or el.role == "read":
+        return None  # hallucinated_type says so, or the attribute is there
+    if el.role == "name":
+        if _literal_kind(el.literal[0]) == kinds.STRING:
+            return None
+        return "bad_literal", f"name {el.literal[0]} is not a string literal"
+    if el.role == "count":
+        for e in g.acquisition_edges():
+            first = g.realizers(e, schema)[:1] if e.dst == el.node else ()
+            sig = schema.method(nmap[e.src].type_name or "", first[0]) if first else None
+            if sig is not None and sig.returns.many:
+                return None
+        return "not_a_collection", f"show=count on {el.node!r}, which no collection acquires"
+    path = f"{tname}.{el.member}"
+    sig = schema.method(tname, el.member or "")
+    if sig is None:
+        member = "method or attribute" if el.role == "show" else "method"
+        return "unknown_member", f"{tname} has no {member} {el.member!r}"
+    if el.literal is None:
+        return "bad_literal", f"cannot read the call {nmap[el.node].label!r}"
+    given = len(el.literal) if el.role == "call" else 0
+    if given != sig.arity:
+        return "bad_arity", f"{path} takes {sig.arity} argument(s), got {given}"
+    if el.role == "call":
+        if not sig.mutates:
+            return "no_effect", f"{path} changes nothing, so it cannot be an action"
+        for param, arg in zip(sig.params, el.literal):
+            if not _accepts(param.type, arg, schema):
+                return "bad_literal", (f"{path} argument {param.name!r} expects "
+                                       f"{param.type.base}, got {arg}")
+    elif el.role == "test" and not _accepts(sig.returns, el.literal[0], schema):
+        return "bad_literal", f"{path} returns {kinds.describe(sig.returns)}, never {el.literal[0]}"
+    return None
+
+
+# The kind of a token that is a whole literal.
+_LITERAL_KINDS = {"INT": kinds.INT, "FLOAT": kinds.FLOAT, "STRING": kinds.STRING,
+                  "True": kinds.BOOL, "False": kinds.BOOL}
+
+
+def _literal_kind(text: str) -> str | None:
+    """The kind of the literal ``text`` as the script's lexer and parser read it,
+    a number perhaps negated; None for text that is no such literal."""
+    negated = text.startswith("-")
+    kind, spelled = one_token(text[1:] if negated else text) or ("", "")
+    if negated and kind not in ("INT", "FLOAT") or kind == "INT" and len(spelled) > MAX_INT_DIGITS:
+        return None
+    return _LITERAL_KINDS.get(spelled if kind == "KW" else kind)
+
+
+def _accepts(t: TypeRef, text: str, schema: ApiSchema) -> bool:
+    """Whether the literal ``text`` is a value of type ``t`` by L3's rule.
+
+    An enum constant is spelled ``Enum.CONST``, which the generator addresses
+    through the schema's module; text that is no literal is accepted by nothing.
+    """
+    kind = _literal_kind(text)
+    if kind is not None:
+        return kinds.accepts(t, kind, kind, schema)
+    enum, _, const = text.partition(".")
+    return bool(schema.modules) and schema.enum_has(enum, const) and kinds.accepts(
+        t, kinds.ENUM, enum, schema)
 
 
 def _suggest_intermediates(
@@ -420,10 +560,9 @@ def extract_graph(
 ) -> DepGraph:
     """Iteratively extract a graph until it validates or rounds run out.
 
-    Returns the first hypothesis whose report shows no hallucinated nodes and
-    no invalid edges. Raises ExtractorFailure after two consecutive
-    unparseable responses, or when no round validated; its message names
-    the last round's feedback.
+    Returns the first hypothesis whose report has no finding. Raises
+    ExtractorFailure after two unparseable responses in a row, or when no
+    round validated; its message names the last round's feedback.
     """
     feedback: tuple[Feedback, ...] = seed_feedback
     previous: DepGraph | None = None

@@ -1,9 +1,10 @@
 """Graph extractor: a deterministic pattern table.
 
-Node labels carry the rendering hints generators understand:
-object nodes use space-separated ``key=value`` tokens (``name=clk``,
-``show=getName|weight|count``), condition nodes use ``name=<x>``, and action
-nodes spell the call itself (``setWeight(2)``).
+The table writes the contract's label language, which ``DepGraph.elements``
+alone reads: object nodes use space-separated ``key=value`` tokens
+(``name=clk``, ``show=getName|weight|count``), condition nodes test
+``name=<x>`` through ``getName``, and action nodes spell the call itself
+(``setWeight(2)``, ``setPlacementStatus(PlacementStatus.PLACED)``).
 """
 
 from __future__ import annotations

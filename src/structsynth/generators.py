@@ -1,22 +1,23 @@
 """Program generators: graph-driven templates and fault injection.
 
 The template generator renders a dependency graph into a runnable script,
-walking acquisition edges outward from the root bindings. Object node labels
-steer rendering: ``name=<x>`` fills finder arguments, ``show=<what>`` prints a
-method result, an attribute, or a count. Action node labels spell the call.
-Broken graphs render into broken-but-honest programs and are left for the
-verifier to reject, which is exactly what repair loops need.
+walking acquisition edges outward from the root bindings. It reads labels only
+as ``DepGraph.elements`` resolves them: a name fills its finder's argument, a
+shown member is printed, ``count`` counts its node's loop, a condition tests
+its getter against its literal and an action makes its call. Broken graphs
+render into broken-but-honest programs and are left for the verifier to
+reject, which is exactly what repair loops need.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind, parse_label
+from .depgraph import DepGraph, GraphEdge, GraphNode, LabelElement, NodeKind
 from .qas import nodes as qn
 from .qas.analysis import infer_types
 from .qas.parser import SyntaxFailure, parse
@@ -55,105 +56,81 @@ class TemplateGenerator:
 
     def generate(self, request: GenerationRequest) -> str:
         g = request.graph
-        nmap = g.node_map()
         out_acq: dict[str, list[GraphEdge]] = defaultdict(list)
-        dep_children: dict[str, list[str]] = defaultdict(list)
-        incoming_acq: set[str] = set()
-        for e in g.edges:
-            if e.kind is EdgeKind.ACQUISITION:
-                out_acq[e.src].append(e)
-                incoming_acq.add(e.dst)
-            else:
-                dep_children[e.src].append(e.dst)
-        for edges in out_acq.values():
-            edges.sort(key=lambda e: e.dst)
-        for kids in dep_children.values():
-            kids.sort()
+        for e in sorted(g.acquisition_edges(), key=lambda e: e.dst):
+            out_acq[e.src].append(e)
+        incoming = {e.dst for e in g.acquisition_edges()}
+        own: dict[str | None, list[LabelElement]] = defaultdict(list)
+        for el in g.elements(self.schema):
+            own[el.owner].append(el)
 
         roots_by_type: dict[str, str] = {}
         for var, tname in sorted(self.schema.roots.items()):
             roots_by_type.setdefault(tname, var)
         names: dict[str, str] = {}
         for n in g.nodes:
-            if n.kind is not NodeKind.OBJECT:
-                continue
-            if n.id not in incoming_acq and n.type_name in roots_by_type:
-                names[n.id] = roots_by_type[n.type_name]
-            else:
-                names[n.id] = _ident(n.id)
+            if n.kind is NodeKind.OBJECT:
+                root = n.id not in incoming and roots_by_type.get(n.type_name or "")
+                names[n.id] = root or _ident(n.id)
 
         module = min(self.schema.modules) if self.schema.modules else None
-        lines: list[str] = []
-        if module is not None and self._mentions_enum(g):
-            lines.append(f"import {module}")
-        ctx = _RenderCtx(g, nmap, out_acq, dep_children, names, module, lines)
+        ctx = _RenderCtx(g, g.node_map(), out_acq, own, names, module)
         for n in g.nodes:
-            if n.kind is NodeKind.OBJECT and n.id not in incoming_acq:
+            if n.kind is NodeKind.OBJECT and n.id not in incoming:
                 self._render_node(n.id, 0, ctx)
+        lines = ([f"import {module}"] if ctx.enum_used else []) + ctx.lines
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def _mentions_enum(self, g: DepGraph) -> bool:
-        for n in g.nodes:
-            if n.kind is NodeKind.ACTION:
-                for ename in self.schema.enums:
-                    if f"{ename}." in n.label:
-                        return True
-        return False
-
     def _render_node(self, nid: str, indent: int, ctx: "_RenderCtx") -> None:
-        pad = "    " * indent
-        node = ctx.nmap[nid]
+        """An object's direct calls, its conditions (one ``if`` per test around
+        the calls that hold under the condition) and its shown members,
+        printed where every condition holds, then the objects acquired from it."""
         v = ctx.names[nid]
-        label = parse_label(node.label)
-        conds = [d for d in ctx.dep_children[nid] if ctx.nmap[d].kind is NodeKind.CONDITION]
-        acts = [d for d in ctx.dep_children[nid] if ctx.nmap[d].kind is NodeKind.ACTION]
-        show = label.get("show")
-        if conds:
-            for cid in conds:
-                wanted = parse_label(ctx.nmap[cid].label).get("name", "")
-                ctx.lines.append(f'{pad}if {v}.getName() == "{wanted}":')
-                body_start = len(ctx.lines)
-                for aid in ctx.dep_children[cid]:
-                    if ctx.nmap[aid].kind is NodeKind.ACTION:
-                        call = self._action_call(v, ctx.nmap[aid].label, ctx.module)
-                        ctx.lines.append(pad + "    " + call)
-                if show is not None and show != "count":
-                    self._emit_show(v, node, show, indent + 1, ctx)
-                if len(ctx.lines) == body_start:
-                    ctx.lines.append(pad + "    noop = 0")
-        else:
-            for aid in acts:
-                ctx.lines.append(pad + self._action_call(v, ctx.nmap[aid].label, ctx.module))
-            if show is not None and show != "count":
-                self._emit_show(v, node, show, indent, ctx)
+        shows: list[str] = []
+        calls: dict[str | None, list[str]] = defaultdict(list)  # by the condition they hold under
+        tests: dict[str, list[str]] = defaultdict(list)  # by condition
+        for el in ctx.own[nid]:
+            if el.role == "show":
+                shows.append(f"print({v}.{el.member}())")
+            elif el.role == "read":
+                shows.append(f"print({v}.{el.member})")
+            elif el.role == "call":
+                args = ", ".join(self._literal(a, ctx) for a in el.literal or ())
+                calls[el.guard].append(f"{v}.{el.member}({args})")
+            elif el.role == "test" and el.member is None:
+                tests[el.node].append("False")  # a condition that tests nothing
+            elif el.role == "test":
+                tests[el.node].append(f"{v}.{el.member}() == {self._literal(el.literal[0], ctx)}")
+        ctx.lines.extend("    " * indent + call for call in calls[None])
+        for cid, conds in tests.items():
+            inner = indent
+            for test in conds:
+                ctx.lines.append(f"{'    ' * inner}if {test}:")
+                inner += 1
+            ctx.lines.extend("    " * inner + line for line in calls[cid] + shows or ["noop = 0"])
+        if not tests:
+            ctx.lines.extend("    " * indent + show for show in shows)
         for e in ctx.out_acq[nid]:
             self._render_edge(e, indent, ctx)
 
-    def _emit_show(self, v: str, node: GraphNode, show: str,
-                   indent: int, ctx: "_RenderCtx") -> None:
-        pad = "    " * indent
-        tname = node.type_name or ""
-        for part in show.split("|"):
-            if part == "count":
-                continue
-            if self.schema.method(tname, part) is not None:
-                ctx.lines.append(f"{pad}print({v}.{part}())")
-            else:
-                ctx.lines.append(f"{pad}print({v}.{part})")
+    def _literal(self, text: str, ctx: "_RenderCtx") -> str:
+        """A label literal as source; an enum constant is addressed through the module."""
+        if ctx.module is not None and text.partition(".")[0] in self.schema.enums:
+            ctx.enum_used = True
+            return f"{ctx.module}.{text}"
+        return text
 
     def _render_edge(self, e: GraphEdge, indent: int, ctx: "_RenderCtx") -> None:
         pad = "    " * indent
-        src_v = ctx.names[e.src]
-        dst = ctx.nmap[e.dst]
         dst_v = ctx.names[e.dst]
         methods = ctx.g.realizers(e, self.schema)
         if not methods:
             return
-        method = methods[0]
-        sig = self.schema.method(ctx.nmap[e.src].type_name or "", method)
-        args = self._args_for(sig, parse_label(dst.label).get("name"))
-        call = f"{src_v}.{method}({args})"
-        counting = parse_label(dst.label).get("show") == "count"
+        sig = self.schema.method(ctx.nmap[e.src].type_name or "", methods[0])
+        mine = ctx.own[e.dst]
+        name = next((el.literal[0] for el in mine if el.role == "name"), None)
+        call = f"{ctx.names[e.src]}.{methods[0]}({_args_for(sig, name)})"
+        counting = any(el.role == "count" for el in mine)
         if sig is not None and sig.returns.many:
             if counting:
                 ctx.lines.append(f"{pad}count = 0")
@@ -178,40 +155,32 @@ class TemplateGenerator:
             ctx.lines.append(f"{pad}{dst_v} = {call}")
             self._render_node(e.dst, indent, ctx)
 
-    def _args_for(self, sig: MethodSig | None, name_label: str | None) -> str:
-        if sig is None or sig.arity == 0:
-            return ""
-        rendered = []
-        for p in sig.params:
-            if p.type.base == "string":
-                rendered.append(f'"{name_label or "x"}"')
-            elif p.type.base in ("int", "float"):
-                rendered.append("0")
-            else:
-                rendered.append("None")
-        return ", ".join(rendered)
-
-    def _action_call(self, v: str, label: str, module: str | None) -> str:
-        call = label.strip()
-        if "(" not in call:
-            call = call + "()"
-        if module is not None:
-            for ename in self.schema.enums:
-                call = re.sub(
-                    rf"(?<![\w.])({re.escape(ename)}\.)", rf"{module}.\1", call
-                )
-        return f"{v}.{call}"
-
 
 @dataclass
 class _RenderCtx:
     g: DepGraph
     nmap: dict[str, GraphNode]
     out_acq: dict[str, list[GraphEdge]]
-    dep_children: dict[str, list[str]]
+    own: dict[str | None, list[LabelElement]]
     names: dict[str, str]
     module: str | None
-    lines: list[str]
+    lines: list[str] = field(default_factory=list)
+    enum_used: bool = False
+
+
+def _args_for(sig: MethodSig | None, name: str | None) -> str:
+    """Finder arguments: the node's quoted name for a string, else a placeholder."""
+    if sig is None or sig.arity == 0:
+        return ""
+    rendered = []
+    for p in sig.params:
+        if p.type.base == "string":
+            rendered.append(name or '"x"')
+        elif p.type.base in ("int", "float"):
+            rendered.append("0")
+        else:
+            rendered.append("None")
+    return ", ".join(rendered)
 
 
 class DefectKind(Enum):

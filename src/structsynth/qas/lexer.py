@@ -107,6 +107,17 @@ def tokenize(source: str) -> tuple[list[Token], list[LexIssue]]:
     return tokens, issues
 
 
+def one_token(text: str) -> tuple[str, str] | None:
+    """The kind and text of the one token ``text`` spells as part of a line
+    (``KW`` for a keyword), blanks around it allowed; None for any other text."""
+    m = _TOKEN_RE.fullmatch(text.rstrip(" ")) if "\n" not in text else None
+    kind = m.lastgroup if m is not None else "MISMATCH"
+    if kind in ("BADSTR", "COMMENT", "MISMATCH"):
+        return None
+    text = m.group(kind)
+    return ("KW" if kind == "NAME" and text in KEYWORDS else kind), text
+
+
 def _lex_line(line: str, lineno: int, start: int, tokens: list[Token]) -> LexIssue | None:
     """Append the line's tokens; return the first issue instead, if any."""
     append = tokens.append

@@ -277,9 +277,10 @@ def test_a_graph_that_never_validates_is_refused_before_generation(
     assert gen.requests == []
 
 
-def test_an_action_under_an_ownerless_condition_names_no_call(schema, retriever):
-    """A condition node with no incoming edge validates; the action under it
-    has no object to be called on, so the contract names no call for it."""
+def test_an_action_under_an_ownerless_condition_is_refused(schema, retriever):
+    """A condition node with no incoming edge leaves the action under it no
+    object to be called on, so no program can meet the contract: extraction
+    refuses it and nothing is generated."""
     prompt = "Print the names of all nets"
     base = PatternTableExtractor(schema).extract(prompt, None, ()).to_dict()
     g = DepGraph.from_dict({
@@ -287,8 +288,9 @@ def test_an_action_under_an_ownerless_condition_names_no_call(schema, retriever)
                                   {"id": "act", "kind": "action", "label": "setWeight(2)"}],
         "edges": base["edges"] + [{"src": "cond", "dst": "act", "kind": "dependency"}],
     })
-    result = synthesize(prompt, schema, retriever, ScriptedExtractor([g]),
-                        TemplateGenerator(schema), RuleBasedJudge())
-    assert result.graph is g
-    assert result.evidence.paths == ("Design.getBlock", "Block.getNets", "Net.getName")
-    assert result.uncertainty.coverage == 1.0
+    extractor = ScriptedExtractor([g])
+    gen = ScriptedGenerator(["print(1)\n"])
+    with pytest.raises(ExtractorFailure, match="no_owner: action 'act' has no object node"):
+        synthesize(prompt, schema, retriever, extractor, gen, RuleBasedJudge())
+    assert len(extractor.calls) == MAX_ROUNDS
+    assert gen.requests == []

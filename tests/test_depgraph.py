@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from structsynth.depgraph import (
     GraphEdge,
     GraphInvariantError,
     GraphNode,
+    LabelElement,
     MAX_ROUNDS,
     NodeKind,
     extract_graph,
@@ -25,7 +27,8 @@ from structsynth.depgraph import (
 from structsynth.extractors import PatternTableExtractor
 from structsynth.generators import GenerationRequest, TemplateGenerator
 from structsynth.qas.analysis import analyze
-from structsynth.verifier import L2_EDGE_UNREALIZED, verify_causal
+from structsynth.qas.nodes import MAX_INT_DIGITS
+from structsynth.verifier import L2_EDGE_UNREALIZED, verify_all, verify_causal
 
 
 def obj(nid: str, type_name: str) -> GraphNode:
@@ -198,7 +201,7 @@ def test_validate_flags_hallucinated_type(schema):
 def test_validate_flags_unreachable_real_type(schema):
     g = DepGraph(nodes=(obj("d", "Design"), obj("n", "Net")), edges=())
     report = validate_graph(g, schema)
-    assert report.ok  # an unreachable real type is advisory
+    assert not report.ok  # nothing acquires the Net, so its use would come before its definition
     assert findings(report) == [("n", "unreachable_type")]
 
 
@@ -476,3 +479,107 @@ def test_a_via_less_edge_is_realized_by_every_method_returning_its_target(schema
 ])
 def test_calls_name_each_edge_action_condition_and_shown_member(schema, prompt, calls):
     assert PatternTableExtractor(schema).extract(prompt, None, ()).calls(schema) == calls
+
+
+# ---- label elements: the contract's one reading ----
+
+
+def labelled(prompt: str, schema, labels: dict[str, str], nodes=(), edges=()) -> DepGraph:
+    """The extractor's graph for ``prompt``, with node labels replaced and nodes and
+    edges (as graph-document entries) added."""
+    raw = PatternTableExtractor(schema).extract(prompt, None, ()).to_dict()
+    for n in raw["nodes"]:
+        n["label"] = labels.get(n["id"], n.get("label", ""))
+    raw["nodes"].extend(nodes)
+    raw["edges"].extend(edges)
+    return DepGraph.from_dict(raw)
+
+
+def test_elements_resolve_every_token_to_its_owner_member_and_literal(schema):
+    g = labelled("Mark instance u1 as placed", schema, {"inst": "name=u1 show=getName|count"})
+    assert g.elements(schema) == (
+        LabelElement("inst", "inst", "name", None, ('"u1"',)),
+        LabelElement("inst", "inst", "show", "getName"),
+        LabelElement("inst", "inst", "count", None),
+        LabelElement("cond", "inst", "test", "getName", ('"u1"',)),
+        LabelElement("act", "inst", "call", "setPlacementStatus", ("PlacementStatus.PLACED",),
+                     guard="cond"),
+    )
+
+
+def test_an_attribute_shown_is_read_and_a_method_shown_is_called(schema):
+    g = labelled("Print the names of all nets", schema, {"net": "show=weight|getName"})
+    assert [el for el in g.elements(schema) if el.node == "net"] == [
+        LabelElement("net", "net", "read", "weight"),
+        LabelElement("net", "net", "show", "getName"),
+    ]
+
+
+# Validation reads a literal as the script's lexer and parser do, so a contract
+# validates exactly when the program it renders passes L1-L3.
+@pytest.mark.parametrize("prompt, labels, ok", [
+    ("Set the weight of net clk to 3", {"act": "setWeight(-1)"}, True),
+    ("Set the weight of net clk to 3", {"act": "setWeight(- 2)"}, True),
+    ("Set the weight of net clk to 3", {"act": f"setWeight({'9' * MAX_INT_DIGITS})"}, True),
+    ("Set the weight of net clk to 3", {"act": f"setWeight({'9' * (MAX_INT_DIGITS + 1)})"}, False),
+    ("Set the weight of net clk to 3", {"act": 'setWeight(-"x")'}, False),
+    ("Set the weight of net clk to 3", {"act": "setWeight(1.5)"}, False),
+    ("Mark instance u1 as placed", {"cond": r"name=u\t1"}, True),
+    ("Mark instance u1 as placed", {"cond": r"name=u\q1"}, False),
+    # A comment leaves no token, so the argument's whole text must be the one token.
+    ("Set the weight of net clk to 3", {"act": "setWeight(3 # three)"}, False),
+], ids=["negative", "negative-spaced", "longest-int", "too-long-int", "negated-string", "float",
+        "escaped-name", "bad-escape", "trailing-comment"])
+def test_a_literal_validates_exactly_when_its_program_passes_l1_to_l3(schema, prompt, labels, ok):
+    g = labelled(prompt, schema, labels)
+    assert validate_graph(g, schema).ok is ok
+    source = TemplateGenerator(schema).generate(GenerationRequest(prompt, g))
+    assert verify_all(analyze(source, schema), g, schema, max_layer=3).passed is ok
+
+
+# Each of these contracts validated while validation read no label, though no
+# program can meet it; extraction now refuses it, naming the finding.
+@pytest.mark.parametrize("prompt, labels, nodes, edges, finding", [
+    ("Mark instance u1 as placed", {"cond": "status=PLACED"}, (), (),
+     "unknown_member: Inst has no method 'getStatus'"),
+    ("Print the weights of all nets", {"net": "show=frob"}, (), (),
+     "unknown_member: Net has no method or attribute 'frob'"),
+    ("Set the weight of net clk to 3", {"act": "frobnicate(3)"}, (), (),
+     "unknown_member: Net has no method 'frobnicate'"),
+    ("Print the weight of net clk", {},
+     ({"id": "loose", "type": "Net", "label": "show=weight"},), (),
+     "unreachable_type: Net is real but no valid acquisition path reaches it"),
+    ("Print the names of all nets", {},
+     ({"id": "cond", "kind": "condition", "label": "name=clk"},
+      {"id": "act", "kind": "action", "label": "setWeight(2)"}),
+     ({"src": "cond", "dst": "act", "kind": "dependency"},),
+     "no_owner: condition 'cond' has no object node to act on; "
+     "no_owner: action 'act' has no object node to act on"),
+    ("Set the weight of net clk to 3", {"act": 'setWeight("x")'}, (), (),
+     "bad_literal: Net.setWeight argument 'weight' expects int, got \"x\""),
+    ("Set the weight of net clk to 3", {"act": "setWeight(1, 2)"}, (), (),
+     "bad_arity: Net.setWeight takes 1 argument(s), got 2"),
+    ("Mark all instances as firm", {"act": "setPlacementStatus(PlacementStatus.WIBBLE)"}, (), (),
+     "bad_literal: Inst.setPlacementStatus argument 'status' expects PlacementStatus, "
+     "got PlacementStatus.WIBBLE"),
+    # A condition applies to the object it depends on; two tests go in one condition.
+    ("Mark instance u1 as placed", {},
+     ({"id": "cond2", "kind": "condition", "label": "name=u2"},
+      {"id": "act2", "kind": "action", "label": "setPlacementStatus(PlacementStatus.FIRM)"}),
+     ({"src": "cond", "dst": "cond2", "kind": "dependency"},
+      {"src": "cond2", "dst": "act2", "kind": "dependency"}),
+     "no_owner: condition 'cond2' has no object node to act on; "
+     "no_owner: action 'act2' has no object node to act on"),
+    # A condition with no key=value token tests nothing, so it cannot guard its action.
+    ("Mark instance u1 as placed", {"cond": ""}, (), (),
+     "no_test: condition 'cond' tests no key=value"),
+    ("Mark instance u1 as placed", {"cond": "u1"}, (), (),
+     "no_test: condition 'cond' tests no key=value"),
+], ids=["condition-status", "show-frob", "action-frobnicate", "unacquired-net",
+        "ownerless-condition", "string-weight", "two-weights", "unknown-constant",
+        "condition-on-a-condition", "empty-condition", "condition-without-key"])
+def test_extract_graph_refuses_a_contract_no_program_meets(schema, prompt, labels, nodes, edges,
+                                                           finding):
+    g = labelled(prompt, schema, labels, nodes, edges)
+    with pytest.raises(ExtractorFailure, match=re.escape(f"rounds ({finding})")):
+        extract_graph(prompt, ScriptedExtractor([g]), schema)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from doubles import ScriptedGenerator
-from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind
+from structsynth.depgraph import DepGraph, EdgeKind, GraphEdge, GraphNode, NodeKind, validate_graph
 from structsynth.extractors import PatternTableExtractor
+from structsynth.fixtures import fixture_path, toy_snapshot
 from structsynth.generators import (
     DEFECT_CODE,
     DefectKind,
@@ -16,6 +19,8 @@ from structsynth.generators import (
 from structsynth.judges import RuleBasedJudge
 from structsynth.qas.analysis import analyze
 from structsynth.qas.parser import Script, parse
+from structsynth.runtime import ExecStatus, Session
+from structsynth.schema import schema_from_dict
 from structsynth.verifier import verify_all
 
 
@@ -171,3 +176,107 @@ def test_defect_layer_table(schema, kind):
     verdict = verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt=prompt)
     home = [i for i in verdict.errors() if i.code == DEFECT_CODE[kind]]
     assert home and home[0].layer == verdict.failure_layer
+
+
+def test_direct_actions_render_beside_a_condition(schema, snapshot):
+    # Every instance is made FIRM, and u1, tested by the condition, then PLACED.
+    raw = extract(schema, "Mark instance u1 as placed").to_dict()
+    raw["nodes"].append({"id": "act0", "kind": "action",
+                         "label": "setPlacementStatus(PlacementStatus.FIRM)"})
+    raw["edges"].append({"src": "inst", "dst": "act0", "kind": "dependency"})
+    g = DepGraph.from_dict(raw)
+    assert validate_graph(g, schema).ok
+    source = gen(schema, g)
+    assert source == (
+        "import odb\n"
+        "block = design.getBlock()\n"
+        "for inst in block.getInsts():\n"
+        "    inst.setPlacementStatus(odb.PlacementStatus.FIRM)\n"
+        '    if inst.getName() == "u1":\n'
+        "        inst.setPlacementStatus(odb.PlacementStatus.PLACED)\n"
+    )
+    candidate = analyze(source, schema)
+    assert verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt="p").passed
+    session = Session(snapshot, schema)
+    result = session.execute(candidate.script)
+    assert (result.status, result.mutations) == (ExecStatus.OK, 3)
+    statuses = [session.object(i).fields["placementStatus"] for i in ("i1", "i2")]
+    assert [s.const for s in statuses] == ["PLACED", "FIRM"]
+
+
+def test_an_action_that_also_depends_on_its_objects_condition_holds_only_under_it(
+        schema, snapshot):
+    # The action hangs off both the instance and the instance's condition: it is
+    # still made only where the condition holds, once.
+    raw = extract(schema, "Mark instance u1 as placed").to_dict()
+    raw["edges"].append({"src": "inst", "dst": "act", "kind": "dependency"})
+    g = DepGraph.from_dict(raw)
+    assert validate_graph(g, schema).ok
+    source = gen(schema, g)
+    assert source == (
+        "import odb\n"
+        "block = design.getBlock()\n"
+        "for inst in block.getInsts():\n"
+        '    if inst.getName() == "u1":\n'
+        "        inst.setPlacementStatus(odb.PlacementStatus.PLACED)\n"
+    )
+    candidate = analyze(source, schema)
+    assert verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt="p").passed
+    result = Session(snapshot, schema).execute(candidate.script)
+    assert (result.status, result.mutations) == (ExecStatus.OK, 1)
+
+
+def _status_schema():
+    """The toy schema plus ``Inst.getPlacementStatus()``."""
+    raw = json.loads(fixture_path("toy_schema.json").read_text())
+    raw["types"]["Inst"]["methods"]["getPlacementStatus"] = {"returns": {"base": "PlacementStatus"}}
+    return schema_from_dict(raw)
+
+
+def _shown_instances_where(label: str) -> DepGraph:
+    return DepGraph.from_dict({
+        "nodes": [{"id": "d", "type": "Design"}, {"id": "b", "type": "Block"},
+                  {"id": "inst", "type": "Inst", "label": "show=getName"},
+                  {"id": "c", "kind": "condition", "label": label}],
+        "edges": [{"src": "d", "dst": "b", "via": "getBlock"},
+                  {"src": "b", "dst": "inst", "via": "getInsts"},
+                  {"src": "inst", "dst": "c", "kind": "dependency"}],
+    })
+
+
+def test_a_condition_renders_through_the_getter_its_key_names():
+    schema = _status_schema()
+    g = _shown_instances_where("placementStatus=PLACED")
+    assert g.calls(schema) == (
+        "Design.getBlock", "Block.getInsts", "Inst.getName", "Inst.getPlacementStatus")
+    assert validate_graph(g, schema).ok
+    source = gen(schema, g)
+    assert source == (
+        "import odb\n"
+        "b = design.getBlock()\n"
+        "for inst in b.getInsts():\n"
+        "    if inst.getPlacementStatus() == odb.PlacementStatus.PLACED:\n"
+        "        print(inst.getName())\n"
+    )
+    candidate = analyze(source, schema)
+    assert verify_all(candidate, g, schema, judge=RuleBasedJudge(), prompt="p").passed
+    # An instance's unset status reads as the enum's first constant, PLACED.
+    result = Session(toy_snapshot(schema), schema).execute(candidate.script)
+    assert (result.status, result.output) == (ExecStatus.OK, ("u1", "u2"))
+
+
+def test_a_condition_with_two_tests_opens_one_if_for_each():
+    schema = _status_schema()
+    g = _shown_instances_where("name=u2 placementStatus=PLACED")
+    assert validate_graph(g, schema).ok
+    source = gen(schema, g)
+    assert source == (
+        "import odb\n"
+        "b = design.getBlock()\n"
+        "for inst in b.getInsts():\n"
+        '    if inst.getName() == "u2":\n'
+        "        if inst.getPlacementStatus() == odb.PlacementStatus.PLACED:\n"
+        "            print(inst.getName())\n"
+    )
+    result = Session(toy_snapshot(schema), schema).execute(analyze(source, schema).script)
+    assert (result.status, result.output) == (ExecStatus.OK, ("u2",))
